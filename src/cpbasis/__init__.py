@@ -6,7 +6,8 @@ The package covers: exact root-system data and Weyl dimensions
 diagonal paths (:mod:`cpbasis.leading`) with a brute-force oracle
 (:mod:`cpbasis.oracle`); the rank-doubling scheme identification
 (:mod:`cpbasis.ident`); and admissibility checking, basis enumeration,
-graded series and partition-counting demos (:mod:`cpbasis.basis`).
+graded series counted by a slice transfer matrix, the Weyl-Kac character
+that checks them, and partition-counting demos (:mod:`cpbasis.basis`).
 """
 
 from .basis import (
@@ -14,6 +15,7 @@ from .basis import (
     QSeries,
     admissible_by_divisibility,
     admissible_by_inequalities,
+    character_oracle,
     character_oracle_a1_level1,
     enumerate_basis,
     graded_series,
@@ -87,6 +89,7 @@ __all__ = [
     "audit_windows",
     "base_leading_terms",
     "brute_leading_term",
+    "character_oracle",
     "character_oracle_a1_level1",
     "compare_colors",
     "compare_factors",

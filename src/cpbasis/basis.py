@@ -20,12 +20,20 @@ incremental pruning: once a prefix is inadmissible every extension is
 inadmissible (leading-term ideals are upward closed, path sums only
 grow), so the subtree is skipped.  Pruning affects speed only, never the
 result.
+
+Graded series are counted without listing anything: every path
+condition couples only two adjacent degrees, so a transfer matrix over
+the color multiplicities of one degree ("slices") counts the admissible
+partitions degree by degree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count, product
 
 from .ident import transport_partition
 from .leading import diagonal_paths, fs_leading_terms, std_leading_terms
@@ -37,6 +45,7 @@ from .partitions import (
     full_scheme,
     upper_scheme,
 )
+from .rootdata import RootSystemSpec, Weight, positive_roots
 
 
 @dataclass(frozen=True)
@@ -350,19 +359,146 @@ class QSeries:
         return QSeries(tuple(out))
 
 
+@lru_cache(maxsize=8)
+def _slice_transfer(
+    m: int, k: int, max_degree: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Slices of the fs(m, k) conditions and which slices may sit one degree deeper.
+
+    A slice is the color-multiplicity vector of a partition at one degree.
+    A single-block chain bounds the sum over one slice; a mixed path
+    bounds the upper-block sum of the slice at -v-1 plus the lower-block
+    sum of the slice at -v, and the maximal mixed paths dominate the
+    others.  A partition is admissible exactly when each of its slices
+    keeps every chain at most k and each adjacent pair of slices passes
+    every maximal mixed path; neither test depends on v.
+
+    Only what a partition of degree at least -max_degree can hold is kept:
+    slices of at most max_degree factors, and below a slice of size n (at
+    -v, v >= 1) only slices of at most (max_degree - n) // 2 factors.
+
+    Returns ``(sizes, deeper)`` over the slices ordered by their number of
+    factors, the empty slice first: ``sizes[s]`` is that number and
+    ``deeper[s]`` lists the slices that may sit one degree below slice s.
+    """
+    position = {c.pair: i for i, c in enumerate(upper_scheme(m).colors())}
+    # a chain is tested when its last color gets a positive multiplicity
+    # (with a zero there its sum is that of a shorter chain, tested before),
+    # and only if no longer chain ending there contains it
+    ending: list[list[frozenset[int]]] = [[] for _ in position]
+    for upper, lower in _all_paths(m):
+        if not upper:
+            chain = frozenset(position[pair] for pair in lower)
+            ending[max(chain)].append(chain)
+    chains_ending = [[c for c in cs if not any(c < d for d in cs)] for cs in ending]
+    # slices are kept sparse, as (size, ((color position, multiplicity), ...))
+    slices: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    vec = [0] * len(position)
+    support: list[tuple[int, int]] = []
+
+    def extend(i: int, size: int) -> None:
+        if i == len(vec):
+            slices.append((size, tuple(support)))
+            return
+        extend(i + 1, size)
+        for e in range(1, min(k, max_degree - size) + 1):
+            vec[i] = e
+            if any(sum(vec[j] for j in chain) > k for chain in chains_ending[i]):
+                break
+            support.append((i, e))
+            extend(i + 1, size + e)
+            support.pop()
+        vec[i] = 0
+
+    extend(0, 0)
+    slices.sort(key=lambda sized: sized[0])
+    sizes = tuple(size for size, _ in slices)
+    # up_to[n]: how many slices have at most n factors (a prefix, sizes ascend)
+    up_to = [bisect_right(sizes, n) for n in range(max_degree // 2 + 1)]
+    mixed = [path for path in _maximal_paths(m) if path[0] and path[1]]
+    upper_through: list[list[int]] = [[] for _ in position]
+    lower_through: list[list[int]] = [[] for _ in position]
+    for pid, (upper, lower) in enumerate(mixed):
+        for pair in upper:
+            upper_through[position[pair]].append(pid)
+        for pair in lower:
+            lower_through[position[pair]].append(pid)
+
+    def block_sums(sl, through) -> dict[int, int]:
+        sums: dict[int, int] = {}
+        for j, e in sl:
+            for pid in through[j]:
+                sums[pid] = sums.get(pid, 0) + e
+        return sums
+
+    # fits[pid][t]: bitmask of the slices, among those that can sit below
+    # another, whose upper-block sum on mixed path pid is at most t
+    over = [[0] * (k + 1) for _ in mixed]
+    for s, (_, sl) in enumerate(slices[: up_to[-1]]):
+        for pid, total in block_sums(sl, upper_through).items():
+            for t in range(total):
+                over[pid][t] |= 1 << s
+    every = (1 << up_to[-1]) - 1
+    fits = [[every & ~mask for mask in row] for row in over]
+    deeper = []
+    for size, sl in slices:
+        mask = (1 << up_to[(max_degree - size) // 2]) - 1
+        if mask == 1:
+            deeper.append((0,))  # only the empty slice fits below
+            continue
+        for pid, total in block_sums(sl, lower_through).items():
+            mask &= fits[pid][k - total]
+        deeper.append(tuple(compress(count(), map(int, reversed(format(mask, "b"))))))
+    return sizes, tuple(deeper)
+
+
 def graded_series(basis: BasisKind, max_degree: int) -> QSeries:
-    """Coefficient m counts the admissible partitions of degree -m."""
-    layers = enumerate_basis(basis, max_degree)
-    return QSeries(tuple(len(layer) for layer in layers))
+    """Coefficient m counts the admissible partitions of degree -m.
+
+    Counted, not listed: a transfer matrix over slices (one degree's color
+    multiplicities) runs from degree -max_degree up to -1, starting from
+    the empty slice one degree below.  ``std(l, k)`` is counted as
+    ``fs(2l, k)``, since the identification of schemes is the identity on
+    internal encodings and carries the leading terms along.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    m = basis.rank if basis.kind == "fs" else 2 * basis.rank
+    sizes, deeper = _slice_transfer(m, basis.level, max_degree)
+    # A polynomial travels packed in one integer, coefficient i in bits
+    # [i*width, (i+1)*width).  Every coefficient with i <= max_degree counts
+    # distinct partitions of degree -i over m(m+1)/2 colors, so it stays
+    # below the bound that fixes width; carries out of the slots past
+    # max_degree only move up, into bits that `keep` cuts off.
+    width = _euler_power_counts(m * (m + 1) // 2, max_degree)[max_degree].bit_length()
+    keep = (1 << width * (max_degree + 1)) - 1
+    # ways[s]: packed series of the admissible tails from slice s downwards
+    ways = [1] + [0] * (len(sizes) - 1)
+    for v in range(max_degree, 0, -1):
+        above = [0] * len(sizes)
+        for s, size in enumerate(sizes):
+            if v * size > max_degree:
+                break  # sizes ascend
+            above[s] = (sum([ways[t] for t in deeper[s]]) << v * size * width) & keep
+        ways = above
+    total = sum(ways)
+    slot = (1 << width) - 1
+    return QSeries(tuple(total >> i * width & slot for i in range(max_degree + 1)))
+
+
+def _euler_power_counts(power: int, max_degree: int) -> list[int]:
+    """Coefficients of prod 1/(1-q^n)^power: partitions over `power` colors."""
+    coeffs = [1] + [0] * max_degree
+    for _ in range(power):
+        for part in range(1, max_degree + 1):
+            for m in range(part, max_degree + 1):
+                coeffs[m] += coeffs[m - part]
+    return coeffs
 
 
 def partition_series(max_degree: int) -> QSeries:
     """The generating series of ordinary partitions, prod 1/(1-q^n)."""
-    coeffs = [1] + [0] * max_degree
-    for part in range(1, max_degree + 1):
-        for m in range(part, max_degree + 1):
-            coeffs[m] += coeffs[m - part]
-    return QSeries(tuple(coeffs))
+    return QSeries(tuple(_euler_power_counts(1, max_degree)))
 
 
 def theta_series(max_degree: int) -> QSeries:
@@ -385,6 +521,49 @@ def character_oracle_a1_level1(max_degree: int) -> QSeries:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     return theta_series(max_degree) * partition_series(max_degree)
+
+
+def character_oracle(ell: int, k: int, max_degree: int) -> QSeries:
+    """Homogeneous Weyl-Kac character of L(k Lambda_0) for C_ell^(1), truncated.
+
+    Computed independently of any enumeration or counting engine.  With
+    K = k+ell+1 and rho = (ell, ..., 1),
+
+        ch = phi(q)^(-ell(2ell+1)) * sum over gamma in 2Z^ell of
+             prod_alpha (rho+K gamma, alpha)/(rho, alpha) * q^(K|gamma|^2/4 + (rho, gamma)/2)
+
+    over the positive roots alpha of C_ell, with plain coordinate dot
+    products (Kac, Infinite-dimensional Lie algebras, ch. 10 and 12).
+    """
+    if ell < 1 or k < 1:
+        raise ValueError("ell and k must be positive")
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    spec = RootSystemSpec("C", ell)
+    roots = positive_roots(spec)
+    heights = tuple(range(ell, 0, -1))
+    rho = Weight(heights)
+    big_k = k + ell + 1
+    # gamma = 2n contributes q^(sum_i n_i (K n_i + rho_i)); each summand is
+    # nonnegative because K > rho_i, and positive for n_i != 0, so |n_i| <= max_degree
+    steps = [
+        [n for n in range(-max_degree, max_degree + 1) if n * (big_k * n + r) <= max_degree]
+        for r in heights
+    ]
+    coeffs = [0] * (max_degree + 1)
+    for ns in product(*steps):
+        exponent = sum(n * (big_k * n + r) for n, r in zip(ns, heights))
+        if exponent > max_degree:
+            continue
+        shifted = rho + (2 * big_k) * Weight(ns)
+        dim = Fraction(1)
+        for alpha in roots:
+            dim *= shifted.dot(alpha) / rho.dot(alpha)
+        if dim.denominator != 1:
+            raise ArithmeticError(f"non-integral Weyl product {dim} at gamma = 2*{ns}")
+        coeffs[exponent] += int(dim)
+    denominator = QSeries(tuple(_euler_power_counts(ell * (2 * ell + 1), max_degree)))
+    return QSeries(tuple(coeffs)) * denominator
 
 
 def rr_counts(max_m: int) -> list[tuple[int, int, int]]:

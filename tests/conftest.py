@@ -2,7 +2,26 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from cpbasis.partitions import Alphabet, Color, ColoredPartition, Factor, upper_scheme
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `args` with this checkout's sources on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def gen_partitions(alphabet: Alphabet, max_total: int):

@@ -111,12 +111,14 @@ def test_ac4_checker_equivalence():
 
 
 def test_ac5_proven_case_character():
-    """AC-5: rank-1 level-1 enumeration matches the independent character."""
+    """AC-5: rank-1 level-1 counts and enumeration match the independent character."""
     n = 15
-    enumerated = graded_series(BasisKind("std", 1, 1), n)
+    counted = graded_series(BasisKind("std", 1, 1), n)
     oracle = character_oracle_a1_level1(n)
-    assert enumerated.coeffs == oracle.coeffs
-    assert enumerated.coeffs[:3] == (1, 3, 4)
+    assert counted.coeffs == oracle.coeffs
+    assert counted.coeffs[:3] == (1, 3, 4)
+    layers = enumerate_basis(BasisKind("std", 1, 1), n)
+    assert tuple(len(layer) for layer in layers) == oracle.coeffs
     report("AC-5", True, f"coefficients match through degree {n}: {oracle.coeffs[:6]}...")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import gen_partitions
 from cpbasis.basis import (
@@ -10,6 +11,7 @@ from cpbasis.basis import (
     QSeries,
     admissible_by_divisibility,
     admissible_by_inequalities,
+    character_oracle,
     character_oracle_a1_level1,
     enumerate_basis,
     graded_series,
@@ -213,6 +215,81 @@ class TestSeries:
         assert graded_series(BasisKind("std", 1, 1), n).coeffs == (
             character_oracle_a1_level1(n).coeffs
         )
+        layers = enumerate_basis(BasisKind("std", 1, 1), n)
+        assert tuple(len(layer) for layer in layers) == (
+            character_oracle_a1_level1(n).coeffs
+        )
+
+
+# The (basis, degree, method) keys of AC-4 and AC-1, so that in a full run
+# these comparisons reuse the enumerations the acceptance tests made.
+ACCEPTANCE_GRIDS = [
+    (BasisKind("fs", rank, k), "inequalities") for rank in (1, 2, 3, 4) for k in (1, 2)
+] + [(BasisKind("std", ell, k), None) for ell in (1, 2) for k in (1, 2)]
+
+
+class TestSliceTransfer:
+    @pytest.mark.parametrize("basis, method", ACCEPTANCE_GRIDS, ids=str)
+    def test_counts_match_enumeration(self, basis, method):
+        layers = enumerate_basis(basis, 10, method)
+        assert graded_series(basis, 10).coeffs == tuple(len(layer) for layer in layers)
+
+    @pytest.mark.parametrize("ell, k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_counts_match_weyl_kac(self, ell, k):
+        series = graded_series(BasisKind("std", ell, k), 30)
+        assert series.coeffs == character_oracle(ell, k, 30).coeffs
+
+    def test_std_rank2_level2_reach(self):
+        assert graded_series(BasisKind("std", 2, 2), 30).coeffs[30] == 11531735485
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rank1_andrews_gordon(self, k):
+        # prod 1/(1-q^n) over n != 0, +-(k+1) mod 2k+3
+        n = 40
+        modulus = 2 * k + 3
+        product = [1] + [0] * n
+        for part in range(1, n + 1):
+            if part % modulus not in (0, k + 1, modulus - k - 1):
+                for m in range(part, n + 1):
+                    product[m] += product[m - part]
+        assert graded_series(BasisKind("fs", 1, k), n).coeffs == tuple(product)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            graded_series(BasisKind("fs", 2, 1), -1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["fs", "std"]),
+    rank=st.integers(min_value=1, max_value=3),
+    level=st.integers(min_value=1, max_value=3),
+    max_degree=st.integers(min_value=0, max_value=6),
+)
+def test_counts_match_enumeration_property(kind, rank, level, max_degree):
+    basis = BasisKind(kind, rank, level)
+    series = graded_series(basis, max_degree)
+    # the count bounds the cost of enumerating: std(3,3) to degree 6 lists 483,494
+    assume(sum(series.coeffs) <= 20_000)
+    layers = enumerate_basis(basis, max_degree)
+    assert series.coeffs == tuple(len(layer) for layer in layers)
+    for n in range(max_degree):
+        assert graded_series(basis, n).coeffs == series.coeffs[: n + 1]
+
+
+class TestWeylKacCharacter:
+    def test_rank1_level1_matches_theta_route(self):
+        assert character_oracle(1, 1, 25).coeffs == character_oracle_a1_level1(25).coeffs
+
+    def test_constant_and_first_terms(self):
+        # degree -1 is the adjoint representation, of dimension l(2l+1)
+        for ell, k in [(1, 1), (2, 1), (2, 3), (3, 2)]:
+            assert character_oracle(ell, k, 1).coeffs == (1, ell * (2 * ell + 1))
+
+    @pytest.mark.parametrize("args", [(0, 1, 3), (1, 0, 3), (1, 1, -1)])
+    def test_invalid_arguments(self, args):
+        with pytest.raises(ValueError):
+            character_oracle(*args)
 
 
 def brute_partition_lists(m):

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from conftest import run_python
 from cpbasis.cli import main
 
 
@@ -32,6 +33,18 @@ class TestSeries:
             "truncation": 2,
             "coeffs": [1, 3, 4],
         }
+
+
+    def test_fs_rank2_level3_to_degree_20(self, capsys):
+        code, out, _ = run(
+            capsys, "series", "--kind", "fs", "--rank", "2",
+            "--level", "3", "--max-degree", "20",
+        )
+        assert code == 0
+        assert json.loads(out)["coeffs"] == [
+            1, 3, 9, 22, 42, 81, 151, 264, 450, 749, 1212, 1926, 3009,
+            4617, 6993, 10459, 15450, 22590, 32711, 46923, 66753,
+        ]
 
 
 class TestLeadingTerms:
@@ -144,3 +157,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["series", "enumerate"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-degree", "-1"), ("--rank", "0"), ("--level", "0")]
+    )
+    def test_out_of_range_value(self, command, flag, value):
+        flags = {"--kind": "fs", "--rank": "2", "--level": "1", "--max-degree": "3"}
+        flags[flag] = value
+        argv = [item for pair in flags.items() for item in pair]
+        proc = run_python("-m", "cpbasis.cli", command, *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
