@@ -62,6 +62,7 @@ from .rootdata import (
     MinusculeData,
     RootSystemSpec,
     Weight,
+    branching_dimensions,
     eps,
     highest_root,
     minuscule_gamma,
@@ -88,6 +89,7 @@ __all__ = [
     "admissible_by_inequalities",
     "audit_windows",
     "base_leading_terms",
+    "branching_dimensions",
     "brute_leading_term",
     "character_oracle",
     "character_oracle_a1_level1",

@@ -15,11 +15,14 @@ plus those of its lower-block colors at degree -d must not exceed the
 level.  The two checkers are implemented independently and are compared
 exhaustively in the test suite.
 
-Enumeration is a depth-first walk over canonical factor multisets with
-incremental pruning: once a prefix is inadmissible every extension is
-inadmissible (leading-term ideals are upward closed, path sums only
-grow), so the subtree is skipped.  Pruning affects speed only, never the
-result.
+Enumeration is one depth-first walk over canonical factor multisets,
+fed by either condition as capped-sum constraints: a constraint caps the
+multiplicities of some (color, degree) keys and is violated once the
+capped sum reaches k+1.  A leading term capped at its exponents is
+violated when it divides the monomial; a window and a diagonal path, with
+every key capped at k+1, when the path sum exceeds k.  Once a prefix
+violates a constraint every extension does, so the subtree is skipped.
+Pruning affects speed only, never the result.
 
 Graded series are counted without listing anything: every path
 condition couples only two adjacent degrees, so a transfer matrix over
@@ -119,16 +122,23 @@ def _all_paths(m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _maximal_paths(m: int) -> tuple:
-    """Paths not contained block-wise in another path; sums over these dominate."""
+    """Paths not contained block-wise in another path; sums over these dominate.
+
+    Dropping a pair from either block of a path leaves a path, so a path
+    lies inside another exactly when adding one pair to one block does.
+    """
     paths = _all_paths(m)
-    maximal = []
-    for u, low in paths:
-        if any(
-            (u, low) != (u2, l2) and u <= u2 and low <= l2 for u2, l2 in paths
-        ):
-            continue
-        maximal.append((u, low))
-    return tuple(maximal)
+    members = set(paths)
+    pairs = [c.pair for c in upper_scheme(m).colors()]
+    return tuple(
+        (u, low)
+        for u, low in paths
+        if not any(
+            (p not in u and (u | {p}, low) in members)
+            or (p not in low and (u, low | {p}) in members)
+            for p in pairs
+        )
+    )
 
 
 def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
@@ -160,142 +170,109 @@ def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
     return True
 
 
-class _DivisibilityTracker:
-    """Incremental 'is some leading term contained in the current multiset' state."""
+def _divisibility_constraints(basis: BasisKind, max_degree: int):
+    """Each leading term as a constraint capped at its exponents (they sum to k+1).
 
-    def __init__(self, basis: BasisKind, max_degree: int):
-        self.level = basis.level
-        windows = range(1, max(1, max_degree - 1) + 1) if max_degree >= 1 else ()
-        requirement_lists: list[tuple[tuple[tuple[int, int, int], int], ...]] = []
-        index: dict[tuple[int, int, int], list[int]] = {}
-        seen: set = set()
-        for d in windows:
-            for term in leading_terms(basis, d):
-                reqs = tuple(
-                    ((f.color.a, f.color.b, -f.degree), e)
-                    for f, e in sorted(
-                        term.factor_counts().items(), key=lambda fe: fe[0].sort_key
-                    )
-                )
-                if reqs in seen:
-                    continue
-                seen.add(reqs)
-                tid = len(requirement_lists)
-                requirement_lists.append(reqs)
-                for key, _ in reqs:
-                    index.setdefault(key, []).append(tid)
-        self.requirements = requirement_lists
-        self.index = {key: tuple(ids) for key, ids in index.items()}
-        self.counts: dict[tuple[int, int, int], int] = {}
-
-    def push(self, a: int, b: int, v: int) -> bool:
-        key = (a, b, v)
-        counts = self.counts
-        counts[key] = counts.get(key, 0) + 1
-        reqs = self.requirements
-        for tid in self.index.get(key, ()):
-            for rkey, needed in reqs[tid]:
-                if counts.get(rkey, 0) < needed:
-                    break
-            else:
-                return False
-        return True
-
-    def pop(self, a: int, b: int, v: int) -> None:
-        self.counts[(a, b, v)] -= 1
+    The capped sum reaches k+1 exactly when the term divides the monomial.
+    """
+    windows = range(1, max(1, max_degree - 1) + 1) if max_degree >= 1 else ()
+    for d in windows:
+        for term in leading_terms(basis, d):
+            yield {
+                (f.color.a, f.color.b, -f.degree): e
+                for f, e in term.factor_counts().items()
+            }
 
 
-class _PathSumTracker:
-    """Incremental maxima of path sums over all windows (``fs`` kind).
+def _path_constraints(basis: BasisKind, max_degree: int):
+    """Each window and maximal diagonal path as a constraint capped at k+1 (fs only).
 
-    Tracks, for every window and every maximal diagonal path, the running
-    sum of matching multiplicities; a state is admissible while no sum
-    exceeds the level.
+    Capping every key at k+1 makes the capped sum reach k+1 exactly when
+    the plain path sum exceeds k.
+    """
+    cap = basis.level + 1
+    for d in range(1, max_degree + 1):
+        for upper, lower in _maximal_paths(basis.rank):
+            keys = [(a, b, d + 1) for a, b in upper] + [(a, b, d) for a, b in lower]
+            yield dict.fromkeys(keys, cap)
+
+
+class _Tracker:
+    """Incremental capped-sum constraints over the walk's entries.
+
+    A constraint maps keys (a, b, v) to caps and is violated once the sum
+    over its keys of min(multiplicity, cap) reaches level+1; the state is
+    admissible while no constraint is violated.  ``entries`` lists the keys
+    of degrees 1..max_degree by ascending degree, and ``push`` and ``pop``
+    take an index into it.  Keys past max_degree never get a factor, so
+    they are dropped.
     """
 
-    def __init__(self, basis: BasisKind, max_degree: int):
-        if basis.kind != "fs":
-            raise ValueError("path sums are defined for the fs kind")
-        self.level = basis.level
-        self.max_degree = max_degree
-        paths = _maximal_paths(basis.rank)
-        upper_hits: dict[tuple[int, int], list[int]] = {}
-        lower_hits: dict[tuple[int, int], list[int]] = {}
-        for pid, (upper, lower) in enumerate(paths):
-            for pair in upper:
-                upper_hits.setdefault(pair, []).append(pid)
-            for pair in lower:
-                lower_hits.setdefault(pair, []).append(pid)
-        self.upper_hits = {c: tuple(ids) for c, ids in upper_hits.items()}
-        self.lower_hits = {c: tuple(ids) for c, ids in lower_hits.items()}
-        npaths = len(paths)
-        # sums[d][pid]: window-d sum for path pid; index 0 unused
-        self.sums = [[0] * npaths for _ in range(max_degree + 1)]
-        self.violations = 0
+    def __init__(self, basis: BasisKind, max_degree: int, constraints):
+        colors = [c.pair for c in basis.alphabet.colors()]
+        self.entries = [(a, b, v) for v in range(1, max_degree + 1) for a, b in colors]
+        index = {key: i for i, key in enumerate(self.entries)}
+        # kept once each: window d's all-upper term is window d+1's all-lower one
+        kept = dict.fromkeys(
+            frozenset((index[key], cap) for key, cap in c.items() if key in index)
+            for c in constraints
+        )
+        # steps[i][n]: the constraints whose capped sum grows when entry i
+        # goes from multiplicity n to n+1, i.e. those capping it above n;
+        # an entry of degree v is pushed at most max_degree // v times
+        self.steps = [[[] for _ in range(max_degree // v)] for _, _, v in self.entries]
+        for cid, c in enumerate(kept):
+            for i, cap in c:
+                for n in range(min(cap, len(self.steps[i]))):
+                    self.steps[i][n].append(cid)
+        # room[cid]: how far constraint cid is from being violated
+        self.room = [basis.level + 1] * len(kept)
+        self.mult = [0] * len(self.entries)
+        self.violated = 0
 
-    def push(self, a: int, b: int, v: int) -> bool:
-        limit = self.level + 1
-        sums = self.sums
-        row = sums[v]
-        for pid in self.lower_hits.get((a, b), ()):
-            row[pid] += 1
-            if row[pid] == limit:
-                self.violations += 1
-        if v >= 2:
-            row = sums[v - 1]
-            for pid in self.upper_hits.get((a, b), ()):
-                row[pid] += 1
-                if row[pid] == limit:
-                    self.violations += 1
-        return self.violations == 0
+    def push(self, i: int) -> bool:
+        n = self.mult[i]
+        self.mult[i] = n + 1
+        room = self.room
+        for cid in self.steps[i][n]:
+            room[cid] -= 1
+            if not room[cid]:
+                self.violated += 1
+        return not self.violated
 
-    def pop(self, a: int, b: int, v: int) -> None:
-        limit = self.level + 1
-        sums = self.sums
-        row = sums[v]
-        for pid in self.lower_hits.get((a, b), ()):
-            if row[pid] == limit:
-                self.violations -= 1
-            row[pid] -= 1
-        if v >= 2:
-            row = sums[v - 1]
-            for pid in self.upper_hits.get((a, b), ()):
-                if row[pid] == limit:
-                    self.violations -= 1
-                row[pid] -= 1
+    def pop(self, i: int) -> None:
+        n = self.mult[i] - 1
+        self.mult[i] = n
+        room = self.room
+        for cid in self.steps[i][n]:
+            if not room[cid]:
+                self.violated -= 1
+            room[cid] += 1
 
 
-def _enumerate_layers(basis: BasisKind, max_degree: int, tracker):
+def _enumerate_layers(basis: BasisKind, max_degree: int, tracker: _Tracker):
     alphabet = basis.alphabet
-    colors = [(c.a, c.b) for c in alphabet.colors()]
-    entries = [
-        (v, a, b) for v in range(1, max_degree + 1) for (a, b) in colors
-    ]
+    entries = tracker.entries
     # interned factor objects: the universe is small, partitions only hold refs
-    factor_cache = {
-        (v, a, b): Factor(Color(alphabet, a, b), -v) for v, a, b in entries
-    }
+    factor_cache = [Factor(Color(alphabet, a, b), -v) for a, b, v in entries]
     layers: list[list[ColoredPartition]] = [[] for _ in range(max_degree + 1)]
     layers[0].append(ColoredPartition(alphabet, ()))
-    stack: list[tuple[int, int, int]] = []
+    stack: list[int] = []
 
     def build() -> ColoredPartition:
-        return ColoredPartition(
-            alphabet, tuple(factor_cache[key] for key in stack)
-        )
+        return ColoredPartition(alphabet, tuple(factor_cache[i] for i in stack))
 
     def rec(start: int, used: int) -> None:
         for idx in range(start, len(entries)):
-            v, a, b = entries[idx]
+            v = entries[idx][2]
             if used + v > max_degree:
                 break  # entries are sorted by |degree|
-            ok = tracker.push(a, b, v)
-            if ok:
-                stack.append((v, a, b))
+            if tracker.push(idx):
+                stack.append(idx)
                 layers[used + v].append(build())
                 rec(idx, used + v)
                 stack.pop()
-            tracker.pop(a, b, v)
+            tracker.pop(idx)
 
     rec(0, 0)
     return tuple(
@@ -306,10 +283,10 @@ def _enumerate_layers(basis: BasisKind, max_degree: int, tracker):
 @lru_cache(maxsize=None)
 def _enumerate_cached(basis: BasisKind, max_degree: int, method: str):
     if method == "divisibility":
-        tracker = _DivisibilityTracker(basis, max_degree)
+        constraints = _divisibility_constraints(basis, max_degree)
     else:
-        tracker = _PathSumTracker(basis, max_degree)
-    return _enumerate_layers(basis, max_degree, tracker)
+        constraints = _path_constraints(basis, max_degree)
+    return _enumerate_layers(basis, max_degree, _Tracker(basis, max_degree, constraints))
 
 
 def enumerate_basis(

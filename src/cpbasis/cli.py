@@ -13,20 +13,12 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from math import comb
 
 from .basis import BasisKind, enumerate_basis, graded_series, rr_counts
 from .ident import transport_partition
 from .leading import fs_leading_terms, std_leading_terms, window_split
 from .oracle import audit_windows
-from .rootdata import (
-    RootSystemSpec,
-    fundamental_weight_one,
-    highest_root,
-    verify_branching,
-    weight,
-    weyl_dim,
-)
+from .rootdata import RootSystemSpec, branching_dimensions, weight, weyl_dim
 
 
 def _leading_rows(kind: str, rank: int, level: int, window: int):
@@ -170,12 +162,8 @@ def _cmd_verify_branching(args) -> int:
     ok = True
     print("ell  m  symplectic-dim  special-linear-dim  binomial  match")
     for m in range(1, args.max_m + 1):
-        c_spec = RootSystemSpec("C", args.ell)
-        a_spec = RootSystemSpec("A", 2 * args.ell - 1)
-        c_dim = weyl_dim(c_spec, m * highest_root(c_spec))
-        a_dim = weyl_dim(a_spec, (2 * m) * fundamental_weight_one(a_spec))
-        binom = comb(2 * args.ell + 2 * m - 1, 2 * m)
-        match = verify_branching(args.ell, m)
+        c_dim, a_dim, binom = branching_dimensions(args.ell, m)
+        match = c_dim == a_dim == binom
         ok = ok and match
         print(
             f"{args.ell:3d}  {m}  {c_dim:14d}  {a_dim:18d}  {binom:8d}  "

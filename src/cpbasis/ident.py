@@ -12,7 +12,7 @@ its colors through iota and leaves degrees untouched.
 
 from __future__ import annotations
 
-from .partitions import Color, ColoredPartition, Factor, full_scheme, upper_scheme
+from .partitions import Alphabet, Color, ColoredPartition, Factor, full_scheme, upper_scheme
 
 
 def iota(pair: tuple[int, int], ell: int) -> Color:
@@ -30,25 +30,21 @@ def iota_inverse(color: Color, ell: int) -> tuple[int, int]:
     return (color.a, color.b)
 
 
-def transport_partition(p: ColoredPartition, ell: int) -> ColoredPartition:
-    """Color-wise iota image of a partition over the rank-2*ell upper triangle."""
-    source = upper_scheme(2 * ell)
+def _relabel(p: ColoredPartition, source: Alphabet, target: Alphabet) -> ColoredPartition:
+    """Move `p` from `source` to `target`, keeping each color's (a, b) encoding."""
     if p.alphabet != source:
         raise ValueError(f"expected a partition over {source}, got {p.alphabet}")
-    target = full_scheme(ell)
     return ColoredPartition(
         target,
         tuple(Factor(Color(target, f.color.a, f.color.b), f.degree) for f in p.factors),
     )
+
+
+def transport_partition(p: ColoredPartition, ell: int) -> ColoredPartition:
+    """Color-wise iota image of a partition over the rank-2*ell upper triangle."""
+    return _relabel(p, upper_scheme(2 * ell), full_scheme(ell))
 
 
 def transport_partition_inverse(p: ColoredPartition, ell: int) -> ColoredPartition:
     """Pull a full-scheme rank-ell partition back to the rank-2*ell upper triangle."""
-    source = full_scheme(ell)
-    if p.alphabet != source:
-        raise ValueError(f"expected a partition over {source}, got {p.alphabet}")
-    target = upper_scheme(2 * ell)
-    return ColoredPartition(
-        target,
-        tuple(Factor(Color(target, f.color.a, f.color.b), f.degree) for f in p.factors),
-    )
+    return _relabel(p, full_scheme(ell), upper_scheme(2 * ell))

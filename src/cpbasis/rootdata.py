@@ -197,20 +197,20 @@ def weyl_dim(spec: RootSystemSpec, lam: Weight) -> int:
     for alpha in positive_roots(spec):
         num = inner(spec, shifted, alpha)
         den = inner(spec, rho, alpha)
-        assert num > 0, "shifted pairing must stay positive for a dominant weight"
+        if num <= 0:
+            raise ArithmeticError(f"pairing {num} of {shifted} with {alpha} is not positive")
         dim *= num / den
-    assert dim.denominator == 1 and dim > 0
+    if dim.denominator != 1 or dim <= 0:
+        raise ArithmeticError(f"Weyl product {dim} is not a positive integer")
     return int(dim)
 
 
-def verify_branching(ell: int, m: int) -> bool:
-    """Dimension identity behind the rank-doubling coincidence.
+def branching_dimensions(ell: int, m: int) -> tuple[int, int, int]:
+    """The three numbers of the dimension identity behind the rank-doubling coincidence.
 
-    Restricting the degree-2m symmetric power of the 2l-dimensional vector
-    representation to the symplectic subalgebra leaves an irreducible
-    module, so three numbers agree: the symplectic dimension at highest
-    weight m*theta, the special-linear dimension at 2m*omega_1, and the
-    multiset count binomial(2l+2m-1, 2m).
+    Returns the symplectic dimension at highest weight m*theta, the
+    special-linear dimension at 2m*omega_1, and the multiset count
+    binomial(2l+2m-1, 2m).
     """
     if ell < 1 or m < 1:
         raise ValueError("ell and m must be positive")
@@ -218,7 +218,18 @@ def verify_branching(ell: int, m: int) -> bool:
     c_dim = weyl_dim(c_spec, m * highest_root(c_spec))
     a_spec = RootSystemSpec("A", 2 * ell - 1)
     a_dim = weyl_dim(a_spec, (2 * m) * fundamental_weight_one(a_spec))
-    return c_dim == a_dim == comb(2 * ell + 2 * m - 1, 2 * m)
+    return c_dim, a_dim, comb(2 * ell + 2 * m - 1, 2 * m)
+
+
+def verify_branching(ell: int, m: int) -> bool:
+    """Dimension identity behind the rank-doubling coincidence.
+
+    Restricting the degree-2m symmetric power of the 2l-dimensional vector
+    representation to the symplectic subalgebra leaves an irreducible
+    module, so the three numbers of :func:`branching_dimensions` agree.
+    """
+    c_dim, a_dim, binom = branching_dimensions(ell, m)
+    return c_dim == a_dim == binom
 
 
 def minuscule_gamma(spec: RootSystemSpec) -> MinusculeData:
@@ -235,6 +246,6 @@ def minuscule_gamma(spec: RootSystemSpec) -> MinusculeData:
     gamma = tuple(
         eps(i, n) + eps(j, n) for i in range(1, n + 1) for j in range(i, n + 1)
     )
-    for g in gamma:
-        assert omega.dot(g) == 1
+    if any(omega.dot(g) != 1 for g in gamma):
+        raise ArithmeticError(f"a root of {spec} in gamma does not pair to 1 with omega")
     return MinusculeData(omega=omega, gamma=gamma)

@@ -9,6 +9,9 @@ from conftest import gen_partitions
 from cpbasis.basis import (
     BasisKind,
     QSeries,
+    _all_paths,
+    _maximal_paths,
+    _Tracker,
     admissible_by_divisibility,
     admissible_by_inequalities,
     character_oracle,
@@ -178,6 +181,24 @@ class TestEnumeration:
                 )
                 assert sub in admissible
 
+    def test_tracker_caps_multiplicities(self):
+        # level 2: a constraint is violated once its capped sum reaches 3
+        basis = BasisKind("fs", 1, 2)
+        # the second constraint lies past degree 3, so it is dropped
+        tracker = _Tracker(basis, 3, [{(1, 1, 1): 2, (1, 1, 2): 1}, {(1, 1, 4): 3}])
+        one, two = tracker.entries.index((1, 1, 1)), tracker.entries.index((1, 1, 2))
+        assert tracker.push(one) and tracker.push(one)
+        # the third (1,1)(-1) is past its cap of 2 and adds nothing
+        assert tracker.push(one)
+        assert not tracker.push(two)
+        tracker.pop(two)
+        tracker.pop(one)
+        # two copies of (1,1)(-1) still fill its cap
+        assert not tracker.push(two)
+        tracker.pop(two)
+        tracker.pop(one)
+        assert tracker.push(two)
+
     def test_inequalities_engine_rejected_for_std(self):
         with pytest.raises(ValueError):
             enumerate_basis(BasisKind("std", 1, 1), 3, "inequalities")
@@ -261,20 +282,34 @@ class TestSliceTransfer:
 
 @settings(max_examples=20, deadline=None)
 @given(
-    kind=st.sampled_from(["fs", "std"]),
+    kind_method=st.sampled_from(
+        [("fs", "inequalities"), ("fs", "divisibility"), ("std", "divisibility")]
+    ),
     rank=st.integers(min_value=1, max_value=3),
     level=st.integers(min_value=1, max_value=3),
     max_degree=st.integers(min_value=0, max_value=6),
 )
-def test_counts_match_enumeration_property(kind, rank, level, max_degree):
+def test_counts_match_enumeration_property(kind_method, rank, level, max_degree):
+    kind, method = kind_method
     basis = BasisKind(kind, rank, level)
     series = graded_series(basis, max_degree)
     # the count bounds the cost of enumerating: std(3,3) to degree 6 lists 483,494
     assume(sum(series.coeffs) <= 20_000)
-    layers = enumerate_basis(basis, max_degree)
+    layers = enumerate_basis(basis, max_degree, method)
     assert series.coeffs == tuple(len(layer) for layer in layers)
     for n in range(max_degree):
         assert graded_series(basis, n).coeffs == series.coeffs[: n + 1]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_maximal_paths_match_pairwise_definition(m):
+    paths = _all_paths(m)
+    pairwise = tuple(
+        (u, low)
+        for u, low in paths
+        if not any((u, low) != (u2, l2) and u <= u2 and low <= l2 for u2, l2 in paths)
+    )
+    assert _maximal_paths(m) == pairwise
 
 
 class TestWeylKacCharacter:

@@ -10,6 +10,7 @@ import pytest
 from cpbasis.rootdata import (
     RootSystemSpec,
     Weight,
+    branching_dimensions,
     eps,
     fundamental_weight_one,
     highest_root,
@@ -125,7 +126,13 @@ class TestBranching:
         a_spec = RootSystemSpec("A", 5)
         assert weyl_dim(a_spec, 4 * fundamental_weight_one(a_spec)) == comb(9, 4) == 126
 
+    def test_branching_dimensions(self):
+        assert branching_dimensions(2, 1) == (10, 10, 10)
+        assert branching_dimensions(3, 2) == (126, 126, 126)
+
     def test_argument_validation(self):
+        with pytest.raises(ValueError):
+            branching_dimensions(1, 0)
         with pytest.raises(ValueError):
             verify_branching(0, 1)
         with pytest.raises(ValueError):
