@@ -30,7 +30,6 @@ from .ident import (
 )
 from .leading import (
     DiagonalPath,
-    base_leading_terms,
     diagonal_paths,
     fs_leading_terms,
     leading_term_for_multiset,
@@ -88,7 +87,6 @@ __all__ = [
     "admissible_by_divisibility",
     "admissible_by_inequalities",
     "audit_windows",
-    "base_leading_terms",
     "branching_dimensions",
     "brute_leading_term",
     "character_oracle",

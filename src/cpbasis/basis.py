@@ -22,7 +22,11 @@ capped sum reaches k+1.  A leading term capped at its exponents is
 violated when it divides the monomial; a window and a diagonal path, with
 every key capped at k+1, when the path sum exceeds k.  Once a prefix
 violates a constraint every extension does, so the subtree is skipped.
-Pruning affects speed only, never the result.
+Pruning affects speed only, never the result.  The walk keeps each
+partition as the tuple of integer factor indices it pushed and sorts
+each layer by integer keys; ``ColoredPartition`` objects are built only
+at the boundary, by `enumerate_basis`, while `enumerate_keys` hands the
+indices to callers that only print them.
 
 Graded series are counted without listing anything: every path
 condition couples only two adjacent degrees, so a transfer matrix over
@@ -251,42 +255,97 @@ class _Tracker:
 
 
 def _enumerate_layers(basis: BasisKind, max_degree: int, tracker: _Tracker):
-    alphabet = basis.alphabet
+    """Admissible partitions as the tuples of entry indices the walk pushed.
+
+    Entries ascend by (|degree|, color position), so a key lists its
+    factors in reverse canonical order.  Each layer is sorted in the
+    partition order: within one degree, ``ColoredPartition.sort_key``
+    ascends exactly as (length, |degree| sequence, color-position
+    sequence) of the key descends, since a deeper degree or a later
+    color position makes a smaller factor.
+    """
     entries = tracker.entries
-    # interned factor objects: the universe is small, partitions only hold refs
-    factor_cache = [Factor(Color(alphabet, a, b), -v) for a, b, v in entries]
-    layers: list[list[ColoredPartition]] = [[] for _ in range(max_degree + 1)]
-    layers[0].append(ColoredPartition(alphabet, ()))
-    stack: list[int] = []
+    layers: list[list[tuple[int, ...]]] = [[] for _ in range(max_degree + 1)]
+    layers[0].append(())
 
-    def build() -> ColoredPartition:
-        return ColoredPartition(alphabet, tuple(factor_cache[i] for i in stack))
-
-    def rec(start: int, used: int) -> None:
+    def rec(start: int, used: int, prefix: tuple[int, ...]) -> None:
         for idx in range(start, len(entries)):
             v = entries[idx][2]
             if used + v > max_degree:
                 break  # entries are sorted by |degree|
             if tracker.push(idx):
-                stack.append(idx)
-                layers[used + v].append(build())
-                rec(idx, used + v)
-                stack.pop()
+                key = prefix + (idx,)
+                layers[used + v].append(key)
+                rec(idx, used + v, key)
             tracker.pop(idx)
 
-    rec(0, 0)
-    return tuple(
-        tuple(sorted(layer, key=lambda p: p.sort_key)) for layer in layers
-    )
+    rec(0, 0, ())
+    width = len(basis.alphabet.colors())
+    degree = [v for _, _, v in entries]
+    position = [i % width for i in range(len(entries))]
+
+    def order(key: tuple[int, ...]):
+        return (
+            len(key),
+            tuple(map(degree.__getitem__, key)),
+            tuple(map(position.__getitem__, key)),
+        )
+
+    return tuple(tuple(sorted(layer, key=order, reverse=True)) for layer in layers)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _enumerate_cached(basis: BasisKind, max_degree: int, method: str):
     if method == "divisibility":
         constraints = _divisibility_constraints(basis, max_degree)
     else:
         constraints = _path_constraints(basis, max_degree)
-    return _enumerate_layers(basis, max_degree, _Tracker(basis, max_degree, constraints))
+    tracker = _Tracker(basis, max_degree, constraints)
+    return tuple(tracker.entries), _enumerate_layers(basis, max_degree, tracker)
+
+
+def _enumeration_method(basis: BasisKind, max_degree: int, method: str | None) -> str:
+    """Check the arguments of an enumeration and resolve the default engine."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    if method is None:
+        method = "inequalities" if basis.kind == "fs" else "divisibility"
+    if method not in ("divisibility", "inequalities"):
+        raise ValueError(f"unknown enumeration method {method!r}")
+    if method == "inequalities" and basis.kind != "fs":
+        raise ValueError("the inequality engine applies to the fs kind only")
+    return method
+
+
+def enumerate_keys(
+    basis: BasisKind, max_degree: int, method: str | None = None
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The enumeration of `enumerate_basis` as integer keys, without partition objects.
+
+    Returns ``(entries, layers)``: ``entries[i]`` is the factor
+    ``(a, b, v)``, color X_ab at degree -v, and each partition is the
+    tuple of its entry indices in reverse canonical factor order.  The
+    layers and their order are those of `enumerate_basis`; the arguments
+    and errors are the same.
+    """
+    return _enumerate_cached(
+        basis, max_degree, _enumeration_method(basis, max_degree, method)
+    )
+
+
+@lru_cache(maxsize=32)
+def _materialized(basis: BasisKind, max_degree: int, method: str):
+    entries, layers = _enumerate_cached(basis, max_degree, method)
+    alphabet = basis.alphabet
+    # one factor object per entry: partitions only hold references
+    factors = [Factor(Color(alphabet, a, b), -v) for a, b, v in entries]
+    return tuple(
+        tuple(
+            ColoredPartition(alphabet, tuple([factors[i] for i in reversed(key)]))
+            for key in layer
+        )
+        for layer in layers
+    )
 
 
 def enumerate_basis(
@@ -299,15 +358,9 @@ def enumerate_basis(
     ``divisibility`` (either kind) or ``inequalities`` (fs only); the
     default is ``inequalities`` for fs and ``divisibility`` for std.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    if method is None:
-        method = "inequalities" if basis.kind == "fs" else "divisibility"
-    if method not in ("divisibility", "inequalities"):
-        raise ValueError(f"unknown enumeration method {method!r}")
-    if method == "inequalities" and basis.kind != "fs":
-        raise ValueError("the inequality engine applies to the fs kind only")
-    return _enumerate_cached(basis, max_degree, method)
+    return _materialized(
+        basis, max_degree, _enumeration_method(basis, max_degree, method)
+    )
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,13 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from itertools import groupby
 
-from .basis import BasisKind, enumerate_basis, graded_series, rr_counts
+from .basis import BasisKind, enumerate_basis, enumerate_keys, graded_series, rr_counts
 from .ident import transport_partition
 from .leading import fs_leading_terms, std_leading_terms, window_split
 from .oracle import audit_windows
+from .partitions import Color, Factor
 from .rootdata import RootSystemSpec, branching_dimensions, weight, weyl_dim
 
 
@@ -63,7 +65,10 @@ def _cmd_leading_terms(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     basis = BasisKind(args.kind, args.rank, args.level)
-    layers = enumerate_basis(basis, args.max_degree)
+    entries, layers = enumerate_keys(basis, args.max_degree)
+    alphabet = basis.alphabet
+    # a key lists its factors in reverse canonical order, one label per entry
+    labels = [str(Factor(Color(alphabet, a, b), -v)) for a, b, v in entries]
     if args.format == "json":
         print(
             json.dumps(
@@ -73,9 +78,9 @@ def _cmd_enumerate(args) -> int:
                     "level": args.level,
                     "truncation": args.max_degree,
                     "elements": [
-                        {"degree": -m, "factors": [str(f) for f in p.factors]}
+                        {"degree": -m, "factors": [labels[i] for i in reversed(key)]}
                         for m, layer in enumerate(layers)
-                        for p in layer
+                        for key in layer
                     ],
                 }
             )
@@ -84,16 +89,28 @@ def _cmd_enumerate(args) -> int:
         writer = csv.writer(sys.stdout)
         writer.writerow(["degree", "factors"])
         for m, layer in enumerate(layers):
-            for p in layer:
-                writer.writerow([-m, " ".join(str(f) for f in p.factors)])
+            writer.writerows(
+                [-m, " ".join([labels[i] for i in reversed(key)])] for key in layer
+            )
     else:
         print(f"admissible partitions: kind={args.kind} rank={args.rank} "
               f"level={args.level} down to degree -{args.max_degree}")
         for m, layer in enumerate(layers):
             print(f"degree -{m}: {len(layer)} elements")
-            for p in layer:
-                print(f"  {p}")
+            for key in layer:
+                print(f"  {_monomial(key, labels)}")
     return 0
+
+
+def _monomial(key: tuple[int, ...], labels: list[str]) -> str:
+    """A partition as ``ColoredPartition.__str__`` writes it: canonical order, powers."""
+    if not key:
+        return "1"
+    parts = []
+    for i, run in groupby(reversed(key)):
+        e = sum(1 for _ in run)
+        parts.append(labels[i] if e == 1 else f"{labels[i]}^{e}")
+    return " ".join(parts)
 
 
 def _cmd_series(args) -> int:

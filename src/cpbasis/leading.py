@@ -134,23 +134,6 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def base_leading_terms(k: int, d: int, alphabet=None) -> frozenset[ColoredPartition]:
-    """Single-color leading terms on window d: powers of X_11 at -d-1 and -d.
-
-    Exponents a >= 1 at degree -d (a + b = k+1); the pure power at -d-1 is
-    left to window d+1, so unions over windows are duplicate-free.
-    """
-    if k < 1 or d < 1:
-        raise ValueError("level and window must be positive")
-    alphabet = upper_scheme(1) if alphabet is None else alphabet
-    top = Color(alphabet, 1, 1)
-    terms = set()
-    for a in range(1, k + 2):
-        factors = (Factor(top, -d - 1),) * (k + 1 - a) + (Factor(top, -d),) * a
-        terms.add(ColoredPartition(alphabet, factors))
-    return frozenset(terms)
-
-
 @lru_cache(maxsize=None)
 def fs_leading_terms(m: int, k: int, d: int) -> frozenset[ColoredPartition]:
     """All leading terms of the level-k rank-m relations on window d.

@@ -173,8 +173,10 @@ class ColoredPartition:
     factors: tuple[Factor, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        alphabet = self.alphabet
         for f in self.factors:
-            if f.color.alphabet != self.alphabet:
+            # identity first: factors usually share their scheme object
+            if f.color.alphabet is not alphabet and f.color.alphabet != alphabet:
                 raise ValueError(
                     f"factor {f} does not belong to scheme {self.alphabet}"
                 )

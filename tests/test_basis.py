@@ -120,6 +120,30 @@ class TestAdmissibility:
         assert not admissible_by_inequalities(pi, basis)
 
 
+@st.composite
+def deep_fs_partitions(draw):
+    """An fs basis of rank <= 4 and level <= 2 with a partition of degree -11..-16."""
+    rank = draw(st.integers(min_value=1, max_value=4))
+    basis = BasisKind("fs", rank, draw(st.integers(min_value=1, max_value=2)))
+    colors = upper_scheme(rank).colors()
+    left = draw(st.integers(min_value=11, max_value=16))
+    factors = []
+    while left:
+        part = draw(st.integers(min_value=1, max_value=left))
+        color = draw(st.sampled_from(colors))
+        factors.append(((color.a, color.b), -part))
+        left -= part
+    return basis, up_part(rank, *factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=deep_fs_partitions())
+def test_checkers_agree_beyond_enumerated_degrees(case):
+    # the enumerations of AC-4 compare the checkers down to degree -10 only
+    basis, pi = case
+    assert admissible_by_divisibility(pi, basis) == admissible_by_inequalities(pi, basis)
+
+
 class TestEnumeration:
     def test_std_rank1_level1_layers(self):
         layers = enumerate_basis(BasisKind("std", 1, 1), 2)
@@ -163,12 +187,17 @@ class TestEnumeration:
         ]
         assert sum(len(layer) for layer in layers) == len(expected)
 
-    def test_layers_sorted_and_degree_consistent(self):
-        layers = enumerate_basis(BasisKind("fs", 2, 1), 5)
+    @pytest.mark.parametrize(
+        "basis, max_degree",
+        [(BasisKind("fs", 2, 1), 5), (BasisKind("std", 2, 2), 7), (BasisKind("fs", 3, 2), 7)],
+        ids=str,
+    )
+    def test_layers_sorted_and_degree_consistent(self, basis, max_degree):
+        layers = enumerate_basis(basis, max_degree)
         for m, layer in enumerate(layers):
             assert all(p.degree == -m for p in layer)
             keys = [p.sort_key for p in layer]
-            assert keys == sorted(keys)
+            assert keys == sorted(set(keys))
 
     def test_divisor_closure(self):
         basis = BasisKind("fs", 2, 1)

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from conftest import run_python
+from cpbasis.basis import BasisKind, enumerate_basis
 from cpbasis.cli import main
 
 
@@ -91,6 +92,61 @@ class TestEnumerate:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["elements"]) == 4
+
+
+def enumerate_from_objects(kind, rank, level, max_degree, fmt) -> str:
+    """The enumerate command's output, formatted from `enumerate_basis` objects."""
+    layers = enumerate_basis(BasisKind(kind, rank, level), max_degree)
+    out = io.StringIO()
+    if fmt == "json":
+        payload = {
+            "kind": kind,
+            "rank": rank,
+            "level": level,
+            "truncation": max_degree,
+            "elements": [
+                {"degree": -m, "factors": [str(f) for f in p.factors]}
+                for m, layer in enumerate(layers)
+                for p in layer
+            ],
+        }
+        print(json.dumps(payload), file=out)
+    elif fmt == "csv":
+        writer = csv.writer(out)
+        writer.writerow(["degree", "factors"])
+        for m, layer in enumerate(layers):
+            for p in layer:
+                writer.writerow([-m, " ".join(str(f) for f in p.factors)])
+    else:
+        print(f"admissible partitions: kind={kind} rank={rank} "
+              f"level={level} down to degree -{max_degree}", file=out)
+        for m, layer in enumerate(layers):
+            print(f"degree -{m}: {len(layer)} elements", file=out)
+            for p in layer:
+                print(f"  {p}", file=out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("max_degree", [0, 1, 6])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize(
+    "kind, rank", [("fs", 1), ("fs", 2), ("fs", 3), ("std", 1), ("std", 2)]
+)
+def test_enumerate_output_matches_partition_objects(
+    capsys, kind, rank, level, max_degree, fmt
+):
+    code, out, _ = run(
+        capsys, "enumerate", "--kind", kind, "--rank", str(rank), "--level",
+        str(level), "--max-degree", str(max_degree), "--format", fmt,
+    )
+    assert code == 0
+    expected = enumerate_from_objects(kind, rank, level, max_degree, fmt)
+    # line by line, line ends included: pytest's diff of two long outputs is slow
+    got, want = out.splitlines(keepends=True), expected.splitlines(keepends=True)
+    for n, (line, wanted) in enumerate(zip(got, want)):
+        assert line == wanted, f"line {n}"
+    assert len(got) == len(want)
 
 
 class TestVerifiers:

@@ -10,7 +10,6 @@ import pytest
 from conftest import golden_rank2_families
 from cpbasis.leading import (
     DiagonalPath,
-    base_leading_terms,
     diagonal_paths,
     fs_leading_terms,
     leading_term_for_multiset,
@@ -24,9 +23,19 @@ def up_part(m, *facs):
     return ColoredPartition.from_pairs(upper_scheme(m), *facs)
 
 
+def pure_power(k, d):
+    """The rank-1 leading term supported on degree -d-1 alone."""
+    return up_part(1, *([((1, 1), -d - 1)] * (k + 1)))
+
+
+def base_family(k, d):
+    """Rank-1 window-d terms with at least one factor at degree -d."""
+    return fs_leading_terms(1, k, d) - {pure_power(k, d)}
+
+
 class TestBaseFamily:
     def test_level_one_window_one(self):
-        terms = base_leading_terms(1, 1)
+        terms = base_family(1, 1)
         expected = {
             up_part(1, ((1, 1), -1), ((1, 1), -1)),
             up_part(1, ((1, 1), -2), ((1, 1), -1)),
@@ -34,20 +43,20 @@ class TestBaseFamily:
         assert terms == expected
 
     def test_term_count_per_window(self):
-        assert len(base_leading_terms(2, 3)) == 3
+        assert len(base_family(2, 3)) == 3
 
     def test_windows_do_not_overlap(self):
         k, dmax = 2, 4
         union = set()
         for d in range(1, dmax + 1):
-            union |= base_leading_terms(k, d)
+            union |= base_family(k, d)
         assert len(union) == (k + 1) * dmax
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            base_leading_terms(0, 1)
+            fs_leading_terms(1, 0, 1)
         with pytest.raises(ValueError):
-            base_leading_terms(1, 0)
+            fs_leading_terms(1, 1, 0)
 
 
 class TestDiagonalPaths:
@@ -100,10 +109,14 @@ class TestRankTwoFamilies:
 
 class TestGeneratedSets:
     def test_rank_one_is_base_plus_pure_power(self):
+        # every split of k+1 copies of X_11 between degrees -d-1 and -d
         for k in (1, 2):
             for d in (1, 2):
-                pure = up_part(1, *([((1, 1), -d - 1)] * (k + 1)))
-                assert fs_leading_terms(1, k, d) == base_leading_terms(k, d) | {pure}
+                powers = {
+                    up_part(1, *([((1, 1), -d - 1)] * (k + 1 - a) + [((1, 1), -d)] * a))
+                    for a in range(k + 2)
+                }
+                assert fs_leading_terms(1, k, d) == powers
 
     @pytest.mark.parametrize("m,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
     def test_count_per_split(self, m, k):
