@@ -28,6 +28,11 @@ each layer by integer keys; ``ColoredPartition`` objects are built only
 at the boundary, by `enumerate_basis`, while `enumerate_keys` hands the
 indices to callers that only print them.
 
+Below that boundary the engine knows only the rank-m upper triangle: the
+identification of schemes is the identity on internal (a, b) encodings
+and carries the leading terms along, so ``std(l, k)`` runs as
+``fs(2l, k)`` and the two share one walk.
+
 Graded series are counted without listing anything: every path
 condition couples only two adjacent degrees, so a transfer matrix over
 the color multiplicities of one degree ("slices") counts the admissible
@@ -42,7 +47,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, product
 
-from .ident import transport_partition
 from .leading import diagonal_paths, fs_leading_terms, std_leading_terms
 from .partitions import (
     Alphabet,
@@ -79,6 +83,11 @@ def leading_terms(basis: BasisKind, d: int) -> frozenset[ColoredPartition]:
     if basis.kind == "fs":
         return fs_leading_terms(basis.rank, basis.level, d)
     return std_leading_terms(basis.rank, basis.level, d)
+
+
+def _triangle_rank(basis: BasisKind) -> int:
+    """Rank of the upper triangle whose encoding `basis` uses: std(l) is fs(2l)."""
+    return basis.rank if basis.kind == "fs" else 2 * basis.rank
 
 
 def _check_partition(pi: ColoredPartition, basis: BasisKind) -> None:
@@ -174,29 +183,29 @@ def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
     return True
 
 
-def _divisibility_constraints(basis: BasisKind, max_degree: int):
+def _divisibility_constraints(m: int, k: int, max_degree: int):
     """Each leading term as a constraint capped at its exponents (they sum to k+1).
 
     The capped sum reaches k+1 exactly when the term divides the monomial.
     """
     windows = range(1, max(1, max_degree - 1) + 1) if max_degree >= 1 else ()
     for d in windows:
-        for term in leading_terms(basis, d):
+        for term in fs_leading_terms(m, k, d):
             yield {
                 (f.color.a, f.color.b, -f.degree): e
                 for f, e in term.factor_counts().items()
             }
 
 
-def _path_constraints(basis: BasisKind, max_degree: int):
-    """Each window and maximal diagonal path as a constraint capped at k+1 (fs only).
+def _path_constraints(m: int, k: int, max_degree: int):
+    """Each window and maximal diagonal path as a constraint capped at k+1.
 
     Capping every key at k+1 makes the capped sum reach k+1 exactly when
     the plain path sum exceeds k.
     """
-    cap = basis.level + 1
+    cap = k + 1
     for d in range(1, max_degree + 1):
-        for upper, lower in _maximal_paths(basis.rank):
+        for upper, lower in _maximal_paths(m):
             keys = [(a, b, d + 1) for a, b in upper] + [(a, b, d) for a, b in lower]
             yield dict.fromkeys(keys, cap)
 
@@ -212,8 +221,8 @@ class _Tracker:
     they are dropped.
     """
 
-    def __init__(self, basis: BasisKind, max_degree: int, constraints):
-        colors = [c.pair for c in basis.alphabet.colors()]
+    def __init__(self, m: int, k: int, max_degree: int, constraints):
+        colors = [c.pair for c in upper_scheme(m).colors()]
         self.entries = [(a, b, v) for v in range(1, max_degree + 1) for a, b in colors]
         index = {key: i for i, key in enumerate(self.entries)}
         # kept once each: window d's all-upper term is window d+1's all-lower one
@@ -230,7 +239,7 @@ class _Tracker:
                 for n in range(min(cap, len(self.steps[i]))):
                     self.steps[i][n].append(cid)
         # room[cid]: how far constraint cid is from being violated
-        self.room = [basis.level + 1] * len(kept)
+        self.room = [k + 1] * len(kept)
         self.mult = [0] * len(self.entries)
         self.violated = 0
 
@@ -254,7 +263,7 @@ class _Tracker:
             room[cid] += 1
 
 
-def _enumerate_layers(basis: BasisKind, max_degree: int, tracker: _Tracker):
+def _enumerate_layers(m: int, max_degree: int, tracker: _Tracker):
     """Admissible partitions as the tuples of entry indices the walk pushed.
 
     Entries ascend by (|degree|, color position), so a key lists its
@@ -280,7 +289,7 @@ def _enumerate_layers(basis: BasisKind, max_degree: int, tracker: _Tracker):
             tracker.pop(idx)
 
     rec(0, 0, ())
-    width = len(basis.alphabet.colors())
+    width = m * (m + 1) // 2
     degree = [v for _, _, v in entries]
     position = [i % width for i in range(len(entries))]
 
@@ -295,13 +304,13 @@ def _enumerate_layers(basis: BasisKind, max_degree: int, tracker: _Tracker):
 
 
 @lru_cache(maxsize=8)
-def _enumerate_cached(basis: BasisKind, max_degree: int, method: str):
+def _enumerate_cached(m: int, k: int, max_degree: int, method: str):
     if method == "divisibility":
-        constraints = _divisibility_constraints(basis, max_degree)
+        constraints = _divisibility_constraints(m, k, max_degree)
     else:
-        constraints = _path_constraints(basis, max_degree)
-    tracker = _Tracker(basis, max_degree, constraints)
-    return tuple(tracker.entries), _enumerate_layers(basis, max_degree, tracker)
+        constraints = _path_constraints(m, k, max_degree)
+    tracker = _Tracker(m, k, max_degree, constraints)
+    return tuple(tracker.entries), _enumerate_layers(m, max_degree, tracker)
 
 
 def _enumeration_method(basis: BasisKind, max_degree: int, method: str | None) -> str:
@@ -328,14 +337,15 @@ def enumerate_keys(
     layers and their order are those of `enumerate_basis`; the arguments
     and errors are the same.
     """
-    return _enumerate_cached(
-        basis, max_degree, _enumeration_method(basis, max_degree, method)
-    )
+    method = _enumeration_method(basis, max_degree, method)
+    return _enumerate_cached(_triangle_rank(basis), basis.level, max_degree, method)
 
 
 @lru_cache(maxsize=32)
 def _materialized(basis: BasisKind, max_degree: int, method: str):
-    entries, layers = _enumerate_cached(basis, max_degree, method)
+    entries, layers = _enumerate_cached(
+        _triangle_rank(basis), basis.level, max_degree, method
+    )
     alphabet = basis.alphabet
     # one factor object per entry: partitions only hold references
     factors = [Factor(Color(alphabet, a, b), -v) for a, b, v in entries]
@@ -493,7 +503,7 @@ def graded_series(basis: BasisKind, max_degree: int) -> QSeries:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    m = basis.rank if basis.kind == "fs" else 2 * basis.rank
+    m = _triangle_rank(basis)
     sizes, deeper = _slice_transfer(m, basis.level, max_degree)
     # A polynomial travels packed in one integer, coefficient i in bits
     # [i*width, (i+1)*width).  Every coefficient with i <= max_degree counts

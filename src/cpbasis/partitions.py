@@ -21,6 +21,10 @@ Orders, from smallest building block to partitions:
                 means smaller partition), and finally the color sequences
                 compare the same way.
 
+Each order ascends with the objects' ``sort_key``; the classes define no
+``<``, so sort with ``key=...sort_key`` or compare with
+`compare_colors`, `compare_factors` and `compare_partitions`.
+
 A colored partition is a finite multiset of factors kept in canonical
 ascending factor order.  Partitions over a fixed scheme form a monoid
 under multiset union, with the empty partition as unit.
@@ -105,18 +109,6 @@ class Color:
     def __str__(self) -> str:
         return self.alphabet.display_index(self.a) + self.alphabet.display_index(self.b)
 
-    def __lt__(self, other: "Color") -> bool:
-        return compare_colors(self, other) < 0
-
-    def __le__(self, other: "Color") -> bool:
-        return compare_colors(self, other) <= 0
-
-    def __gt__(self, other: "Color") -> bool:
-        return compare_colors(self, other) > 0
-
-    def __ge__(self, other: "Color") -> bool:
-        return compare_colors(self, other) >= 0
-
 
 @dataclass(frozen=True, slots=True)
 class Factor:
@@ -131,18 +123,6 @@ class Factor:
 
     def __str__(self) -> str:
         return f"{self.color}({self.degree})"
-
-    def __lt__(self, other: "Factor") -> bool:
-        return compare_factors(self, other) < 0
-
-    def __le__(self, other: "Factor") -> bool:
-        return compare_factors(self, other) <= 0
-
-    def __gt__(self, other: "Factor") -> bool:
-        return compare_factors(self, other) > 0
-
-    def __ge__(self, other: "Factor") -> bool:
-        return compare_factors(self, other) >= 0
 
 
 def _cmp(x, y) -> int:
@@ -235,18 +215,6 @@ class ColoredPartition:
         ):
             parts.append(str(f) if e == 1 else f"{f}^{e}")
         return " ".join(parts)
-
-    def __lt__(self, other: "ColoredPartition") -> bool:
-        return compare_partitions(self, other) < 0
-
-    def __le__(self, other: "ColoredPartition") -> bool:
-        return compare_partitions(self, other) <= 0
-
-    def __gt__(self, other: "ColoredPartition") -> bool:
-        return compare_partitions(self, other) > 0
-
-    def __ge__(self, other: "ColoredPartition") -> bool:
-        return compare_partitions(self, other) >= 0
 
 
 def unit(alphabet: Alphabet) -> ColoredPartition:

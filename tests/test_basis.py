@@ -10,6 +10,7 @@ from cpbasis.basis import (
     BasisKind,
     QSeries,
     _all_paths,
+    _enumerate_cached,
     _maximal_paths,
     _Tracker,
     admissible_by_divisibility,
@@ -17,6 +18,7 @@ from cpbasis.basis import (
     character_oracle,
     character_oracle_a1_level1,
     enumerate_basis,
+    enumerate_keys,
     graded_series,
     leading_terms,
     partition_series,
@@ -212,9 +214,8 @@ class TestEnumeration:
 
     def test_tracker_caps_multiplicities(self):
         # level 2: a constraint is violated once its capped sum reaches 3
-        basis = BasisKind("fs", 1, 2)
         # the second constraint lies past degree 3, so it is dropped
-        tracker = _Tracker(basis, 3, [{(1, 1, 1): 2, (1, 1, 2): 1}, {(1, 1, 4): 3}])
+        tracker = _Tracker(1, 2, 3, [{(1, 1, 1): 2, (1, 1, 2): 1}, {(1, 1, 4): 3}])
         one, two = tracker.entries.index((1, 1, 1)), tracker.entries.index((1, 1, 2))
         assert tracker.push(one) and tracker.push(one)
         # the third (1,1)(-1) is past its cap of 2 and adds nothing
@@ -227,6 +228,15 @@ class TestEnumeration:
         tracker.pop(two)
         tracker.pop(one)
         assert tracker.push(two)
+
+    @pytest.mark.parametrize("ell, k", [(1, 1), (1, 2), (2, 1)])
+    def test_std_and_double_rank_fs_share_one_walk(self, ell, k):
+        _enumerate_cached.cache_clear()
+        std = enumerate_keys(BasisKind("std", ell, k), 5)
+        fs = enumerate_keys(BasisKind("fs", 2 * ell, k), 5, "divisibility")
+        info = _enumerate_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert fs == std
 
     def test_inequalities_engine_rejected_for_std(self):
         with pytest.raises(ValueError):

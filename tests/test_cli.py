@@ -9,8 +9,10 @@ import json
 import pytest
 
 from conftest import run_python
-from cpbasis.basis import BasisKind, enumerate_basis
+from cpbasis import cli
+from cpbasis.basis import BasisKind, _enumerate_cached, enumerate_basis
 from cpbasis.cli import main
+from cpbasis.ident import transport_partition
 
 
 def run(capsys, *argv):
@@ -149,6 +151,50 @@ def test_enumerate_output_matches_partition_objects(
     assert len(got) == len(want)
 
 
+def verify_coincidence_from_objects(ell, k, n) -> tuple[int, str]:
+    """Exit code and output of verify-coincidence, by transporting partition objects."""
+    fs_layers = enumerate_basis(BasisKind("fs", 2 * ell, k), n)
+    std_layers = enumerate_basis(BasisKind("std", ell, k), n)
+    out = io.StringIO()
+    ok = True
+    print(
+        f"coincidence check: fs rank {2 * ell} vs std rank {ell}, level {k}", file=out
+    )
+    print("degree  fs-count  std-count  transported-match", file=out)
+    for m in range(n + 1):
+        transported = {transport_partition(p, ell) for p in fs_layers[m]}
+        match = transported == set(std_layers[m]) and len(transported) == len(
+            fs_layers[m]
+        )
+        ok = ok and match
+        print(
+            f"{-m:6d}  {len(fs_layers[m]):8d}  {len(std_layers[m]):9d}  "
+            f"{'yes' if match else 'NO'}",
+            file=out,
+        )
+    series_equal = [len(x) for x in fs_layers] == [len(x) for x in std_layers]
+    ok = ok and series_equal
+    print(f"graded series equal: {'yes' if series_equal else 'NO'}", file=out)
+    print("coincidence verified" if ok else "coincidence FAILED", file=out)
+    return (0 if ok else 1), out.getvalue()
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 6])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("ell", [1, 2])
+def test_verify_coincidence_matches_partition_objects(capsys, ell, level, max_degree):
+    code, out, _ = run(
+        capsys, "verify-coincidence", "--ell", str(ell), "--level", str(level),
+        "--max-degree", str(max_degree),
+    )
+    expected_code, expected = verify_coincidence_from_objects(ell, level, max_degree)
+    assert code == expected_code == 0
+    got, want = out.splitlines(keepends=True), expected.splitlines(keepends=True)
+    for n, (line, wanted) in enumerate(zip(got, want)):
+        assert line == wanted, f"line {n}"
+    assert len(got) == len(want)
+
+
 class TestVerifiers:
     def test_coincidence(self, capsys):
         code, out, _ = run(
@@ -157,6 +203,38 @@ class TestVerifiers:
         )
         assert code == 0
         assert "coincidence verified" in out
+
+    def test_coincidence_walks_both_sides(self, capsys):
+        # fs(2l) by path inequalities and std(l) by leading terms: two walks,
+        # so the comparison is not one enumeration against itself
+        _enumerate_cached.cache_clear()
+        code, _, _ = run(
+            capsys, "verify-coincidence", "--ell", "1",
+            "--level", "2", "--max-degree", "5",
+        )
+        assert code == 0
+        info = _enumerate_cached.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+
+    def test_coincidence_detects_a_missing_std_partition(self, capsys, monkeypatch):
+        enumerate_keys = cli.enumerate_keys
+
+        def std_side_missing_one(basis, max_degree, method=None):
+            entries, layers = enumerate_keys(basis, max_degree, method)
+            if basis.kind == "std":
+                layers = layers[:3] + (layers[3][1:],) + layers[4:]
+            return entries, layers
+
+        monkeypatch.setattr(cli, "enumerate_keys", std_side_missing_one)
+        code, out, _ = run(
+            capsys, "verify-coincidence", "--ell", "1",
+            "--level", "1", "--max-degree", "5",
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[2 + 3].split() == ["-3", "7", "6", "NO"]
+        assert [line.split()[-1] for line in lines[2:2 + 6]].count("NO") == 1
+        assert lines[-2:] == ["graded series equal: NO", "coincidence FAILED"]
 
     def test_audit_oracle(self, capsys):
         code, out, _ = run(
@@ -224,5 +302,17 @@ class TestUsageErrors:
         argv = [item for pair in flags.items() for item in pair]
         proc = run_python("-m", "cpbasis.cli", command, *argv)
         assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "ell, max_m", [("2", "0"), ("0", "3")], ids=["empty-grid", "zero-ell"]
+    )
+    def test_verify_branching_out_of_range(self, ell, max_m):
+        proc = run_python(
+            "-m", "cpbasis.cli", "verify-branching", "--ell", ell, "--max-m", max_m
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
