@@ -6,8 +6,9 @@ The package covers: exact root-system data and Weyl dimensions
 diagonal paths (:mod:`cpbasis.leading`) with a brute-force oracle
 (:mod:`cpbasis.oracle`); the rank-doubling scheme identification
 (:mod:`cpbasis.ident`); and admissibility checking, basis enumeration,
-graded series counted by a slice transfer matrix, the Weyl-Kac character
-that checks them, and partition-counting demos (:mod:`cpbasis.basis`).
+graded series counted by a transfer matrix over cut profiles, the
+Weyl-Kac character that checks them, and partition-counting demos
+(:mod:`cpbasis.basis`).
 """
 
 from .basis import (
@@ -16,7 +17,6 @@ from .basis import (
     admissible_by_divisibility,
     admissible_by_inequalities,
     character_oracle,
-    character_oracle_a1_level1,
     enumerate_basis,
     graded_series,
     leading_terms,
@@ -90,7 +90,6 @@ __all__ = [
     "branching_dimensions",
     "brute_leading_term",
     "character_oracle",
-    "character_oracle_a1_level1",
     "compare_colors",
     "compare_factors",
     "compare_partitions",

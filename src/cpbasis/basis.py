@@ -34,18 +34,21 @@ and carries the leading terms along, so ``std(l, k)`` runs as
 ``fs(2l, k)`` and the two share one walk.
 
 Graded series are counted without listing anything: every path
-condition couples only two adjacent degrees, so a transfer matrix over
-the color multiplicities of one degree ("slices") counts the admissible
+condition couples only two adjacent degrees, and the largest path sum
+over two adjacent degrees splits at a cut of the triangle into a chain
+sum of the deeper degree's color multiplicities (its "slice") and one of
+the shallower slice.  Slices are grouped by size and by these cut
+profiles, and a transfer matrix over the groups counts the admissible
 partitions degree by degree.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress, count, product
+from functools import lru_cache, reduce
+from itertools import product
+from operator import add
 
 from .leading import diagonal_paths, fs_leading_terms, std_leading_terms
 from .partitions import (
@@ -400,103 +403,57 @@ class QSeries:
 
 
 @lru_cache(maxsize=8)
-def _slice_transfer(
+def _cut_profiles(
     m: int, k: int, max_degree: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Slices of the fs(m, k) conditions and which slices may sit one degree deeper.
+) -> dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], int], ...]]:
+    """Slices of the fs(m, k) conditions, counted by size and cut profiles.
 
-    A slice is the color-multiplicity vector of a partition at one degree.
-    A single-block chain bounds the sum over one slice; a mixed path
-    bounds the upper-block sum of the slice at -v-1 plus the lower-block
-    sum of the slice at -v, and the maximal mixed paths dominate the
-    others.  A partition is admissible exactly when each of its slices
-    keeps every chain at most k and each adjacent pair of slices passes
-    every maximal mixed path; neither test depends on v.
+    A slice is the color-multiplicity vector e of a partition at one
+    degree.  inside(i, j) = e(i, j) + max(inside(i+1, j), inside(i, j-1)),
+    zero when i > j, is the largest single-block chain sum of e over the
+    pairs within (i, j), so a slice keeps every chain at most k exactly
+    when inside(1, m) <= k.  A mixed path's upper block lies within its
+    outermost pair (i, j) and its lower block starts at j or later, so
+    over the mixed paths the largest upper-block sum of a slice t at
+    -v-1 plus lower-block sum of a slice s at -v is the largest
+    A_t(c) + B_s(c) over the cuts c = 1..m, where A(c) = inside(1, c) and
+    B(c) = inside(c, m).  A partition is admissible exactly when each of
+    its slices is allowed and each adjacent pair keeps that sum at most k;
+    neither test depends on v.
 
-    Only what a partition of degree at least -max_degree can hold is kept:
-    slices of at most max_degree factors, and below a slice of size n (at
-    -v, v >= 1) only slices of at most (max_degree - n) // 2 factors.
-
-    Returns ``(sizes, deeper)`` over the slices ordered by their number of
-    factors, the empty slice first: ``sizes[s]`` is that number and
-    ``deeper[s]`` lists the slices that may sit one degree below slice s.
+    Only slices of at most max_degree factors are listed.  Returns
+    ``{(size, B): ((A, number of slices), ...)}`` ordered by size.
     """
-    position = {c.pair: i for i, c in enumerate(upper_scheme(m).colors())}
-    # a chain is tested when its last color gets a positive multiplicity
-    # (with a zero there its sum is that of a shorter chain, tested before),
-    # and only if no longer chain ending there contains it
-    ending: list[list[frozenset[int]]] = [[] for _ in position]
-    for upper, lower in _all_paths(m):
-        if not upper:
-            chain = frozenset(position[pair] for pair in lower)
-            ending[max(chain)].append(chain)
-    chains_ending = [[c for c in cs if not any(c < d for d in cs)] for cs in ending]
-    # slices are kept sparse, as (size, ((color position, multiplicity), ...))
-    slices: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    vec = [0] * len(position)
-    support: list[tuple[int, int]] = []
+    # by increasing j - i, so both terms below inside(i, j) come first
+    pairs = sorted(
+        ((i, j) for i in range(m) for j in range(i, m)), key=lambda p: p[1] - p[0]
+    )
+    inside = [[0] * m for _ in range(m)]
+    classes: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
 
-    def extend(i: int, size: int) -> None:
-        if i == len(vec):
-            slices.append((size, tuple(support)))
+    def extend(p: int, size: int) -> None:
+        if p == len(pairs):
+            counts = classes.setdefault((size, tuple(row[-1] for row in inside)), {})
+            a = tuple(inside[0])
+            counts[a] = counts.get(a, 0) + 1
             return
-        extend(i + 1, size)
-        for e in range(1, min(k, max_degree - size) + 1):
-            vec[i] = e
-            if any(sum(vec[j] for j in chain) > k for chain in chains_ending[i]):
-                break
-            support.append((i, e))
-            extend(i + 1, size + e)
-            support.pop()
-        vec[i] = 0
+        i, j = pairs[p]
+        below = max(inside[i + 1][j], inside[i][j - 1]) if i < j else 0
+        # inside(1, m) is at least every inside(i, j): prune at the first one past k
+        for e in range(min(k - below, max_degree - size) + 1):
+            inside[i][j] = below + e
+            extend(p + 1, size + e)
 
     extend(0, 0)
-    slices.sort(key=lambda sized: sized[0])
-    sizes = tuple(size for size, _ in slices)
-    # up_to[n]: how many slices have at most n factors (a prefix, sizes ascend)
-    up_to = [bisect_right(sizes, n) for n in range(max_degree // 2 + 1)]
-    mixed = [path for path in _maximal_paths(m) if path[0] and path[1]]
-    upper_through: list[list[int]] = [[] for _ in position]
-    lower_through: list[list[int]] = [[] for _ in position]
-    for pid, (upper, lower) in enumerate(mixed):
-        for pair in upper:
-            upper_through[position[pair]].append(pid)
-        for pair in lower:
-            lower_through[position[pair]].append(pid)
-
-    def block_sums(sl, through) -> dict[int, int]:
-        sums: dict[int, int] = {}
-        for j, e in sl:
-            for pid in through[j]:
-                sums[pid] = sums.get(pid, 0) + e
-        return sums
-
-    # fits[pid][t]: bitmask of the slices, among those that can sit below
-    # another, whose upper-block sum on mixed path pid is at most t
-    over = [[0] * (k + 1) for _ in mixed]
-    for s, (_, sl) in enumerate(slices[: up_to[-1]]):
-        for pid, total in block_sums(sl, upper_through).items():
-            for t in range(total):
-                over[pid][t] |= 1 << s
-    every = (1 << up_to[-1]) - 1
-    fits = [[every & ~mask for mask in row] for row in over]
-    deeper = []
-    for size, sl in slices:
-        mask = (1 << up_to[(max_degree - size) // 2]) - 1
-        if mask == 1:
-            deeper.append((0,))  # only the empty slice fits below
-            continue
-        for pid, total in block_sums(sl, lower_through).items():
-            mask &= fits[pid][k - total]
-        deeper.append(tuple(compress(count(), map(int, reversed(format(mask, "b"))))))
-    return sizes, tuple(deeper)
+    return {key: tuple(counts.items()) for key, counts in sorted(classes.items())}
 
 
 def graded_series(basis: BasisKind, max_degree: int) -> QSeries:
     """Coefficient m counts the admissible partitions of degree -m.
 
     Counted, not listed: a transfer matrix over slices (one degree's color
-    multiplicities) runs from degree -max_degree up to -1, starting from
+    multiplicities), grouped by size and cut profiles (see
+    `_cut_profiles`), runs from degree -max_degree up to -1, starting from
     the empty slice one degree below.  ``std(l, k)`` is counted as
     ``fs(2l, k)``, since the identification of schemes is the identity on
     internal encodings and carries the leading terms along.
@@ -504,7 +461,8 @@ def graded_series(basis: BasisKind, max_degree: int) -> QSeries:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     m = _triangle_rank(basis)
-    sizes, deeper = _slice_transfer(m, basis.level, max_degree)
+    k = basis.level
+    classes = _cut_profiles(m, k, max_degree)
     # A polynomial travels packed in one integer, coefficient i in bits
     # [i*width, (i+1)*width).  Every coefficient with i <= max_degree counts
     # distinct partitions of degree -i over m(m+1)/2 colors, so it stays
@@ -512,16 +470,28 @@ def graded_series(basis: BasisKind, max_degree: int) -> QSeries:
     # max_degree only move up, into bits that `keep` cuts off.
     width = _euler_power_counts(m * (m + 1) // 2, max_degree)[max_degree].bit_length()
     keep = (1 << width * (max_degree + 1)) - 1
-    # ways[s]: packed series of the admissible tails from slice s downwards
-    ways = [1] + [0] * (len(sizes) - 1)
+    a_profiles = {a for counts in classes.values() for a, _ in counts}
+    fits = {
+        b: [a for a in a_profiles if all(x + y <= k for x, y in zip(a, b))]
+        for _, b in classes
+    }
+    # tails[a]: packed series of the admissible tails from the slices with
+    # A-profile a downwards, summed over those slices.  Only profiles with a
+    # slice in reach are kept; the zero one, the empty slice's, always is and
+    # fits below every slice.  reduce, not sum, and no product by a count of
+    # one: either would copy a long integer for nothing.
+    tails = {(0,) * m: 1}
     for v in range(max_degree, 0, -1):
-        above = [0] * len(sizes)
-        for s, size in enumerate(sizes):
+        terms: dict[tuple[int, ...], list[int]] = {}
+        for (size, b), counts in classes.items():
             if v * size > max_degree:
                 break  # sizes ascend
-            above[s] = (sum([ways[t] for t in deeper[s]]) << v * size * width) & keep
-        ways = above
-    total = sum(ways)
+            below = reduce(add, [tails[a] for a in fits[b] if a in tails])
+            ways = (below << v * size * width) & keep
+            for a, count in counts:
+                terms.setdefault(a, []).append(ways if count == 1 else count * ways)
+        tails = {a: reduce(add, t) for a, t in terms.items()}
+    total = sum(tails.values())
     slot = (1 << width) - 1
     return QSeries(tuple(total >> i * width & slot for i in range(max_degree + 1)))
 
@@ -534,33 +504,6 @@ def _euler_power_counts(power: int, max_degree: int) -> list[int]:
             for m in range(part, max_degree + 1):
                 coeffs[m] += coeffs[m - part]
     return coeffs
-
-
-def partition_series(max_degree: int) -> QSeries:
-    """The generating series of ordinary partitions, prod 1/(1-q^n)."""
-    return QSeries(tuple(_euler_power_counts(1, max_degree)))
-
-
-def theta_series(max_degree: int) -> QSeries:
-    """Sum of q^(m^2) over all integers m, truncated."""
-    coeffs = [0] * (max_degree + 1)
-    coeffs[0] = 1
-    m = 1
-    while m * m <= max_degree:
-        coeffs[m * m] = 2
-        m += 1
-    return QSeries(tuple(coeffs))
-
-
-def character_oracle_a1_level1(max_degree: int) -> QSeries:
-    """Graded dimension of the level-1 vacuum module of the rank-1 algebra.
-
-    Computed independently of any enumeration, as the series product
-    (sum over the root lattice of q^(m^2)) / (q; q)_infinity.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    return theta_series(max_degree) * partition_series(max_degree)
 
 
 def character_oracle(ell: int, k: int, max_degree: int) -> QSeries:
@@ -611,7 +554,9 @@ def rr_counts(max_m: int) -> list[tuple[int, int, int]]:
 
     For each m, the number of partitions of m with all parts congruent to
     1 or 4 mod 5, and the number whose part frequencies satisfy
-    f_j + f_{j+1} <= 1 (equivalently, gaps of at least two).
+    f_j + f_{j+1} <= 1 (equivalently, gaps of at least two).  The rank-1
+    level-1 conditions are exactly these, so the second count is read off
+    the graded series of ``fs(1, 1)``.
     """
     if max_m < 1:
         raise ValueError("max_m must be positive")
@@ -620,13 +565,5 @@ def rr_counts(max_m: int) -> list[tuple[int, int, int]]:
         if part % 5 in (1, 4):
             for m in range(part, max_m + 1):
                 cong[m] += cong[m - part]
-
-    @lru_cache(maxsize=None)
-    def gap2(m: int, smallest: int) -> int:
-        if m == 0:
-            return 1
-        if smallest > m:
-            return 0
-        return gap2(m, smallest + 1) + gap2(m - smallest, smallest + 2)
-
-    return [(m, cong[m], gap2(m, 1)) for m in range(1, max_m + 1)]
+    gap = graded_series(BasisKind("fs", 1, 1), max_m).coeffs
+    return [(m, cong[m], gap[m]) for m in range(1, max_m + 1)]

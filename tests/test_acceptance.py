@@ -13,9 +13,9 @@ from math import comb
 import pytest
 
 from conftest import golden_rank2_families
+from test_basis import theta_route_character
 from cpbasis.basis import (
     BasisKind,
-    character_oracle_a1_level1,
     enumerate_basis,
     graded_series,
     rr_counts,
@@ -114,7 +114,7 @@ def test_ac5_proven_case_character():
     """AC-5: rank-1 level-1 counts and enumeration match the independent character."""
     n = 15
     counted = graded_series(BasisKind("std", 1, 1), n)
-    oracle = character_oracle_a1_level1(n)
+    oracle = theta_route_character(n)
     assert counted.coeffs == oracle.coeffs
     assert counted.coeffs[:3] == (1, 3, 4)
     layers = enumerate_basis(BasisKind("std", 1, 1), n)

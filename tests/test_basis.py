@@ -10,20 +10,18 @@ from cpbasis.basis import (
     BasisKind,
     QSeries,
     _all_paths,
+    _cut_profiles,
     _enumerate_cached,
     _maximal_paths,
     _Tracker,
     admissible_by_divisibility,
     admissible_by_inequalities,
     character_oracle,
-    character_oracle_a1_level1,
     enumerate_basis,
     enumerate_keys,
     graded_series,
     leading_terms,
-    partition_series,
     rr_counts,
-    theta_series,
 )
 from cpbasis.ident import transport_partition_inverse
 from cpbasis.partitions import (
@@ -33,6 +31,35 @@ from cpbasis.partitions import (
     unit,
     upper_scheme,
 )
+
+
+def partition_series(max_degree):
+    """The generating series of ordinary partitions, prod 1/(1-q^n)."""
+    coeffs = [1] + [0] * max_degree
+    for part in range(1, max_degree + 1):
+        for m in range(part, max_degree + 1):
+            coeffs[m] += coeffs[m - part]
+    return QSeries(tuple(coeffs))
+
+
+def theta_series(max_degree):
+    """Sum of q^(m^2) over all integers m, truncated."""
+    coeffs = [0] * (max_degree + 1)
+    coeffs[0] = 1
+    m = 1
+    while m * m <= max_degree:
+        coeffs[m * m] = 2
+        m += 1
+    return QSeries(tuple(coeffs))
+
+
+def theta_route_character(max_degree):
+    """Graded dimension of the rank-1 level-1 vacuum module, by a route of its own.
+
+    The series product (sum over the root lattice of q^(m^2)) / (q; q)_infinity,
+    independent of any enumeration and of the general Weyl-Kac sum.
+    """
+    return theta_series(max_degree) * partition_series(max_degree)
 
 
 def up_part(m, *facs):
@@ -268,16 +295,16 @@ class TestSeries:
         assert theta_series(9).coeffs == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2)
 
     def test_character_oracle_small(self):
-        assert character_oracle_a1_level1(2).coeffs == (1, 3, 4)
+        assert theta_route_character(2).coeffs == (1, 3, 4)
 
     def test_character_oracle_matches_enumeration(self):
         n = 8
         assert graded_series(BasisKind("std", 1, 1), n).coeffs == (
-            character_oracle_a1_level1(n).coeffs
+            theta_route_character(n).coeffs
         )
         layers = enumerate_basis(BasisKind("std", 1, 1), n)
         assert tuple(len(layer) for layer in layers) == (
-            character_oracle_a1_level1(n).coeffs
+            theta_route_character(n).coeffs
         )
 
 
@@ -294,7 +321,9 @@ class TestSliceTransfer:
         layers = enumerate_basis(basis, 10, method)
         assert graded_series(basis, 10).coeffs == tuple(len(layer) for layer in layers)
 
-    @pytest.mark.parametrize("ell, k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize(
+        "ell, k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 4), (4, 1)]
+    )
     def test_counts_match_weyl_kac(self, ell, k):
         series = graded_series(BasisKind("std", ell, k), 30)
         assert series.coeffs == character_oracle(ell, k, 30).coeffs
@@ -340,6 +369,55 @@ def test_counts_match_enumeration_property(kind_method, rank, level, max_degree)
         assert graded_series(basis, n).coeffs == series.coeffs[: n + 1]
 
 
+def inside_table(m, e):
+    """inside(i, j) = e(i, j) + max(inside(i+1, j), inside(i, j-1)), 0 when i > j."""
+    inside = {}
+    for width in range(m):
+        for i in range(1, m - width + 1):
+            j = i + width
+            below = max(inside[i + 1, j], inside[i, j - 1]) if i < j else 0
+            inside[i, j] = e[i, j] + below
+    return inside
+
+
+@st.composite
+def slice_pairs(draw):
+    """A rank m <= 5, a level k <= 3 and two slices t, s with entries at most k."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=3))
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
+    entries = st.lists(
+        st.integers(min_value=0, max_value=k), min_size=len(pairs), max_size=len(pairs)
+    )
+    return m, k, dict(zip(pairs, draw(entries))), dict(zip(pairs, draw(entries)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=slice_pairs())
+def test_cut_lemma(case):
+    # the fact the series model counts with: the largest path sum over slice
+    # t at -v-1 and slice s at -v splits at a cut c into
+    # A_t(c) = inside_t(1, c) and B_s(c) = inside_s(c, m)
+    m, k, t, s = case
+    inside_t, inside_s = inside_table(m, t), inside_table(m, s)
+    mixed = max(
+        sum(t[p] for p in upper) + sum(s[p] for p in lower)
+        for upper, lower in _maximal_paths(m)
+    )
+    assert mixed == max(inside_t[1, c] + inside_s[c, m] for c in range(1, m + 1))
+    chains = max(
+        sum(s[p] for p in lower) for upper, lower in _all_paths(m) if not upper
+    )
+    assert chains == inside_s[1, m]
+    if inside_s[1, m] <= k:
+        # the listing files an allowed slice under the same profiles
+        size = sum(s.values())
+        profile_a = tuple(inside_s[1, c] for c in range(1, m + 1))
+        profile_b = tuple(inside_s[c, m] for c in range(1, m + 1))
+        classes = _cut_profiles(m, k, size)
+        assert profile_a in dict(classes.get((size, profile_b), ()))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_maximal_paths_match_pairwise_definition(m):
     paths = _all_paths(m)
@@ -353,7 +431,7 @@ def test_maximal_paths_match_pairwise_definition(m):
 
 class TestWeylKacCharacter:
     def test_rank1_level1_matches_theta_route(self):
-        assert character_oracle(1, 1, 25).coeffs == character_oracle_a1_level1(25).coeffs
+        assert character_oracle(1, 1, 25).coeffs == theta_route_character(25).coeffs
 
     def test_constant_and_first_terms(self):
         # degree -1 is the adjoint representation, of dimension l(2l+1)

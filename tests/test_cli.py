@@ -256,6 +256,13 @@ class TestVerifiers:
         assert lines[1].split() == ["1", "1", "1"]
         assert lines[4].split() == ["4", "2", "2"]
 
+    def test_rr_large_max(self):
+        # deep enough to overflow the stack of a recursive gap-two count
+        proc = run_python("-m", "cpbasis.cli", "rr-check", "--max", "500")
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines()[-1] == "counts agree"
+
 
 class TestWeylDim:
     def test_dimension(self, capsys):
