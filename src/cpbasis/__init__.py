@@ -22,12 +22,7 @@ from .basis import (
     leading_terms,
     rr_counts,
 )
-from .ident import (
-    iota,
-    iota_inverse,
-    transport_partition,
-    transport_partition_inverse,
-)
+from .ident import iota, transport_partition
 from .leading import (
     DiagonalPath,
     diagonal_paths,
@@ -102,7 +97,6 @@ __all__ = [
     "graded_series",
     "highest_root",
     "iota",
-    "iota_inverse",
     "leading_term_for_multiset",
     "leading_terms",
     "minuscule_gamma",
@@ -112,7 +106,6 @@ __all__ = [
     "rr_counts",
     "std_leading_terms",
     "transport_partition",
-    "transport_partition_inverse",
     "unit",
     "upper_scheme",
     "verify_branching",

@@ -13,7 +13,14 @@ be phrased without leading terms: for every window d and every diagonal
 path, the multiplicities of the path's upper-block colors at degree -d-1
 plus those of its lower-block colors at degree -d must not exceed the
 level.  The two checkers are implemented independently and are compared
-exhaustively in the test suite.
+exhaustively in the test suite.  Both decide on integer keys (a, b, v),
+color X_ab at degree -v.  Every leading term of window d has k+1 factors
+at degrees -d-1 and -d, so the divisibility checker skips each window
+where the partition holds fewer; elsewhere it tests only the terms filed
+under a key the partition holds, each window's terms being compiled once
+into (key, exponent) pairs filed under their first key.  Path sums grow
+with the path, so the inequality checker sums over the maximal paths
+only.
 
 Enumeration is one depth-first walk over canonical factor multisets,
 fed by either condition as capped-sum constraints: a constraint caps the
@@ -47,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import groupby, product
 from operator import add
 
 from .leading import diagonal_paths, fs_leading_terms, std_leading_terms
@@ -114,16 +121,63 @@ def _window_bound(pi: ColoredPartition) -> int:
     return max(1, -min(f.degree for f in pi.factors) - 1)
 
 
+def _multiplicities(pi: ColoredPartition) -> dict[tuple[int, int, int], int]:
+    """Factor multiplicities of `pi` by key (a, b, v), color X_ab at degree -v."""
+    mult: dict[tuple[int, int, int], int] = {}
+    for f in pi.factors:
+        key = (f.color.a, f.color.b, -f.degree)
+        mult[key] = mult.get(key, 0) + 1
+    return mult
+
+
+@lru_cache(maxsize=None)
+def _term_keys(basis: BasisKind, d: int) -> dict:
+    """The leading terms of window d as ``((a, b, v), exponent)`` pairs, by first key.
+
+    Returns ``{key: terms}``: each term is the tuple of its pairs in
+    canonical factor order and is filed under its first key only, since a
+    monomial that lacks that key is not divisible by the term.  Key and
+    pair objects are shared between the terms of the window.
+    """
+    shared: dict = {}
+    filed: dict[tuple[int, int, int], list] = {}
+    for term in leading_terms(basis, d):
+        pairs = []
+        for f, group in groupby(term.factors):
+            key = (f.color.a, f.color.b, -f.degree)
+            key = shared.setdefault(key, key)
+            pair = (key, sum(1 for _ in group))
+            pairs.append(shared.setdefault(pair, pair))
+        filed.setdefault(pairs[0][0], []).append(tuple(pairs))
+    # sorted: a frozenset's order follows string hashing, which varies by process
+    return {key: tuple(sorted(terms)) for key, terms in filed.items()}
+
+
 def admissible_by_divisibility(pi: ColoredPartition, basis: BasisKind) -> bool:
-    """True when no leading term of any relevant window divides `pi`."""
+    """True when no leading term of any relevant window divides `pi`.
+
+    Every leading term of window d has k+1 factors at degrees -d-1 and -d,
+    so a window where `pi` holds fewer is skipped; in the others only the
+    terms filed under a key `pi` holds there are tested (see `_term_keys`).
+    """
     _check_partition(pi, basis)
     if not pi.factors:
         return True
-    counts = pi.factor_counts()
+    mult = _multiplicities(pi)
+    held: dict[int, list[tuple[int, int, int]]] = {}
+    size: dict[int, int] = {}
+    for key, n in mult.items():
+        held.setdefault(key[2], []).append(key)
+        size[key[2]] = size.get(key[2], 0) + n
+    k = basis.level
     for d in range(1, _window_bound(pi) + 1):
-        for term in leading_terms(basis, d):
-            if all(counts[f] >= e for f, e in term.factor_counts().items()):
-                return False
+        if size.get(d + 1, 0) + size.get(d, 0) < k + 1:
+            continue
+        filed = _term_keys(basis, d)
+        for key in held.get(d + 1, []) + held.get(d, []):
+            for term in filed.get(key, ()):
+                if all(mult.get(x, 0) >= e for x, e in term):
+                    return False
     return True
 
 
@@ -162,7 +216,8 @@ def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
 
     For every window d >= 1 and every diagonal path, the sum of the
     multiplicities of the upper-block colors at degree -d-1 and of the
-    lower-block colors at degree -d must be at most the level.
+    lower-block colors at degree -d must be at most the level.  Path sums
+    grow with the blocks, so the maximal paths alone decide.
     """
     if basis.kind != "fs":
         raise ValueError(
@@ -172,13 +227,10 @@ def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
     if not pi.factors:
         return True
     k = basis.level
-    mult: dict[tuple[int, int, int], int] = {}
-    for f in pi.factors:
-        key = (f.color.a, f.color.b, -f.degree)
-        mult[key] = mult.get(key, 0) + 1
+    mult = _multiplicities(pi)
     d_max = -min(f.degree for f in pi.factors)
     for d in range(1, d_max + 1):
-        for upper, lower in _all_paths(basis.rank):
+        for upper, lower in _maximal_paths(basis.rank):
             total = sum(mult.get((a, b, d + 1), 0) for a, b in upper)
             total += sum(mult.get((a, b, d), 0) for a, b in lower)
             if total > k:
@@ -191,13 +243,12 @@ def _divisibility_constraints(m: int, k: int, max_degree: int):
 
     The capped sum reaches k+1 exactly when the term divides the monomial.
     """
+    basis = BasisKind("fs", m, k)
     windows = range(1, max(1, max_degree - 1) + 1) if max_degree >= 1 else ()
     for d in windows:
-        for term in fs_leading_terms(m, k, d):
-            yield {
-                (f.color.a, f.color.b, -f.degree): e
-                for f, e in term.factor_counts().items()
-            }
+        for terms in _term_keys(basis, d).values():
+            for term in terms:
+                yield dict(term)
 
 
 def _path_constraints(m: int, k: int, max_degree: int):

@@ -12,7 +12,7 @@ its colors through iota and leaves degrees untouched.
 
 from __future__ import annotations
 
-from .partitions import Alphabet, Color, ColoredPartition, Factor, full_scheme, upper_scheme
+from .partitions import Color, ColoredPartition, Factor, full_scheme, upper_scheme
 
 
 def iota(pair: tuple[int, int], ell: int) -> Color:
@@ -23,28 +23,12 @@ def iota(pair: tuple[int, int], ell: int) -> Color:
     return Color(full_scheme(ell), i, j)
 
 
-def iota_inverse(color: Color, ell: int) -> tuple[int, int]:
-    """Unique preimage of a full-scheme color; inverse of :func:`iota`."""
-    if color.alphabet != full_scheme(ell):
-        raise ValueError(f"{color} does not belong to {full_scheme(ell)}")
-    return (color.a, color.b)
-
-
-def _relabel(p: ColoredPartition, source: Alphabet, target: Alphabet) -> ColoredPartition:
-    """Move `p` from `source` to `target`, keeping each color's (a, b) encoding."""
+def transport_partition(p: ColoredPartition, ell: int) -> ColoredPartition:
+    """Color-wise iota image of a partition over the rank-2*ell upper triangle."""
+    source, target = upper_scheme(2 * ell), full_scheme(ell)
     if p.alphabet != source:
         raise ValueError(f"expected a partition over {source}, got {p.alphabet}")
     return ColoredPartition(
         target,
         tuple(Factor(Color(target, f.color.a, f.color.b), f.degree) for f in p.factors),
     )
-
-
-def transport_partition(p: ColoredPartition, ell: int) -> ColoredPartition:
-    """Color-wise iota image of a partition over the rank-2*ell upper triangle."""
-    return _relabel(p, upper_scheme(2 * ell), full_scheme(ell))
-
-
-def transport_partition_inverse(p: ColoredPartition, ell: int) -> ColoredPartition:
-    """Pull a full-scheme rank-ell partition back to the rank-2*ell upper triangle."""
-    return _relabel(p, full_scheme(ell), upper_scheme(2 * ell))

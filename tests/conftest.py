@@ -7,7 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cpbasis.partitions import Alphabet, Color, ColoredPartition, Factor, upper_scheme
+from cpbasis.partitions import (
+    Alphabet,
+    Color,
+    ColoredPartition,
+    Factor,
+    full_scheme,
+    upper_scheme,
+)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,6 +28,24 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def iota_inverse(color: Color, ell: int) -> tuple[int, int]:
+    """Unique preimage of a full-scheme color under `cpbasis.ident.iota`."""
+    if color.alphabet != full_scheme(ell):
+        raise ValueError(f"{color} does not belong to {full_scheme(ell)}")
+    return (color.a, color.b)
+
+
+def transport_partition_inverse(p: ColoredPartition, ell: int) -> ColoredPartition:
+    """Pull a full-scheme rank-ell partition back to the rank-2*ell upper triangle."""
+    if p.alphabet != full_scheme(ell):
+        raise ValueError(f"expected a partition over {full_scheme(ell)}, got {p.alphabet}")
+    target = upper_scheme(2 * ell)
+    return ColoredPartition(
+        target,
+        tuple(Factor(Color(target, f.color.a, f.color.b), f.degree) for f in p.factors),
     )
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
+from itertools import product
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import gen_partitions
+from conftest import gen_partitions, transport_partition_inverse
 from cpbasis.basis import (
     BasisKind,
     QSeries,
@@ -23,9 +27,9 @@ from cpbasis.basis import (
     leading_terms,
     rr_counts,
 )
-from cpbasis.ident import transport_partition_inverse
 from cpbasis.partitions import (
     ColoredPartition,
+    Factor,
     divides,
     full_scheme,
     unit,
@@ -171,6 +175,112 @@ def test_checkers_agree_beyond_enumerated_degrees(case):
     # the enumerations of AC-4 compare the checkers down to degree -10 only
     basis, pi = case
     assert admissible_by_divisibility(pi, basis) == admissible_by_inequalities(pi, basis)
+
+
+@lru_cache(maxsize=None)
+def reference_terms(basis, d):
+    """The leading terms of window d as factor-count dicts."""
+    return tuple(dict(term.factor_counts()) for term in leading_terms(basis, d))
+
+
+def reference_divisibility(pi, basis):
+    """Term by term: no leading term of windows 1..max(1, |lowest degree|-1) divides `pi`."""
+    if not pi.factors:
+        return True
+    counts = pi.factor_counts()
+    windows = max(1, -min(f.degree for f in pi.factors) - 1)
+    return not any(
+        all(counts[f] >= e for f, e in term.items())
+        for d in range(1, windows + 1)
+        for term in reference_terms(basis, d)
+    )
+
+
+def reference_inequalities(pi, basis):
+    """Path sums over every diagonal path of every window, maximal or not."""
+    mult = Counter((f.color.a, f.color.b, -f.degree) for f in pi.factors)
+    depth = max((v for _, _, v in mult), default=0)
+    return all(
+        sum(mult[a, b, d + 1] for a, b in upper) + sum(mult[a, b, d] for a, b in lower)
+        <= basis.level
+        for d in range(1, depth + 1)
+        for upper, lower in _all_paths(basis.rank)
+    )
+
+
+@st.composite
+def checker_cases(draw):
+    """A basis (fs rank <= 4 or std rank <= 2, level <= 5) and a partition over it.
+
+    Either a few factors anywhere down to degree -16, or up to 2k+2 copies
+    each of a few colors on the two degrees of one window, so that windows
+    holding exactly k+1 factors and long single-window inputs both occur.
+    """
+    kind = draw(st.sampled_from(["fs", "std"]))
+    rank = draw(st.integers(min_value=1, max_value=4 if kind == "fs" else 2))
+    level = draw(st.integers(min_value=1, max_value=5))
+    basis = BasisKind(kind, rank, level)
+    colors = st.sampled_from(basis.alphabet.colors())
+    if draw(st.booleans()):
+        factors = draw(
+            st.lists(st.tuples(colors, st.integers(min_value=-16, max_value=-1)), max_size=12)
+        )
+    else:
+        d = draw(st.integers(min_value=1, max_value=15))
+        factors = [
+            (color, degree)
+            for color in draw(st.lists(colors, min_size=1, max_size=3, unique=True))
+            for degree in (-d - 1, -d)
+            for _ in range(draw(st.integers(min_value=0, max_value=2 * level + 2)))
+        ]
+    return basis, ColoredPartition(basis.alphabet, tuple(Factor(c, n) for c, n in factors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=checker_cases())
+def test_checkers_match_reference_definitions(case):
+    basis, pi = case
+    expected = reference_divisibility(pi, basis)
+    assert admissible_by_divisibility(pi, basis) == expected
+    if basis.kind == "fs":
+        assert admissible_by_inequalities(pi, basis) == expected
+        assert reference_inequalities(pi, basis) == expected
+
+
+@st.composite
+def admissible_cases(draw):
+    """A basis (fs rank <= 3 or std rank <= 2, level <= 3) and an admissible partition.
+
+    Drawn factors are kept while the partition stays admissible by
+    divisibility, so the result has at most 8 factors.
+    """
+    kind = draw(st.sampled_from(["fs", "std"]))
+    rank = draw(st.integers(min_value=1, max_value=3 if kind == "fs" else 2))
+    basis = BasisKind(kind, rank, draw(st.integers(min_value=1, max_value=3)))
+    candidates = st.tuples(
+        st.sampled_from(basis.alphabet.colors()), st.integers(min_value=-6, max_value=-1)
+    )
+    pi = unit(basis.alphabet)
+    for color, degree in draw(st.lists(candidates, max_size=8)):
+        grown = ColoredPartition(basis.alphabet, pi.factors + (Factor(color, degree),))
+        if admissible_by_divisibility(grown, basis):
+            pi = grown
+    return basis, pi
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=admissible_cases())
+def test_admissible_sets_closed_under_divisors(case):
+    basis, pi = case
+    counts = pi.factor_counts()
+    for exponents in product(*(range(n + 1) for n in counts.values())):
+        sub = ColoredPartition(
+            pi.alphabet,
+            tuple(f for f, e in zip(counts, exponents) for _ in range(e)),
+        )
+        assert admissible_by_divisibility(sub, basis)
+        if basis.kind == "fs":
+            assert admissible_by_inequalities(sub, basis)
 
 
 class TestEnumeration:

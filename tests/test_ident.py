@@ -7,12 +7,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from cpbasis.ident import (
-    iota,
-    iota_inverse,
-    transport_partition,
-    transport_partition_inverse,
-)
+from conftest import iota_inverse, transport_partition_inverse
+from cpbasis.ident import iota, transport_partition
 from cpbasis.partitions import (
     Color,
     ColoredPartition,
