@@ -66,7 +66,7 @@ from .partitions import (
     full_scheme,
     upper_scheme,
 )
-from .rootdata import RootSystemSpec, Weight, positive_roots
+from .rootdata import RootSystemSpec, weyl_product
 
 
 @dataclass(frozen=True)
@@ -574,28 +574,27 @@ def character_oracle(ell: int, k: int, max_degree: int) -> QSeries:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     spec = RootSystemSpec("C", ell)
-    roots = positive_roots(spec)
-    heights = tuple(range(ell, 0, -1))
-    rho = Weight(heights)
+    rho = tuple(range(ell, 0, -1))
     big_k = k + ell + 1
     # gamma = 2n contributes q^(sum_i n_i (K n_i + rho_i)); each summand is
     # nonnegative because K > rho_i, and positive for n_i != 0, so |n_i| <= max_degree
     steps = [
         [n for n in range(-max_degree, max_degree + 1) if n * (big_k * n + r) <= max_degree]
-        for r in heights
+        for r in rho
     ]
     coeffs = [0] * (max_degree + 1)
     for ns in product(*steps):
-        exponent = sum(n * (big_k * n + r) for n, r in zip(ns, heights))
+        exponent = sum(n * (big_k * n + r) for n, r in zip(ns, rho))
         if exponent > max_degree:
             continue
-        shifted = rho + (2 * big_k) * Weight(ns)
-        dim = Fraction(1)
-        for alpha in roots:
-            dim *= shifted.dot(alpha) / rho.dot(alpha)
-        if dim.denominator != 1:
-            raise ArithmeticError(f"non-integral Weyl product {dim} at gamma = 2*{ns}")
-        coeffs[exponent] += int(dim)
+        shifted = tuple(r + 2 * big_k * n for n, r in zip(ns, rho))
+        num, den = weyl_product(spec, shifted, rho)
+        dim, remainder = divmod(num, den)
+        if remainder:
+            raise ArithmeticError(
+                f"non-integral Weyl product {Fraction(num, den)} at gamma = 2*{ns}"
+            )
+        coeffs[exponent] += dim
     denominator = QSeries(tuple(_euler_power_counts(ell * (2 * ell + 1), max_degree)))
     return QSeries(tuple(coeffs)) * denominator
 

@@ -7,6 +7,12 @@ n.  The leading term is the minimum of that support under the well order
 on partitions.  Nothing here knows about diagonal paths: the module
 exists to validate the closed-form generators (and the order convention
 itself) against exhaustive enumeration.
+
+Inside, a support member is a plain integer key: its factors in
+canonical ascending order, each the triple ``(degree, -a, -b)`` that
+flattens ``Factor.sort_key``.  `ColoredPartition` objects are built only
+at the boundary: one per minimum, or one per member of a requested
+support.
 """
 
 from __future__ import annotations
@@ -59,15 +65,13 @@ class RelationSupport:
     partitions: frozenset[ColoredPartition] = field(repr=False)
 
 
-def relation_support(
-    multiset: tuple[int, ...], n: int, k: int, m: int
-) -> RelationSupport:
-    """All partitions in the degree-n coefficient of the multiset's relation.
+def _support_keys(multiset: tuple[int, ...], n: int, k: int, m: int):
+    """Keys of the partitions in the degree-n coefficient of the multiset's relation.
 
     Every pairing of the multiset into k+1 unordered pairs, spread over
-    every composition of n into k+1 degrees <= -1.
+    every composition of n into k+1 degrees <= -1; a partition reached by
+    several pairings or compositions is yielded once for each.
     """
-    multiset = tuple(multiset)
     if len(multiset) != m:
         raise ValueError(f"expected {m} multiplicities, got {len(multiset)}")
     if any(c < 0 for c in multiset):
@@ -78,20 +82,50 @@ def relation_support(
         raise ValueError(
             f"degree {n} leaves no composition into {k + 1} parts <= -1"
         )
-    alphabet = upper_scheme(m)
     elements: list[int] = []
     for idx, count in enumerate(multiset, start=1):
         elements.extend([idx] * count)
-    supports = set()
+    compositions = _negative_compositions(n, k + 1)
     for pairing in _pairings(tuple(elements)):
-        for comp in _negative_compositions(n, k + 1):
-            factors = tuple(
-                Factor(Color(alphabet, i, j), deg)
-                for (i, j), deg in zip(pairing, comp)
-            )
-            supports.add(ColoredPartition(alphabet, factors))
+        columns = tuple(-a for a, _ in pairing)
+        rows = tuple(-b for _, b in pairing)
+        for comp in compositions:
+            yield tuple(sorted(zip(comp, columns, rows)))
+
+
+def _order_key(key: tuple[tuple[int, int, int], ...]):
+    """`ColoredPartition.sort_key` on one support, where length and degree are fixed.
+
+    The reversed degree sequence is compared first, then the reversed
+    color keys: two reverse-lexicographic stages, never interleaved.
+    """
+    top_down = key[::-1]
+    return [f[0] for f in top_down], [f[1:] for f in top_down]
+
+
+def _partition(alphabet, key) -> ColoredPartition:
+    return ColoredPartition(
+        alphabet, tuple(Factor(Color(alphabet, -a, -b), d) for d, a, b in key)
+    )
+
+
+def relation_support(
+    multiset: tuple[int, ...], n: int, k: int, m: int
+) -> RelationSupport:
+    """All partitions in the degree-n coefficient of the multiset's relation.
+
+    Every pairing of the multiset into k+1 unordered pairs, spread over
+    every composition of n into k+1 degrees <= -1.
+    """
+    multiset = tuple(multiset)
+    keys = set(_support_keys(multiset, n, k, m))
+    alphabet = upper_scheme(m)
     return RelationSupport(
-        multiset=multiset, degree=n, level=k, rank=m, partitions=frozenset(supports)
+        multiset=multiset,
+        degree=n,
+        level=k,
+        rank=m,
+        partitions=frozenset(_partition(alphabet, key) for key in keys),
     )
 
 
@@ -99,8 +133,8 @@ def brute_leading_term(
     multiset: tuple[int, ...], n: int, k: int, m: int
 ) -> ColoredPartition:
     """Minimum of the relation support under the well order on partitions."""
-    support = relation_support(multiset, n, k, m)
-    return min(support.partitions, key=lambda p: p.sort_key)
+    best = min(_support_keys(tuple(multiset), n, k, m), key=_order_key)
+    return _partition(upper_scheme(m), best)
 
 
 @dataclass(frozen=True)

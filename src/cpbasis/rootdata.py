@@ -8,14 +8,20 @@ hence is independent of the representative modulo (1,...,1)).
 
 The invariant form is the Euclidean coordinate form rescaled so that the
 highest root theta satisfies <theta, theta> = 2; only family C needs a
-rescaling (by 1/2).  All arithmetic is exact (integers and Fractions).
+rescaling (by 1/2).  All arithmetic is exact.  `Weight` keeps Fraction
+coordinates for the API; Weyl products run on integers: roots and 2*rho
+have integer coordinates, a weight is scaled by the lcm of its
+denominators, and the product formula's ratio ignores both that scale and
+the form's, so numerators and denominators are multiplied separately and
+divided once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -170,39 +176,88 @@ def coroot_pairing(spec: RootSystemSpec, lam: Weight, alpha: Weight) -> Fraction
     return 2 * lam.dot(alpha) / alpha.dot(alpha)
 
 
+@lru_cache(maxsize=None)
+def _integer_roots(spec: RootSystemSpec):
+    """Positive roots in order, simple roots and 2*rho, as integer coordinate tuples."""
+    positive = tuple(
+        tuple(int(c) for c in alpha.coords) for alpha in positive_roots(spec)
+    )
+    simple = tuple(
+        tuple(int(c) for c in alpha.coords) for alpha in simple_roots(spec)
+    )
+    return positive, simple, tuple(map(sum, zip(*positive)))
+
+
+def _pairing(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _scaled(lam: Weight) -> tuple[int, tuple[int, ...]]:
+    """The lcm L of the coordinate denominators of `lam`, and L*lam in integers."""
+    scale = lcm(*(c.denominator for c in lam.coords))
+    return scale, tuple(int(scale * c) for c in lam.coords)
+
+
 def is_dominant_integral(spec: RootSystemSpec, lam: Weight) -> bool:
     """Whether all simple coroot pairings are nonnegative integers."""
     if len(lam.coords) != spec.ambient_dim:
         raise ValueError(
             f"{spec} weights need {spec.ambient_dim} coordinates, got {len(lam.coords)}"
         )
-    for alpha in simple_roots(spec):
-        pairing = coroot_pairing(spec, lam, alpha)
-        if pairing.denominator != 1 or pairing < 0:
+    scale, scaled = _scaled(lam)
+    for alpha in _integer_roots(spec)[1]:
+        # the coroot pairing 2<lam, alpha>/<alpha, alpha> = 2<L*lam, alpha>/(L<alpha, alpha>)
+        pairing, remainder = divmod(
+            2 * _pairing(scaled, alpha), scale * _pairing(alpha, alpha)
+        )
+        if remainder or pairing < 0:
             return False
     return True
+
+
+def weyl_product(
+    spec: RootSystemSpec, top: tuple[int, ...], bottom: tuple[int, ...]
+) -> tuple[int, int]:
+    """Numerator and denominator of prod <top, alpha> / <bottom, alpha>.
+
+    The product runs over the positive roots of `spec`, with plain integer
+    coordinate pairings; the caller divides once.
+    """
+    num = den = 1
+    for alpha in _integer_roots(spec)[0]:
+        num *= _pairing(top, alpha)
+        den *= _pairing(bottom, alpha)
+    return num, den
 
 
 def weyl_dim(spec: RootSystemSpec, lam: Weight) -> int:
     """Dimension of the irreducible module of highest weight `lam`.
 
     The product formula prod <lam+rho, alpha> / <rho, alpha> over positive
-    roots, evaluated in exact rational arithmetic.
+    roots, evaluated on D*(lam+rho) and D*rho with D = 2*lcm of the
+    denominators of `lam`, which have integer coordinates.
     """
     if not is_dominant_integral(spec, lam):
         raise ValueError(f"{lam} is not dominant integral for {spec}")
-    rho = half_sum_positive(spec)
-    shifted = lam + rho
-    dim = Fraction(1)
-    for alpha in positive_roots(spec):
-        num = inner(spec, shifted, alpha)
-        den = inner(spec, rho, alpha)
-        if num <= 0:
-            raise ArithmeticError(f"pairing {num} of {shifted} with {alpha} is not positive")
-        dim *= num / den
-    if dim.denominator != 1 or dim <= 0:
-        raise ArithmeticError(f"Weyl product {dim} is not a positive integer")
-    return int(dim)
+    roots, _, two_rho = _integer_roots(spec)
+    scale, scaled = _scaled(lam)
+    bottom = tuple(scale * r for r in two_rho)
+    top = tuple(2 * x + r for x, r in zip(scaled, bottom))
+    for alpha in roots:
+        if _pairing(top, alpha) <= 0:
+            rho = half_sum_positive(spec)
+            shifted = lam + rho
+            alpha = Weight(alpha)
+            raise ArithmeticError(
+                f"pairing {inner(spec, shifted, alpha)} of {shifted} with {alpha} is not positive"
+            )
+    num, den = weyl_product(spec, top, bottom)
+    dim, remainder = divmod(num, den)
+    if remainder or dim <= 0:
+        raise ArithmeticError(
+            f"Weyl product {Fraction(num, den)} is not a positive integer"
+        )
+    return dim
 
 
 def branching_dimensions(ell: int, m: int) -> tuple[int, int, int]:

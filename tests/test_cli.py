@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_python
 from cpbasis import cli
@@ -323,3 +325,81 @@ class TestUsageErrors:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+# every subcommand's flags; the value sizes below keep each run small
+INT_FLAGS = {
+    "leading-terms": ["--rank", "--level", "--window"],
+    "enumerate": ["--rank", "--level", "--max-degree"],
+    "series": ["--rank", "--level", "--max-degree"],
+    "verify-coincidence": ["--ell", "--level", "--max-degree"],
+    "audit-oracle": ["--rank", "--level", "--max-window"],
+    "weyl-dim": ["--rank"],
+    "verify-branching": ["--ell", "--max-m"],
+    "rr-check": ["--max"],
+}
+CHOICE_FLAGS = {
+    "leading-terms": {"--kind": ["fs", "std"], "--format": ["human", "json", "csv"]},
+    "enumerate": {"--kind": ["fs", "std"], "--format": ["human", "json", "csv"]},
+    "series": {"--kind": ["fs", "std"]},
+    "weyl-dim": {"--family": ["A", "B", "C", "D"]},
+}
+NOT_INTEGERS = ["x", "", "1.5", "0x1", "1e3", "3/2", "--"]
+WEIGHTS = ["1/0", "1,,", "x", "", ",", "1,0", "1/2,1/2", "0,0,0", "-1", "nan", "2,0"]
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with small, garbage or missing values; and whether it is misused."""
+    command = draw(st.sampled_from(sorted(INT_FLAGS)))
+    argv, misuse = [command], False
+
+    def flag(name, good, bad):
+        nonlocal misuse
+        choice = draw(st.sampled_from(["good", "good", "good", "bad", "missing"]))
+        if choice == "missing":
+            misuse = misuse or name != "--format"
+            return
+        if choice == "bad":
+            misuse = True
+            argv.extend([name, draw(st.sampled_from(bad))])
+        else:
+            argv.extend([name, draw(good)])
+
+    for name, choices in CHOICE_FLAGS.get(command, {}).items():
+        flag(name, st.sampled_from(choices), ["E", "xml", "", "FS"])
+    for name in INT_FLAGS[command]:
+        flag(name, st.integers(-2, 2).map(str), NOT_INTEGERS)
+    if command == "weyl-dim":
+        fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3).map(str)
+        weights = st.lists(fractions, min_size=1, max_size=3).map(",".join)
+        value = draw(st.one_of(st.sampled_from(WEIGHTS), weights))
+        argv.append(f"--weight={value}")
+    if draw(st.integers(0, 9)) == 0:
+        misuse = True
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "-x"])))
+    return argv, misuse
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cli_argv())
+@example(case=(["weyl-dim", "--family", "C", "--rank", "2", "--weight=1/0"], False))
+@example(case=(["weyl-dim", "--family", "C", "--rank", "2", "--weight=1,,"], False))
+@example(case=(["weyl-dim", "--family", "B", "--rank", "2", "--weight=x"], False))
+@example(case=(["rr-check", "--max", "x"], True))
+def test_fuzzed_arguments_exit_cleanly(case):
+    argv, misuse = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if misuse:
+        assert code == 2
+    if code == 2:
+        assert err.getvalue().startswith(("usage:", "error:"))
+    else:
+        assert err.getvalue() == ""
+    assert "Traceback" not in err.getvalue()

@@ -3,12 +3,27 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpbasis.leading import fs_leading_terms
-from cpbasis.oracle import audit_windows, brute_leading_term, relation_support
-from cpbasis.partitions import ColoredPartition, compare_partitions, upper_scheme
+from cpbasis.oracle import (
+    _negative_compositions,
+    _order_key,
+    _pairings,
+    audit_windows,
+    brute_leading_term,
+    relation_support,
+)
+from cpbasis.partitions import (
+    Color,
+    ColoredPartition,
+    Factor,
+    compare_partitions,
+    upper_scheme,
+)
 
 
 def up_part(m, *facs):
@@ -37,8 +52,6 @@ class TestSupport:
         support = relation_support((2, 2, 2), -4, 2, 3)
         n_pairings = 0
         seen = set()
-        from cpbasis.oracle import _negative_compositions, _pairings
-
         for p in _pairings((1, 1, 2, 2, 3, 3)):
             n_pairings += 1
             seen.add(tuple(sorted(p)))
@@ -101,8 +114,6 @@ class TestAudit:
 
     def test_minima_are_window_concentrated(self):
         m, k = 2, 1
-        from itertools import combinations_with_replacement
-
         for combo in combinations_with_replacement((1, 2), 4):
             ms = (combo.count(1), combo.count(2))
             for n in range(-2, -7, -1):
@@ -115,9 +126,102 @@ class TestAudit:
     def test_every_minimum_is_a_generated_term(self):
         m, k, d = 2, 1, 1
         closed = fs_leading_terms(m, k, d)
-        from itertools import combinations_with_replacement
-
         for combo in combinations_with_replacement((1, 2), 4):
             ms = (combo.count(1), combo.count(2))
             for b in range(k + 2):
                 assert brute_leading_term(ms, -d * (k + 1) - b, k, m) in closed
+
+
+def reference_support(multiset, n, k, m) -> frozenset:
+    """The support built one `ColoredPartition` per pairing x composition."""
+    alphabet = upper_scheme(m)
+    elements = tuple(i for i, c in enumerate(multiset, start=1) for _ in range(c))
+    return frozenset(
+        ColoredPartition(
+            alphabet,
+            tuple(
+                Factor(Color(alphabet, i, j), deg)
+                for (i, j), deg in zip(pairing, comp)
+            ),
+        )
+        for pairing in _pairings(elements)
+        for comp in _negative_compositions(n, k + 1)
+    )
+
+
+def reference_minimum(multiset, n, k, m) -> ColoredPartition:
+    """The support's minimum by the full `sort_key` of each built partition."""
+    return min(reference_support(multiset, n, k, m), key=lambda p: p.sort_key)
+
+
+@st.composite
+def support_cases(draw):
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    combo = draw(
+        st.sampled_from(
+            list(combinations_with_replacement(range(1, m + 1), 2 * (k + 1)))
+        )
+    )
+    multiset = tuple(combo.count(i) for i in range(1, m + 1))
+    # window degrees are -d(k+1)-b with 0 <= b <= k+1; the range covers others too
+    n = draw(st.integers(-(k + 1) - 8, -(k + 1)))
+    return multiset, n, k, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=support_cases())
+def test_keys_match_partition_objects(case):
+    support = relation_support(*case)
+    assert support.partitions == reference_support(*case)
+    assert (support.multiset, support.degree, support.level, support.rank) == (
+        case[0], case[1], case[2], case[3],
+    )
+    assert brute_leading_term(*case) == reference_minimum(*case)
+
+
+@st.composite
+def same_support_pairs(draw):
+    """Two partitions of one length and one degree, and their canonical keys."""
+    m = draw(st.integers(1, 3))
+    length = draw(st.integers(1, 4))
+    n = draw(st.integers(-length - 5, -length))
+    colors = st.tuples(st.integers(1, m), st.integers(1, m)).map(sorted)
+    out = []
+    for _ in range(2):
+        comp = draw(st.sampled_from(_negative_compositions(n, length)))
+        pairs = draw(st.lists(colors, min_size=length, max_size=length))
+        out.append(tuple(sorted((d, -a, -b) for (a, b), d in zip(pairs, comp))))
+    alphabet = upper_scheme(m)
+    parts = [
+        ColoredPartition.from_pairs(alphabet, *(((-a, -b), d) for d, a, b in key))
+        for key in out
+    ]
+    return out, parts
+
+
+def _sign(x, y) -> int:
+    return (x > y) - (x < y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=same_support_pairs())
+def test_order_key_is_the_well_order_on_one_support(case):
+    (kp, kq), (p, q) = case
+    assert _sign(_order_key(kp), _order_key(kq)) == compare_partitions(p, q)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((2, 2), -2, 1, 3), "expected 3 multiplicities, got 2"),
+        (((5, -1), -2, 1, 2), "multiplicities must be nonnegative"),
+        (((2, 1), -2, 1, 2), "multiset size must be 2(k+1) = 4"),
+        (((2, 2), -1, 1, 2), "degree -1 leaves no composition into 2 parts <= -1"),
+    ],
+)
+def test_argument_errors(args, message):
+    for fn in (relation_support, brute_leading_term):
+        with pytest.raises(ValueError) as exc:
+            fn(*args)
+        assert str(exc.value) == message

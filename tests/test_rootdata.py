@@ -4,18 +4,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cpbasis import rootdata
 from cpbasis.rootdata import (
     RootSystemSpec,
     Weight,
     branching_dimensions,
+    coroot_pairing,
     eps,
     fundamental_weight_one,
+    half_sum_positive,
     highest_root,
+    inner,
+    is_dominant_integral,
     minuscule_gamma,
     positive_roots,
+    simple_roots,
     verify_branching,
     weight,
     weyl_dim,
@@ -171,3 +179,191 @@ class TestMinuscule:
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
             minuscule_gamma(RootSystemSpec("A", 3))
+
+
+def reference_is_dominant_integral(spec, lam) -> bool:
+    """Simple coroot pairings in Fraction arithmetic."""
+    if len(lam.coords) != spec.ambient_dim:
+        raise ValueError(
+            f"{spec} weights need {spec.ambient_dim} coordinates, got {len(lam.coords)}"
+        )
+    for alpha in simple_roots(spec):
+        pairing = coroot_pairing(spec, lam, alpha)
+        if pairing.denominator != 1 or pairing < 0:
+            return False
+    return True
+
+
+def reference_weyl_dim(spec, lam, dominant=reference_is_dominant_integral) -> int:
+    """The Weyl product as a running Fraction, one root at a time."""
+    if not dominant(spec, lam):
+        raise ValueError(f"{lam} is not dominant integral for {spec}")
+    rho = half_sum_positive(spec)
+    shifted = lam + rho
+    dim = Fraction(1)
+    for alpha in positive_roots(spec):
+        num = inner(spec, shifted, alpha)
+        den = inner(spec, rho, alpha)
+        if num <= 0:
+            raise ArithmeticError(f"pairing {num} of {shifted} with {alpha} is not positive")
+        dim *= num / den
+    if dim.denominator != 1 or dim <= 0:
+        raise ArithmeticError(f"Weyl product {dim} is not a positive integer")
+    return int(dim)
+
+
+def outcome(fn, *args):
+    """A return value, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+SPECS = (
+    [RootSystemSpec("A", r) for r in range(1, 6)]
+    + [RootSystemSpec("B", r) for r in range(2, 5)]
+    + [RootSystemSpec("C", r) for r in range(1, 5)]
+    + [RootSystemSpec("D", r) for r in range(3, 6)]
+)
+
+
+def fundamental_weights(spec: RootSystemSpec) -> list[tuple[Fraction, ...]]:
+    """omega_1..omega_r in epsilon coordinates, spin weights included."""
+    n, r = spec.ambient_dim, spec.rank
+    half = Fraction(1, 2)
+
+    def ones(i):
+        return tuple(Fraction(int(j < i)) for j in range(n))
+
+    if spec.family in "AC":
+        return [ones(i) for i in range(1, r + 1)]
+    if spec.family == "B":
+        return [ones(i) for i in range(1, r)] + [(half,) * n]
+    return [ones(i) for i in range(1, r - 1)] + [
+        (half,) * (n - 1) + (-half,),
+        (half,) * n,
+    ]
+
+
+def from_labels(spec: RootSystemSpec, labels) -> list[Fraction]:
+    """sum a_i omega_i in epsilon coordinates."""
+    coords = [Fraction(0)] * spec.ambient_dim
+    for a, omega in zip(labels, fundamental_weights(spec)):
+        coords = [c + a * w for c, w in zip(coords, omega)]
+    return coords
+
+
+@st.composite
+def dominant_weights(draw):
+    spec = draw(st.sampled_from(SPECS))
+    labels = draw(st.lists(st.integers(0, 3), min_size=spec.rank, max_size=spec.rank))
+    coords = from_labels(spec, labels)
+    if spec.family == "A":
+        # any representative modulo (1, ..., 1), fractional ones included
+        shift = draw(st.fractions(min_value=-2, max_value=2, max_denominator=6))
+        coords = [c + shift for c in coords]
+    return spec, Weight(tuple(coords))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=dominant_weights())
+def test_integer_weyl_product_matches_fraction_route(case):
+    spec, lam = case
+    assert is_dominant_integral(spec, lam)
+    assert reference_is_dominant_integral(spec, lam)
+    assert weyl_dim(spec, lam) == reference_weyl_dim(spec, lam)
+
+
+@pytest.mark.parametrize(
+    "family, rank, coords, dim",
+    [
+        ("B", 2, "1/2,1/2", 4),
+        ("D", 4, "1/2,1/2,1/2,-1/2", 8),
+        ("D", 4, "1/2,1/2,1/2,1/2", 8),
+        ("B", 3, "1/2,1/2,1/2", 8),
+        ("B", 4, "3/2,1/2,1/2,1/2", 128),
+        ("A", 2, "7/3,1/3,-2/3", 15),
+        ("C", 4, "1,1,1,1", 42),
+    ],
+)
+def test_spin_and_shifted_weights(family, rank, coords, dim):
+    spec = RootSystemSpec(family, rank)
+    lam = weight(spec, [Fraction(c) for c in coords.split(",")])
+    assert weyl_dim(spec, lam) == reference_weyl_dim(spec, lam) == dim
+
+
+coordinates = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from(SPECS), data=st.data())
+def test_arbitrary_weights_fail_like_the_fraction_route(spec, data):
+    if data.draw(st.booleans()):
+        # nonnegative but possibly fractional labels: dominant, not always integral
+        labels = data.draw(
+            st.lists(
+                st.fractions(min_value=0, max_value=2, max_denominator=4),
+                min_size=spec.rank,
+                max_size=spec.rank,
+            )
+        )
+        lam = Weight(tuple(from_labels(spec, labels)))
+    else:
+        size = data.draw(st.integers(1, spec.ambient_dim + 1))
+        lam = Weight(tuple(data.draw(st.lists(coordinates, min_size=size, max_size=size))))
+    assert outcome(is_dominant_integral, spec, lam) == outcome(
+        reference_is_dominant_integral, spec, lam
+    )
+    assert outcome(weyl_dim, spec, lam) == outcome(reference_weyl_dim, spec, lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=st.sampled_from(SPECS), data=st.data())
+def test_checks_behind_the_dominance_test(spec, data):
+    # with dominance waved through, the positivity and remainder checks are
+    # all that stand between a bad weight and a wrong dimension
+    n = spec.ambient_dim
+    lam = Weight(tuple(data.draw(st.lists(coordinates, min_size=n, max_size=n))))
+    with mock.patch.object(rootdata, "is_dominant_integral", lambda spec, lam: True):
+        got = outcome(weyl_dim, spec, lam)
+    assert got == outcome(reference_weyl_dim, spec, lam, lambda spec, lam: True)
+
+
+@pytest.mark.parametrize(
+    "coords, error, message",
+    [
+        ([1, 2], ArithmeticError, "pairing 0 of (3, 3) with (1, -1) is not positive"),
+        (
+            [Fraction(1, 2), 0],
+            ArithmeticError,
+            "Weyl product 35/16 is not a positive integer",
+        ),
+    ],
+)
+def test_unreachable_checks_keep_their_messages(coords, error, message):
+    spec = RootSystemSpec("C", 2)
+    lam = weight(spec, coords)
+    with mock.patch.object(rootdata, "is_dominant_integral", lambda spec, lam: True):
+        with pytest.raises(error) as exc:
+            weyl_dim(spec, lam)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "family, rank, coords, message",
+    [
+        ("C", 2, [1, 2], "(1, 2) is not dominant integral for C2"),
+        ("C", 2, [Fraction(1, 2), 0], "(1/2, 0) is not dominant integral for C2"),
+        ("B", 2, [Fraction(1, 2), Fraction(-1, 2)], "(1/2, -1/2) is not dominant integral for B2"),
+        ("C", 2, [1], "C2 weights need 2 coordinates, got 1"),
+        ("A", 3, [1, 0, 0], "A3 weights need 4 coordinates, got 3"),
+    ],
+)
+def test_rejections_keep_type_and_message(family, rank, coords, message):
+    spec = RootSystemSpec(family, rank)
+    lam = Weight(tuple(Fraction(c) for c in coords))
+    with pytest.raises(ValueError) as exc:
+        weyl_dim(spec, lam)
+    assert str(exc.value) == message
+    assert outcome(reference_weyl_dim, spec, lam) == (ValueError, message)
