@@ -13,23 +13,28 @@ be phrased without leading terms: for every window d and every diagonal
 path, the multiplicities of the path's upper-block colors at degree -d-1
 plus those of its lower-block colors at degree -d must not exceed the
 level.  The two checkers are implemented independently and are compared
-exhaustively in the test suite.  Both decide on integer keys (a, b, v),
-color X_ab at degree -v.  Every leading term of window d has k+1 factors
-at degrees -d-1 and -d, so the divisibility checker skips each window
-where the partition holds fewer; elsewhere it tests only the terms filed
-under a key the partition holds, each window's terms being compiled once
-into (key, exponent) pairs filed under their first key.  Path sums grow
-with the path, so the inequality checker sums over the maximal paths
-only.
+exhaustively in the test suite.
+
+Each condition is written once, for window 1, as a row of
+((a, b, offset), cap) pairs, color X_ab at degree -1-offset: the
+leading terms (capped at their exponents) and the maximal diagonal
+paths (capped at k+1), which the cut lemma gives in closed form; path
+sums grow with the path, so the other paths never decide.  The
+conditions of window d are those of window 1 moved d-1 degrees deeper,
+so window d reads the same rows with offset 1 at degree -d-1 and offset
+0 at -d.  Both point checkers decide window by window on these relative
+keys, skipping each window whose two degrees hold fewer than the k+1
+factors that every condition needs.
 
 Enumeration is one depth-first walk over canonical factor multisets,
 fed by either condition as capped-sum constraints: a constraint caps the
 multiplicities of some (color, degree) keys and is violated once the
-capped sum reaches k+1.  A leading term capped at its exponents is
-violated when it divides the monomial; a window and a diagonal path, with
-every key capped at k+1, when the path sum exceeds k.  Once a prefix
-violates a constraint every extension does, so the subtree is skipped.
-Pruning affects speed only, never the result.  The walk keeps each
+capped sum reaches k+1.  Each constraint is a window-1 row moved to one
+window.  A leading term capped at its exponents is violated when it
+divides the monomial; a maximal path, with every key capped at k+1, when
+the path sum exceeds k.  Once a prefix violates a constraint every
+extension does, so the subtree is skipped.  Pruning affects speed only,
+never the result.  The walk keeps each
 partition as the tuple of integer factor indices it pushed and sorts
 each layer by integer keys; ``ColoredPartition`` objects are built only
 at the boundary, by `enumerate_basis`, while `enumerate_keys` hands the
@@ -57,7 +62,7 @@ from functools import lru_cache, reduce
 from itertools import groupby, product
 from operator import add
 
-from .leading import diagonal_paths, fs_leading_terms, std_leading_terms
+from .leading import fs_leading_terms, std_leading_terms
 from .partitions import (
     Alphabet,
     Color,
@@ -107,107 +112,115 @@ def _check_partition(pi: ColoredPartition, basis: BasisKind) -> None:
         raise ValueError("admissibility is defined for strictly negative degrees")
 
 
-def _window_bound(pi: ColoredPartition) -> int:
-    """Largest window whose leading terms can divide `pi`.
+def _windows(depth: int) -> range:
+    """Windows 1..max(1, depth-1): enough for a partition reaching degree -depth.
 
-    A window-d term needs factors at degree -d-1 unless it is supported on
-    -d alone, and the single-degree terms of window d coincide with the
-    upper-block-only terms of window d-1; so windows 1..|min degree|-1
-    suffice, except that window 1 itself must always be checked (it is the
-    only home of the terms supported entirely on degree -1).
+    A condition of window `depth` that fits above -depth-1 lies on -depth
+    alone, within one of window depth-1 (an all-upper term, or the upper
+    block of a maximal path); window 1 is always kept, as the only home of
+    the conditions on degree -1 alone.
     """
-    if not pi.factors:
-        return 0
-    return max(1, -min(f.degree for f in pi.factors) - 1)
+    return range(1, max(1, depth - 1) + 1) if depth else range(0)
 
 
-def _multiplicities(pi: ColoredPartition) -> dict[tuple[int, int, int], int]:
-    """Factor multiplicities of `pi` by key (a, b, v), color X_ab at degree -v."""
-    mult: dict[tuple[int, int, int], int] = {}
+def _window_views(pi: ColoredPartition, k: int):
+    """The windows of `pi` that can break a condition, as ``{(a, b, offset): n}``.
+
+    Window d reads offset 1 at degree -d-1 and offset 0 at -d.  Every
+    condition needs k+1 factors on its window's two degrees, so a window
+    holding fewer is skipped before its view is built.
+    """
+    slices: dict[int, dict[tuple[int, int], int]] = {}
     for f in pi.factors:
-        key = (f.color.a, f.color.b, -f.degree)
-        mult[key] = mult.get(key, 0) + 1
-    return mult
+        counts = slices.setdefault(-f.degree, {})
+        pair = (f.color.a, f.color.b)
+        counts[pair] = counts.get(pair, 0) + 1
+    size = {v: sum(counts.values()) for v, counts in slices.items()}
+    for d in _windows(max(slices, default=0)):
+        if size.get(d + 1, 0) + size.get(d, 0) > k:
+            view = {(a, b, 1): n for (a, b), n in slices.get(d + 1, {}).items()}
+            view.update(((a, b, 0), n) for (a, b), n in slices.get(d, {}).items())
+            yield view
 
 
 @lru_cache(maxsize=None)
-def _term_keys(basis: BasisKind, d: int) -> dict:
-    """The leading terms of window d as ``((a, b, v), exponent)`` pairs, by first key.
+def _term_rows(basis: BasisKind) -> dict:
+    """The window-1 leading terms as ``((a, b, offset), exponent)`` rows, by first key.
 
-    Returns ``{key: terms}``: each term is the tuple of its pairs in
-    canonical factor order and is filed under its first key only, since a
-    monomial that lacks that key is not divisible by the term.  Key and
-    pair objects are shared between the terms of the window.
+    Offset 1 is degree -2 and offset 0 is degree -1; window d, window 1
+    moved d-1 degrees deeper, reads them at -d-1 and -d.  Each row lists a
+    term's pairs in canonical factor order and is filed under its first
+    key only, since a monomial that lacks that key is not divisible by the
+    term.  Key and pair objects are shared between the rows.
     """
     shared: dict = {}
     filed: dict[tuple[int, int, int], list] = {}
-    for term in leading_terms(basis, d):
-        pairs = []
+    for term in leading_terms(basis, 1):
+        row = []
         for f, group in groupby(term.factors):
-            key = (f.color.a, f.color.b, -f.degree)
+            key = (f.color.a, f.color.b, -f.degree - 1)
             key = shared.setdefault(key, key)
             pair = (key, sum(1 for _ in group))
-            pairs.append(shared.setdefault(pair, pair))
-        filed.setdefault(pairs[0][0], []).append(tuple(pairs))
+            row.append(shared.setdefault(pair, pair))
+        filed.setdefault(row[0][0], []).append(tuple(row))
     # sorted: a frozenset's order follows string hashing, which varies by process
-    return {key: tuple(sorted(terms)) for key, terms in filed.items()}
+    return {key: tuple(sorted(rows)) for key, rows in filed.items()}
 
 
 def admissible_by_divisibility(pi: ColoredPartition, basis: BasisKind) -> bool:
     """True when no leading term of any relevant window divides `pi`.
 
-    Every leading term of window d has k+1 factors at degrees -d-1 and -d,
-    so a window where `pi` holds fewer is skipped; in the others only the
-    terms filed under a key `pi` holds there are tested (see `_term_keys`).
+    Window by window (see `_window_views`), only the window-1 rows filed
+    under a key `pi` holds there are tested (see `_term_rows`).
     """
     _check_partition(pi, basis)
-    if not pi.factors:
-        return True
-    mult = _multiplicities(pi)
-    held: dict[int, list[tuple[int, int, int]]] = {}
-    size: dict[int, int] = {}
-    for key, n in mult.items():
-        held.setdefault(key[2], []).append(key)
-        size[key[2]] = size.get(key[2], 0) + n
-    k = basis.level
-    for d in range(1, _window_bound(pi) + 1):
-        if size.get(d + 1, 0) + size.get(d, 0) < k + 1:
-            continue
-        filed = _term_keys(basis, d)
-        for key in held.get(d + 1, []) + held.get(d, []):
-            for term in filed.get(key, ()):
-                if all(mult.get(x, 0) >= e for x, e in term):
+    filed = _term_rows(basis)
+    for view in _window_views(pi, basis.level):
+        for key in view:
+            for row in filed.get(key, ()):
+                if all(view.get(x, 0) >= e for x, e in row):
                     return False
     return True
 
 
 @lru_cache(maxsize=None)
-def _all_paths(m: int) -> tuple:
-    """Every diagonal path of rank m, reduced to (upper colors, lower colors) sets."""
-    seen = set()
-    for path in diagonal_paths(m, 2 * m):
-        seen.add((frozenset(path.upper_block), frozenset(path.lower_block)))
-    return tuple(sorted(seen, key=lambda ul: (sorted(ul[0]), sorted(ul[1]))))
+def _maximal_paths(m: int) -> tuple:
+    """Paths not contained block-wise in another, as (upper, lower) pair sets.
+
+    A path's upper block lies within its outermost pair (i, c) and its
+    lower block starts at c or later (the cut lemma behind
+    `_cut_profiles`).  So the maximal paths are, for each cut c = 1..m, a
+    maximal chain down from (1, c) as upper block and one down from
+    (c, m) as lower block, each step taking (i, j) to (i+1, j) or
+    (i, j-1) until the chain reaches the diagonal: m * 2^(m-1) paths,
+    sorted by their sorted blocks.
+    """
+
+    def chains(i: int, j: int) -> list[tuple[tuple[int, int], ...]]:
+        if i == j:
+            return [((i, j),)]
+        return [((i, j),) + rest for rest in chains(i + 1, j) + chains(i, j - 1)]
+
+    paths = [
+        (frozenset(upper), frozenset(lower))
+        for c in range(1, m + 1)
+        for upper in chains(1, c)
+        for lower in chains(c, m)
+    ]
+    return tuple(sorted(paths, key=lambda ul: (sorted(ul[0]), sorted(ul[1]))))
 
 
 @lru_cache(maxsize=None)
-def _maximal_paths(m: int) -> tuple:
-    """Paths not contained block-wise in another path; sums over these dominate.
+def _path_rows(m: int, k: int) -> tuple:
+    """The maximal paths on window 1 as rows of ``((a, b, offset), k+1)`` pairs.
 
-    Dropping a pair from either block of a path leaves a path, so a path
-    lies inside another exactly when adding one pair to one block does.
+    Upper-block colors take offset 1 (degree -2) and lower-block colors
+    offset 0 (degree -1); window d reads them at -d-1 and -d.
     """
-    paths = _all_paths(m)
-    members = set(paths)
-    pairs = [c.pair for c in upper_scheme(m).colors()]
+    cap = k + 1
     return tuple(
-        (u, low)
-        for u, low in paths
-        if not any(
-            (p not in u and (u | {p}, low) in members)
-            or (p not in low and (u, low | {p}) in members)
-            for p in pairs
-        )
+        tuple([((a, b, 1), cap) for a, b in upper] + [((a, b, 0), cap) for a, b in lower])
+        for upper, lower in _maximal_paths(m)
     )
 
 
@@ -217,51 +230,41 @@ def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
     For every window d >= 1 and every diagonal path, the sum of the
     multiplicities of the upper-block colors at degree -d-1 and of the
     lower-block colors at degree -d must be at most the level.  Path sums
-    grow with the blocks, so the maximal paths alone decide.
+    grow with the blocks, so the maximal paths alone decide; they are read
+    window by window as relative keys (see `_path_rows` and
+    `_window_views`).
     """
     if basis.kind != "fs":
         raise ValueError(
             "path inequalities apply to the fs kind; transport std partitions first"
         )
     _check_partition(pi, basis)
-    if not pi.factors:
-        return True
     k = basis.level
-    mult = _multiplicities(pi)
-    d_max = -min(f.degree for f in pi.factors)
-    for d in range(1, d_max + 1):
-        for upper, lower in _maximal_paths(basis.rank):
-            total = sum(mult.get((a, b, d + 1), 0) for a, b in upper)
-            total += sum(mult.get((a, b, d), 0) for a, b in lower)
-            if total > k:
+    rows = _path_rows(basis.rank, k)
+    for view in _window_views(pi, k):
+        for row in rows:
+            if sum(view.get(x, 0) for x, _ in row) > k:
                 return False
     return True
 
 
-def _divisibility_constraints(m: int, k: int, max_degree: int):
-    """Each leading term as a constraint capped at its exponents (they sum to k+1).
+def _constraints(m: int, k: int, max_degree: int, method: str):
+    """Every condition of fs(m, k) down to degree -max_degree as a capped-sum constraint.
 
-    The capped sum reaches k+1 exactly when the term divides the monomial.
+    The window-1 rows of `method` moved to each window d of `_windows`:
+    offset 1 goes to degree -d-1 and offset 0 to -d.  A leading term is
+    capped at its exponents, which sum to k+1, so its capped sum reaches
+    k+1 exactly when it divides the monomial; a maximal path is capped at
+    k+1 on every key, so its capped sum reaches k+1 exactly when the path
+    sum exceeds k.
     """
-    basis = BasisKind("fs", m, k)
-    windows = range(1, max(1, max_degree - 1) + 1) if max_degree >= 1 else ()
-    for d in windows:
-        for terms in _term_keys(basis, d).values():
-            for term in terms:
-                yield dict(term)
-
-
-def _path_constraints(m: int, k: int, max_degree: int):
-    """Each window and maximal diagonal path as a constraint capped at k+1.
-
-    Capping every key at k+1 makes the capped sum reach k+1 exactly when
-    the plain path sum exceeds k.
-    """
-    cap = k + 1
-    for d in range(1, max_degree + 1):
-        for upper, lower in _maximal_paths(m):
-            keys = [(a, b, d + 1) for a, b in upper] + [(a, b, d) for a, b in lower]
-            yield dict.fromkeys(keys, cap)
+    if method == "divisibility":
+        rows = [row for filed in _term_rows(BasisKind("fs", m, k)).values() for row in filed]
+    else:
+        rows = _path_rows(m, k)
+    for d in _windows(max_degree):
+        for row in rows:
+            yield {(a, b, d + offset): cap for (a, b, offset), cap in row}
 
 
 class _Tracker:
@@ -359,11 +362,7 @@ def _enumerate_layers(m: int, max_degree: int, tracker: _Tracker):
 
 @lru_cache(maxsize=8)
 def _enumerate_cached(m: int, k: int, max_degree: int, method: str):
-    if method == "divisibility":
-        constraints = _divisibility_constraints(m, k, max_degree)
-    else:
-        constraints = _path_constraints(m, k, max_degree)
-    tracker = _Tracker(m, k, max_degree, constraints)
+    tracker = _Tracker(m, k, max_degree, _constraints(m, k, max_degree, method))
     return tuple(tracker.entries), _enumerate_layers(m, max_degree, tracker)
 
 
@@ -395,11 +394,19 @@ def enumerate_keys(
     return _enumerate_cached(_triangle_rank(basis), basis.level, max_degree, method)
 
 
-@lru_cache(maxsize=32)
-def _materialized(basis: BasisKind, max_degree: int, method: str):
-    entries, layers = _enumerate_cached(
-        _triangle_rank(basis), basis.level, max_degree, method
-    )
+def enumerate_basis(
+    basis: BasisKind, max_degree: int, method: str | None = None
+) -> tuple[tuple[ColoredPartition, ...], ...]:
+    """All admissible partitions with total degree down to -max_degree.
+
+    Returns one layer per absolute degree 0..max_degree, each sorted in
+    the partition order.  `method` selects the admissibility engine:
+    ``divisibility`` (either kind) or ``inequalities`` (fs only); the
+    default is ``inequalities`` for fs and ``divisibility`` for std.  The
+    walk is cached (see `enumerate_keys`); the objects are built on every
+    call.
+    """
+    entries, layers = enumerate_keys(basis, max_degree, method)
     alphabet = basis.alphabet
     # one factor object per entry: partitions only hold references
     factors = [Factor(Color(alphabet, a, b), -v) for a, b, v in entries]
@@ -409,21 +416,6 @@ def _materialized(basis: BasisKind, max_degree: int, method: str):
             for key in layer
         )
         for layer in layers
-    )
-
-
-def enumerate_basis(
-    basis: BasisKind, max_degree: int, method: str | None = None
-) -> tuple[tuple[ColoredPartition, ...], ...]:
-    """All admissible partitions with total degree down to -max_degree.
-
-    Returns one layer per absolute degree 0..max_degree, each sorted in
-    the partition order.  `method` selects the admissibility engine:
-    ``divisibility`` (either kind) or ``inequalities`` (fs only); the
-    default is ``inequalities`` for fs and ``divisibility`` for std.
-    """
-    return _materialized(
-        basis, max_degree, _enumeration_method(basis, max_degree, method)
     )
 
 

@@ -253,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["A", "B", "C", "D"], required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument(
-        "--weight", required=True, help="comma-separated rational coordinates"
+        "--weight",
+        required=True,
+        help="comma-separated rational coordinates; "
+        "write --weight=-1,-1 when the first is negative",
     )
     p.set_defaults(func=_cmd_weyl_dim)
 

@@ -17,6 +17,7 @@ from test_basis import theta_route_character
 from cpbasis.basis import (
     BasisKind,
     enumerate_basis,
+    enumerate_keys,
     graded_series,
     rr_counts,
 )
@@ -97,10 +98,12 @@ def test_ac4_checker_equivalence():
     for rank in (1, 2, 3, 4):
         for k in (1, 2):
             basis = BasisKind("fs", rank, k)
-            by_div = enumerate_basis(basis, max_degree, "divisibility")
-            by_ineq = enumerate_basis(basis, max_degree, "inequalities")
+            entries_d, by_div = enumerate_keys(basis, max_degree, "divisibility")
+            entries_i, by_ineq = enumerate_keys(basis, max_degree, "inequalities")
+            assert entries_d == entries_i
+            assert len(by_div) == len(by_ineq) == max_degree + 1
             for layer_d, layer_i in zip(by_div, by_ineq):
-                assert _keys(layer_d) == _keys(layer_i)
+                assert sorted(layer_d) == sorted(layer_i)
             totals.append(sum(len(layer) for layer in by_div))
     report(
         "AC-4",

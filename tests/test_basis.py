@@ -13,7 +13,6 @@ from conftest import gen_partitions, transport_partition_inverse
 from cpbasis.basis import (
     BasisKind,
     QSeries,
-    _all_paths,
     _cut_profiles,
     _enumerate_cached,
     _maximal_paths,
@@ -27,6 +26,7 @@ from cpbasis.basis import (
     leading_terms,
     rr_counts,
 )
+from cpbasis.leading import DiagonalPath, diagonal_paths
 from cpbasis.partitions import (
     ColoredPartition,
     Factor,
@@ -175,6 +175,15 @@ def test_checkers_agree_beyond_enumerated_degrees(case):
     # the enumerations of AC-4 compare the checkers down to degree -10 only
     basis, pi = case
     assert admissible_by_divisibility(pi, basis) == admissible_by_inequalities(pi, basis)
+
+
+@lru_cache(maxsize=None)
+def _all_paths(m: int) -> tuple:
+    """Every diagonal path of rank m, reduced to (upper colors, lower colors) sets."""
+    seen = set()
+    for path in diagonal_paths(m, 2 * m):
+        seen.add((frozenset(path.upper_block), frozenset(path.lower_block)))
+    return tuple(sorted(seen, key=lambda ul: (sorted(ul[0]), sorted(ul[1]))))
 
 
 @lru_cache(maxsize=None)
@@ -428,7 +437,7 @@ ACCEPTANCE_GRIDS = [
 class TestSliceTransfer:
     @pytest.mark.parametrize("basis, method", ACCEPTANCE_GRIDS, ids=str)
     def test_counts_match_enumeration(self, basis, method):
-        layers = enumerate_basis(basis, 10, method)
+        _, layers = enumerate_keys(basis, 10, method)
         assert graded_series(basis, 10).coeffs == tuple(len(layer) for layer in layers)
 
     @pytest.mark.parametrize(
@@ -526,6 +535,42 @@ def test_cut_lemma(case):
         profile_b = tuple(inside_s[c, m] for c in range(1, m + 1))
         classes = _cut_profiles(m, k, size)
         assert profile_a in dict(classes.get((size, profile_b), ()))
+
+
+def one_pair_maximal_paths(m):
+    """Maximal paths by filtering every path: none extends by one pair in one block.
+
+    Dropping a pair from either block of a path leaves a path, so a path
+    lies inside another exactly when adding one pair to one block does.
+    """
+    paths = _all_paths(m)
+    members = set(paths)
+    pairs = [c.pair for c in upper_scheme(m).colors()]
+    return tuple(
+        (u, low)
+        for u, low in paths
+        if not any(
+            (p not in u and (u | {p}, low) in members)
+            or (p not in low and (u, low | {p}) in members)
+            for p in pairs
+        )
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_maximal_paths_match_one_pair_filter(m):
+    assert _maximal_paths(m) == one_pair_maximal_paths(m)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_maximal_paths_count_and_validity(m):
+    paths = _maximal_paths(m)
+    assert len(set(paths)) == len(paths) == m * 2 ** (m - 1)
+    for upper, lower in paths:
+        # each block outermost pair first: smallest i, then largest j
+        pairs = sorted(upper, key=lambda p: (p[0], -p[1]))
+        pairs += sorted(lower, key=lambda p: (p[0], -p[1]))
+        DiagonalPath(m, tuple(pairs), len(upper))  # raises unless a valid path
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

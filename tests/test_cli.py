@@ -281,6 +281,23 @@ class TestWeylDim:
         assert code == 0
         assert out.strip() == "4"
 
+    def test_negative_weight_after_equals_sign(self, capsys):
+        code, out, _ = run(
+            capsys, "weyl-dim", "--family", "A", "--rank", "1", "--weight=-1,-1"
+        )
+        assert code == 0
+        assert out.strip() == "1"
+
+    def test_negative_weight_as_separate_value_is_usage_error(self):
+        # argparse takes a value that starts with "-" for an option
+        proc = run_python(
+            "-m", "cpbasis.cli", "weyl-dim", "--family", "A", "--rank", "1",
+            "--weight", "-1,-1",
+        )
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_non_dominant_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "weyl-dim", "--family", "C", "--rank", "2", "--weight", "1,2"

@@ -16,7 +16,7 @@ from cpbasis.leading import (
     std_leading_terms,
     window_split,
 )
-from cpbasis.partitions import ColoredPartition, upper_scheme
+from cpbasis.partitions import ColoredPartition, Factor, upper_scheme
 
 
 def up_part(m, *facs):
@@ -168,6 +168,35 @@ class TestStandardFamilies:
         for t in std_leading_terms(ell, k, 1):
             counts[window_split(t, 1)] = counts.get(window_split(t, 1), 0) + 1
         assert all(c == expected for c in counts.values())
+
+
+def moved_deeper(term, shift):
+    """`term` with every factor moved `shift` degrees deeper."""
+    return ColoredPartition(
+        term.alphabet, tuple(Factor(f.color, f.degree - shift) for f in term.factors)
+    )
+
+
+class TestWindowShift:
+    """Window d is window 1 moved d-1 degrees deeper.
+
+    The admissibility checks compile window 1 only and read it on every
+    window, so they rest on this.
+    """
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fs_windows(self, m, k):
+        first = fs_leading_terms(m, k, 1)
+        for d in range(2, 7):
+            assert fs_leading_terms(m, k, d) == {moved_deeper(t, d - 1) for t in first}
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_std_windows(self, ell, k):
+        first = std_leading_terms(ell, k, 1)
+        for d in range(2, 7):
+            assert std_leading_terms(ell, k, d) == {moved_deeper(t, d - 1) for t in first}
 
 
 class TestMultisetBijection:
