@@ -2,8 +2,9 @@
 
 The package covers: exact root-system data and Weyl dimensions
 (:mod:`cpbasis.rootdata`); colored partitions with their well order
-(:mod:`cpbasis.partitions`); closed-form leading-term families on
-diagonal paths (:mod:`cpbasis.leading`) with a brute-force oracle
+(:mod:`cpbasis.partitions`); closed-form leading-term families, one
+term per index multiset and degree split, whose colors lie on diagonal
+paths (:mod:`cpbasis.leading`), with a brute-force oracle
 (:mod:`cpbasis.oracle`); the rank-doubling scheme identification
 (:mod:`cpbasis.ident`); and admissibility checking, basis enumeration,
 graded series counted by a transfer matrix over cut profiles, the
@@ -24,8 +25,6 @@ from .basis import (
 )
 from .ident import iota, transport_partition
 from .leading import (
-    DiagonalPath,
-    diagonal_paths,
     fs_leading_terms,
     leading_term_for_multiset,
     std_leading_terms,
@@ -72,7 +71,6 @@ __all__ = [
     "BasisKind",
     "Color",
     "ColoredPartition",
-    "DiagonalPath",
     "Factor",
     "MinusculeData",
     "QSeries",
@@ -88,7 +86,6 @@ __all__ = [
     "compare_colors",
     "compare_factors",
     "compare_partitions",
-    "diagonal_paths",
     "divides",
     "enumerate_basis",
     "eps",

@@ -171,11 +171,6 @@ def half_sum_positive(spec: RootSystemSpec) -> Weight:
     return Fraction(1, 2) * acc
 
 
-def coroot_pairing(spec: RootSystemSpec, lam: Weight, alpha: Weight) -> Fraction:
-    """2<lam, alpha> / <alpha, alpha>; the normalization scale cancels."""
-    return 2 * lam.dot(alpha) / alpha.dot(alpha)
-
-
 @lru_cache(maxsize=None)
 def _integer_roots(spec: RootSystemSpec):
     """Positive roots in order, simple roots and 2*rho, as integer coordinate tuples."""

@@ -1,11 +1,14 @@
-"""Shared helpers: brute-force generation and golden transcriptions."""
+"""Shared helpers: brute-force generation, the diagonal-path reference and golden transcriptions."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+from typing import Iterator
 
 from cpbasis.partitions import (
     Alphabet,
@@ -29,6 +32,134 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@dataclass(frozen=True)
+class DiagonalPath:
+    """A chain of index pairs with a split point separating the two degree blocks."""
+
+    rank: int
+    pairs: tuple[tuple[int, int], ...]
+    split: int
+
+    def __post_init__(self) -> None:
+        if not self.pairs:
+            raise ValueError("a diagonal path needs at least one pair")
+        if not 0 <= self.split <= len(self.pairs):
+            raise ValueError("split out of range")
+        for i, j in self.pairs:
+            if not 1 <= i <= j <= self.rank:
+                raise ValueError(f"pair ({i},{j}) out of range for rank {self.rank}")
+        for block in (self.pairs[: self.split], self.pairs[self.split :]):
+            for (i0, j0), (i1, j1) in zip(block, block[1:]):
+                # strictly nested, outermost first
+                if not (i0 <= i1 and j1 <= j0 and (i0, j0) != (i1, j1)):
+                    raise ValueError(f"block {block} violates the chain condition")
+        upper = self.pairs[: self.split]
+        lower = self.pairs[self.split :]
+        if upper and lower and not upper[0][1] <= lower[0][0]:
+            raise ValueError(
+                f"blocks {upper} | {lower} violate the cross-block chain condition"
+            )
+
+    @property
+    def upper_block(self) -> tuple[tuple[int, int], ...]:
+        """Pairs placed at degree -d-1."""
+        return self.pairs[: self.split]
+
+    @property
+    def lower_block(self) -> tuple[tuple[int, int], ...]:
+        """Pairs placed at degree -d."""
+        return self.pairs[self.split :]
+
+
+@lru_cache(maxsize=None)
+def _nested_chains(m: int, max_len: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All nonempty strictly nested chains of pairs, outermost first."""
+    all_pairs = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
+    chains: list[tuple[tuple[int, int], ...]] = []
+
+    def extend(chain: list[tuple[int, int]]) -> None:
+        chains.append(tuple(chain))
+        if len(chain) == max_len:
+            return
+        i0, j0 = chain[-1]
+        for i in range(i0, j0 + 1):
+            for j in range(i, j0 + 1):
+                if (i, j) != (i0, j0):
+                    chain.append((i, j))
+                    extend(chain)
+                    chain.pop()
+
+    for p in all_pairs:
+        extend([p])
+    return tuple(chains)
+
+
+def diagonal_paths(m: int, max_pairs: int) -> Iterator[DiagonalPath]:
+    """Every diagonal path over indices 1..m with at most `max_pairs` pairs.
+
+    Yields each path exactly once, in a fixed deterministic order: first
+    the single-block paths (all pairs at -d, then all pairs at -d-1), then
+    the genuinely split ones.
+    """
+    if m < 1:
+        raise ValueError("rank must be positive")
+
+    def generate() -> Iterator[DiagonalPath]:
+        if max_pairs < 1:
+            return
+        chains = _nested_chains(m, max_pairs)
+        for c in chains:
+            yield DiagonalPath(m, c, 0)
+        for c in chains:
+            yield DiagonalPath(m, c, len(c))
+        for upper in chains:
+            for lower in chains:
+                if len(upper) + len(lower) > max_pairs:
+                    continue
+                if upper[0][1] <= lower[0][0]:
+                    yield DiagonalPath(m, upper + lower, len(upper))
+
+    return generate()
+
+
+@lru_cache(maxsize=None)
+def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """Ordered compositions of `total` into `parts` positive integers."""
+    if parts == 0:
+        return ((),) if total == 0 else ()
+    if parts == 1:
+        return ((total,),) if total >= 1 else ()
+    out = []
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def path_leading_terms(m: int, k: int, d: int) -> frozenset[ColoredPartition]:
+    """All leading terms of the level-k rank-m relations on window d, path by path.
+
+    The reference for `cpbasis.leading.fs_leading_terms`: one partition
+    per diagonal path and positive exponent assignment summing to k+1;
+    upper-block pairs sit at degree -d-1, lower-block pairs at -d.
+    """
+    if m < 1 or k < 1 or d < 1:
+        raise ValueError("rank, level and window must be positive")
+    alphabet = upper_scheme(m)
+    colors = {(i, j): Color(alphabet, i, j) for i in range(1, m + 1) for j in range(i, m + 1)}
+    terms = set()
+    for path in diagonal_paths(m, k + 1):
+        s = len(path.pairs)
+        for comp in _compositions(k + 1, s):
+            factors = []
+            for idx, (pair, e) in enumerate(zip(path.pairs, comp)):
+                n = -d - 1 if idx < path.split else -d
+                factors.extend((Factor(colors[pair], n),) * e)
+            terms.add(ColoredPartition(alphabet, tuple(factors)))
+    return frozenset(terms)
 
 
 def iota_inverse(color: Color, ell: int) -> tuple[int, int]:

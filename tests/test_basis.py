@@ -9,7 +9,12 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import gen_partitions, transport_partition_inverse
+from conftest import (
+    DiagonalPath,
+    diagonal_paths,
+    gen_partitions,
+    transport_partition_inverse,
+)
 from cpbasis.basis import (
     BasisKind,
     QSeries,
@@ -26,7 +31,6 @@ from cpbasis.basis import (
     leading_terms,
     rr_counts,
 )
-from cpbasis.leading import DiagonalPath, diagonal_paths
 from cpbasis.partitions import (
     ColoredPartition,
     Factor,

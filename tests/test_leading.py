@@ -7,10 +7,14 @@ from math import comb
 
 import pytest
 
-from conftest import golden_rank2_families
-from cpbasis.leading import (
+from conftest import (
     DiagonalPath,
     diagonal_paths,
+    golden_rank2_families,
+    path_leading_terms,
+)
+from cpbasis.ident import transport_partition
+from cpbasis.leading import (
     fs_leading_terms,
     leading_term_for_multiset,
     std_leading_terms,
@@ -100,6 +104,16 @@ class TestDiagonalPaths:
             DiagonalPath(2, ((1, 1), (2, 2), (2, 2)), 1)
 
 
+class TestPathReference:
+    """The multiset closed form against the diagonal-path generator."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_multisets_match_paths(self, m, k, d):
+        assert fs_leading_terms(m, k, d) == path_leading_terms(m, k, d)
+
+
 class TestRankTwoFamilies:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("d", [1, 2])
@@ -168,6 +182,19 @@ class TestStandardFamilies:
         for t in std_leading_terms(ell, k, 1):
             counts[window_split(t, 1)] = counts.get(window_split(t, 1), 0) + 1
         assert all(c == expected for c in counts.values())
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_identification_carries_leading_terms(self, ell, k, d):
+        transported = {transport_partition(t, ell) for t in fs_leading_terms(2 * ell, k, d)}
+        assert std_leading_terms(ell, k, d) == transported
+
+    @pytest.mark.parametrize("args", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-1, 2, 2)])
+    def test_argument_validation(self, args):
+        # the rank is checked before the full scheme is built
+        with pytest.raises(ValueError, match="^rank, level and window must be positive$"):
+            std_leading_terms(*args)
 
 
 def moved_deeper(term, shift):

@@ -101,7 +101,20 @@ class TestBruteMinimum:
 
 
 class TestAudit:
-    @pytest.mark.parametrize("m,k,dmax", [(2, 1, 2), (1, 1, 3), (2, 2, 2)])
+    @pytest.mark.parametrize(
+        "m,k,dmax",
+        [
+            (2, 1, 2),
+            (1, 1, 3),
+            (2, 2, 2),
+            # beyond rank 3: the std(2) walks read the rank-4 terms
+            (4, 1, 3),
+            (4, 2, 2),
+            (5, 2, 2),
+            (6, 1, 2),
+            (6, 2, 1),
+        ],
+    )
     def test_windows_clean(self, m, k, dmax):
         report = audit_windows(m, k, dmax)
         assert report.ok

@@ -14,7 +14,6 @@ from cpbasis.rootdata import (
     RootSystemSpec,
     Weight,
     branching_dimensions,
-    coroot_pairing,
     eps,
     fundamental_weight_one,
     half_sum_positive,
@@ -179,6 +178,11 @@ class TestMinuscule:
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
             minuscule_gamma(RootSystemSpec("A", 3))
+
+
+def coroot_pairing(spec, lam, alpha) -> Fraction:
+    """2<lam, alpha> / <alpha, alpha>; the normalization scale cancels."""
+    return 2 * lam.dot(alpha) / alpha.dot(alpha)
 
 
 def reference_is_dominant_integral(spec, lam) -> bool:
