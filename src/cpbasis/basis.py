@@ -1,57 +1,37 @@
 """Admissible partitions, basis enumeration, graded series and counting demos.
 
-Two kinds of monomial bases are handled:
-
-* ``fs``: partitions over the upper triangle B1 of rank m (the subspace
-  attached to the minuscule coweight);
-* ``std``: partitions over the full scheme B of rank l (whole standard
-  module).
+``fs`` bases are partitions over the upper triangle B1 of rank m (the
+subspace attached to the minuscule coweight), ``std`` bases over the
+full scheme B of rank l (the whole standard module).  The identification
+of schemes is the identity on internal (a, b) encodings and carries the
+leading terms along, so below the `BasisKind` API ``std(l, k)`` is
+``fs(2l, k)``.
 
 A strictly-negative-degree partition is admissible when no leading term
-of the relations divides it.  For the ``fs`` kind the same condition can
-be phrased without leading terms: for every window d and every diagonal
-path, the multiplicities of the path's upper-block colors at degree -d-1
-plus those of its lower-block colors at degree -d must not exceed the
-level.  The two checkers are implemented independently and are compared
-exhaustively in the test suite.
+of the relations divides it; the terms are written once, for window 1,
+and window d reads them d-1 degrees deeper.  For ``fs`` the same
+condition reads: for every window d and diagonal path, the path's
+upper-block multiplicities at degree -d-1 plus its lower-block ones at
+-d are at most the level.  The two are checked independently and
+compared exhaustively in the test suite.
 
-Each condition is written once, for window 1, as a row of
-((a, b, offset), cap) pairs, color X_ab at degree -1-offset: the
-leading terms (capped at their exponents) and the maximal diagonal
-paths (capped at k+1), which the cut lemma gives in closed form; path
-sums grow with the path, so the other paths never decide.  The
-conditions of window d are those of window 1 moved d-1 degrees deeper,
-so window d reads the same rows with offset 1 at degree -d-1 and offset
-0 at -d.  Both point checkers decide window by window on these relative
-keys, skipping each window whose two degrees hold fewer than the k+1
-factors that every condition needs.
+The path inequalities are decided by the cut lemma alone; no path is ever
+built.  A partition's color multiplicities at one degree form its slice e,
+and inside(i, j) = e(i, j) + max(inside(i+1, j), inside(i, j-1)), zero
+when i > j, is the largest chain sum of e within (i, j) (see `_cells`).  A
+path's upper block lies within its outermost pair (i, c) and its lower
+block starts at c or later, so the largest path sum over a slice t at -d-1
+and a slice s at -d is the largest A_t(c) + B_s(c) over the cuts c = 1..m,
+where A(c) = inside(1, c) and B(c) = inside(c, m).  A partition is
+admissible exactly when that sum is at most the level for every two
+adjacent degrees, the degree above -1 counting as empty.
 
-Enumeration is one depth-first walk over canonical factor multisets,
-fed by either condition as capped-sum constraints: a constraint caps the
-multiplicities of some (color, degree) keys and is violated once the
-capped sum reaches k+1.  Each constraint is a window-1 row moved to one
-window.  A leading term capped at its exponents is violated when it
-divides the monomial; a maximal path, with every key capped at k+1, when
-the path sum exceeds k.  Once a prefix violates a constraint every
-extension does, so the subtree is skipped.  Pruning affects speed only,
-never the result.  The walk keeps each
-partition as the tuple of integer factor indices it pushed and sorts
-each layer by integer keys; ``ColoredPartition`` objects are built only
-at the boundary, by `enumerate_basis`, while `enumerate_keys` hands the
-indices to callers that only print them.
-
-Below that boundary the engine knows only the rank-m upper triangle: the
-identification of schemes is the identity on internal (a, b) encodings
-and carries the leading terms along, so ``std(l, k)`` runs as
-``fs(2l, k)`` and the two share one walk.
-
-Graded series are counted without listing anything: every path
-condition couples only two adjacent degrees, and the largest path sum
-over two adjacent degrees splits at a cut of the triangle into a chain
-sum of the deeper degree's color multiplicities (its "slice") and one of
-the shallower slice.  Slices are grouped by size and by these cut
-profiles, and a transfer matrix over the groups counts the admissible
-partitions degree by degree.
+Enumeration is one depth-first walk that pushes factors by ascending
+|degree| into a tracker, `_Tracker` of the terms or `_CutTracker` of the
+cut profiles, and skips the subtree of every inadmissible prefix; it
+keeps partitions as factor-index tuples.  The inequality checker runs
+`_CutTracker` too, and graded series are counted without listing: a
+transfer matrix runs over slices grouped by size and cut profiles.
 """
 
 from __future__ import annotations
@@ -115,19 +95,18 @@ def _check_partition(pi: ColoredPartition, basis: BasisKind) -> None:
 def _windows(depth: int) -> range:
     """Windows 1..max(1, depth-1): enough for a partition reaching degree -depth.
 
-    A condition of window `depth` that fits above -depth-1 lies on -depth
-    alone, within one of window depth-1 (an all-upper term, or the upper
-    block of a maximal path); window 1 is always kept, as the only home of
-    the conditions on degree -1 alone.
+    A leading term of window `depth` that fits above -depth-1 lies on
+    -depth alone, and is an all-upper term of window depth-1; window 1 is
+    always kept, as the only home of the terms on degree -1 alone.
     """
     return range(1, max(1, depth - 1) + 1) if depth else range(0)
 
 
 def _window_views(pi: ColoredPartition, k: int):
-    """The windows of `pi` that can break a condition, as ``{(a, b, offset): n}``.
+    """The windows of `pi` where a leading term may divide it, as ``{(a, b, offset): n}``.
 
     Window d reads offset 1 at degree -d-1 and offset 0 at -d.  Every
-    condition needs k+1 factors on its window's two degrees, so a window
+    term needs k+1 factors on its window's two degrees, so a window
     holding fewer is skipped before its view is built.
     """
     slices: dict[int, dict[tuple[int, int], int]] = {}
@@ -183,88 +162,51 @@ def admissible_by_divisibility(pi: ColoredPartition, basis: BasisKind) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _maximal_paths(m: int) -> tuple:
-    """Paths not contained block-wise in another, as (upper, lower) pair sets.
-
-    A path's upper block lies within its outermost pair (i, c) and its
-    lower block starts at c or later (the cut lemma behind
-    `_cut_profiles`).  So the maximal paths are, for each cut c = 1..m, a
-    maximal chain down from (1, c) as upper block and one down from
-    (c, m) as lower block, each step taking (i, j) to (i+1, j) or
-    (i, j-1) until the chain reaches the diagonal: m * 2^(m-1) paths,
-    sorted by their sorted blocks.
-    """
-
-    def chains(i: int, j: int) -> list[tuple[tuple[int, int], ...]]:
-        if i == j:
-            return [((i, j),)]
-        return [((i, j),) + rest for rest in chains(i + 1, j) + chains(i, j - 1)]
-
-    paths = [
-        (frozenset(upper), frozenset(lower))
-        for c in range(1, m + 1)
-        for upper in chains(1, c)
-        for lower in chains(c, m)
-    ]
-    return tuple(sorted(paths, key=lambda ul: (sorted(ul[0]), sorted(ul[1]))))
-
-
-@lru_cache(maxsize=None)
-def _path_rows(m: int, k: int) -> tuple:
-    """The maximal paths on window 1 as rows of ``((a, b, offset), k+1)`` pairs.
-
-    Upper-block colors take offset 1 (degree -2) and lower-block colors
-    offset 0 (degree -1); window d reads them at -d-1 and -d.
-    """
-    cap = k + 1
-    return tuple(
-        tuple([((a, b, 1), cap) for a, b in upper] + [((a, b, 0), cap) for a, b in lower])
-        for upper, lower in _maximal_paths(m)
-    )
-
-
 def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
     """Difference conditions as path-sum inequalities (``fs`` kind only).
 
     For every window d >= 1 and every diagonal path, the sum of the
     multiplicities of the upper-block colors at degree -d-1 and of the
-    lower-block colors at degree -d must be at most the level.  Path sums
-    grow with the blocks, so the maximal paths alone decide; they are read
-    window by window as relative keys (see `_path_rows` and
-    `_window_views`).
+    lower-block colors at degree -d must be at most the level.  The
+    factors go into a fresh `_CutTracker`, shallowest first.
     """
     if basis.kind != "fs":
         raise ValueError(
             "path inequalities apply to the fs kind; transport std partitions first"
         )
     _check_partition(pi, basis)
-    k = basis.level
-    rows = _path_rows(basis.rank, k)
-    for view in _window_views(pi, k):
-        for row in rows:
-            if sum(view.get(x, 0) for x, _ in row) > k:
-                return False
-    return True
+    position = _color_positions(basis.rank)
+    # canonical factor order is deepest first
+    tracker = _CutTracker(basis.rank, basis.level, -pi.factors[0].degree if pi.factors else 0)
+    return all(
+        tracker.push((-f.degree - 1) * len(position) + position[f.color.a, f.color.b])
+        for f in reversed(pi.factors)
+    )
 
 
-def _constraints(m: int, k: int, max_degree: int, method: str):
-    """Every condition of fs(m, k) down to degree -max_degree as a capped-sum constraint.
+def _constraints(m: int, k: int, max_degree: int):
+    """Every leading term of fs(m, k) down to degree -max_degree as a capped-sum constraint.
 
-    The window-1 rows of `method` moved to each window d of `_windows`:
-    offset 1 goes to degree -d-1 and offset 0 to -d.  A leading term is
+    The window-1 rows moved to each window d of `_windows`.  A term is
     capped at its exponents, which sum to k+1, so its capped sum reaches
-    k+1 exactly when it divides the monomial; a maximal path is capped at
-    k+1 on every key, so its capped sum reaches k+1 exactly when the path
-    sum exceeds k.
+    k+1 exactly when it divides the monomial.
     """
-    if method == "divisibility":
-        rows = [row for filed in _term_rows(BasisKind("fs", m, k)).values() for row in filed]
-    else:
-        rows = _path_rows(m, k)
+    rows = [row for filed in _term_rows(BasisKind("fs", m, k)).values() for row in filed]
     for d in _windows(max_degree):
         for row in rows:
             yield {(a, b, d + offset): cap for (a, b, offset), cap in row}
+
+
+@lru_cache(maxsize=None)
+def _color_positions(m: int) -> dict[tuple[int, int], int]:
+    """Color (a, b) to its position in `Alphabet.colors` order."""
+    return {c.pair: i for i, c in enumerate(upper_scheme(m).colors())}
+
+
+@lru_cache(maxsize=None)
+def _entries(m: int, max_degree: int) -> tuple[tuple[int, int, int], ...]:
+    """The walk's keys (a, b, v) of degrees 1..max_degree, by degree, then color position."""
+    return tuple((a, b, v) for v in range(1, max_degree + 1) for a, b in _color_positions(m))
 
 
 class _Tracker:
@@ -273,14 +215,13 @@ class _Tracker:
     A constraint maps keys (a, b, v) to caps and is violated once the sum
     over its keys of min(multiplicity, cap) reaches level+1; the state is
     admissible while no constraint is violated.  ``entries`` lists the keys
-    of degrees 1..max_degree by ascending degree, and ``push`` and ``pop``
+    of degrees 1..max_degree (see `_entries`), and ``push`` and ``pop``
     take an index into it.  Keys past max_degree never get a factor, so
     they are dropped.
     """
 
     def __init__(self, m: int, k: int, max_degree: int, constraints):
-        colors = [c.pair for c in upper_scheme(m).colors()]
-        self.entries = [(a, b, v) for v in range(1, max_degree + 1) for a, b in colors]
+        self.entries = _entries(m, max_degree)
         index = {key: i for i, key in enumerate(self.entries)}
         # kept once each: window d's all-upper term is window d+1's all-lower one
         kept = dict.fromkeys(
@@ -320,7 +261,86 @@ class _Tracker:
             room[cid] += 1
 
 
-def _enumerate_layers(m: int, max_degree: int, tracker: _Tracker):
+@lru_cache(maxsize=None)
+def _cells(m: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The pairs (i, j) by increasing j - i, then i, as flat cells ``(i, j, x, y)``.
+
+    inside(i, j) reads the earlier cells x of (i+1, j) and y of (i, j-1), or
+    twice the always-zero cell len(cells) on the diagonal.
+    """
+    pairs = [(i, i + d) for d in range(m) for i in range(1, m - d + 1)]
+    flat = {pair: p for p, pair in enumerate(pairs)}
+    zero = len(pairs)
+    return tuple(
+        (i, j, flat.get((i + 1, j), zero), flat.get((i, j - 1), zero)) for i, j in pairs
+    )
+
+
+@lru_cache(maxsize=None)
+def _cut_reads(m: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """Per color X_ab, in `Alphabet.colors` order, the cells (i, j) that read e(a, b).
+
+    They are those with i <= a and b <= j, as ``(p, x, y, cut)`` in `_cells`
+    order, (a, b) itself first, with cut the cell of B(j) = inside(j, m).
+    """
+    cells = _cells(m)
+    cuts_b = [p for p, (_, j, _, _) in enumerate(cells) if j == m][::-1]
+    return tuple(
+        tuple(
+            (p, x, y, cuts_b[j - 1])
+            for p, (i, j, x, y) in enumerate(cells)
+            if i <= a and b <= j
+        )
+        for a, b in _color_positions(m)
+    )
+
+
+class _CutTracker:
+    """The path inequalities by the cut lemma, with the entries, push and pop of `_Tracker`.
+
+    It keeps a slice and an inside table per degree 0..max_degree (0 stays
+    empty).  A push at -v recomputes the cells that read the pushed color
+    (see `_cut_reads`), records those that grew, each by one, and checks
+    inside_v(i, c) + B_{v-1}(c) <= k at each grown cell (i, c); as
+    inside(i, c) <= A(c), that decides A_v(c) + B_{v-1}(c) <= k.  It is exact
+    only because the walk pushes by ascending |degree|, so no degree below
+    -v holds a factor, and the state before each push is admissible, so
+    only a grown cell can break a condition.  ``pop`` undoes the latest push.
+    """
+
+    def __init__(self, m: int, k: int, max_degree: int):
+        self.entries = _entries(m, max_degree)
+        self.k = k
+        self.reads = _cut_reads(m)
+        self.width = width = len(self.reads)
+        self.slices = [[0] * width for _ in range(max_degree + 1)]
+        self.inside = [[0] * (width + 1) for _ in range(max_degree + 1)]
+        self.grown: list[tuple[list[int], list[int], list[int]]] = []
+
+    def push(self, i: int) -> bool:
+        v, color = divmod(i, self.width)
+        reads = self.reads[color]
+        e, inside, above = self.slices[v + 1], self.inside[v + 1], self.inside[v]
+        e[reads[0][0]] += 1
+        grown = []
+        ok = True
+        for p, x, y, cut in reads:
+            value = e[p] + (inside[x] if inside[x] > inside[y] else inside[y])
+            if value > inside[p]:
+                inside[p] = value
+                grown.append(p)
+                ok = ok and value + above[cut] <= self.k
+        self.grown.append((e, inside, grown))
+        return ok
+
+    def pop(self, i: int) -> None:
+        e, inside, grown = self.grown.pop()
+        e[grown[0]] -= 1  # the pushed color's own cell always grows, first
+        for p in grown:
+            inside[p] -= 1
+
+
+def _enumerate_layers(m: int, max_degree: int, tracker: _Tracker | _CutTracker):
     """Admissible partitions as the tuples of entry indices the walk pushed.
 
     Entries ascend by (|degree|, color position), so a key lists its
@@ -362,8 +382,11 @@ def _enumerate_layers(m: int, max_degree: int, tracker: _Tracker):
 
 @lru_cache(maxsize=8)
 def _enumerate_cached(m: int, k: int, max_degree: int, method: str):
-    tracker = _Tracker(m, k, max_degree, _constraints(m, k, max_degree, method))
-    return tuple(tracker.entries), _enumerate_layers(m, max_degree, tracker)
+    if method == "divisibility":
+        tracker = _Tracker(m, k, max_degree, _constraints(m, k, max_degree))
+    else:
+        tracker = _CutTracker(m, k, max_degree)
+    return tracker.entries, _enumerate_layers(m, max_degree, tracker)
 
 
 def _enumeration_method(basis: BasisKind, max_degree: int, method: str | None) -> str:
@@ -449,45 +472,38 @@ class QSeries:
 def _cut_profiles(
     m: int, k: int, max_degree: int
 ) -> dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], int], ...]]:
-    """Slices of the fs(m, k) conditions, counted by size and cut profiles.
+    """Slices of the fs(m, k) conditions, ``{(size, B): ((A, number of slices), ...)}``.
 
-    A slice is the color-multiplicity vector e of a partition at one
-    degree.  inside(i, j) = e(i, j) + max(inside(i+1, j), inside(i, j-1)),
-    zero when i > j, is the largest single-block chain sum of e over the
-    pairs within (i, j), so a slice keeps every chain at most k exactly
-    when inside(1, m) <= k.  A mixed path's upper block lies within its
-    outermost pair (i, j) and its lower block starts at j or later, so
-    over the mixed paths the largest upper-block sum of a slice t at
-    -v-1 plus lower-block sum of a slice s at -v is the largest
-    A_t(c) + B_s(c) over the cuts c = 1..m, where A(c) = inside(1, c) and
-    B(c) = inside(c, m).  A partition is admissible exactly when each of
-    its slices is allowed and each adjacent pair keeps that sum at most k;
-    neither test depends on v.
-
-    Only slices of at most max_degree factors are listed.  Returns
-    ``{(size, B): ((A, number of slices), ...)}`` ordered by size.
+    A partition is admissible exactly when every slice keeps inside(1, m),
+    its largest chain sum, at most k and every two slices t at -v-1 and s
+    at -v keep A_t(c) + B_s(c) <= k at each cut c.  The slices of at most
+    max_degree factors that keep the first are listed; keys ascend by size.
     """
-    # by increasing j - i, so both terms below inside(i, j) come first
-    pairs = sorted(
-        ((i, j) for i in range(m) for j in range(i, m)), key=lambda p: p[1] - p[0]
-    )
-    inside = [[0] * m for _ in range(m)]
+    cells = _cells(m)
+    n = len(cells)
+    cuts_a = [p for p, (i, _, _, _) in enumerate(cells) if i == 1]
+    cuts_b = [p for p, (_, j, _, _) in enumerate(cells) if j == m][::-1]
+    inside = [0] * (n + 1)  # cell n stays zero
+    size = [0] * (n + 1)  # size[p]: the factors in the cells before cell p
     classes: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
-
-    def extend(p: int, size: int) -> None:
-        if p == len(pairs):
-            counts = classes.setdefault((size, tuple(row[-1] for row in inside)), {})
-            a = tuple(inside[0])
-            counts[a] = counts.get(a, 0) + 1
-            return
-        i, j = pairs[p]
-        below = max(inside[i + 1][j], inside[i][j - 1]) if i < j else 0
-        # inside(1, m) is at least every inside(i, j): prune at the first one past k
-        for e in range(min(k - below, max_degree - size) + 1):
-            inside[i][j] = below + e
-            extend(p + 1, size + e)
-
-    extend(0, 0)
+    # depth first without recursion: the cells after p take their least values,
+    # the slice is filed and the last cell p that may grow does; as inside(1, m)
+    # is the largest inside(i, j), a cell may grow while below k
+    p = -1
+    while True:
+        for q, (_, _, x, y) in enumerate(cells[p + 1 :], p + 1):
+            inside[q] = inside[x] if inside[x] > inside[y] else inside[y]
+            size[q + 1] = size[q]
+        counts = classes.setdefault((size[n], tuple([inside[q] for q in cuts_b])), {})
+        a = tuple([inside[q] for q in cuts_a])
+        counts[a] = counts.get(a, 0) + 1
+        p = n - 1
+        while p >= 0 and (inside[p] == k or size[p + 1] == max_degree):
+            p -= 1
+        if p < 0:
+            break
+        inside[p] += 1
+        size[p + 1] += 1
     return {key: tuple(counts.items()) for key, counts in sorted(classes.items())}
 
 
@@ -498,8 +514,7 @@ def graded_series(basis: BasisKind, max_degree: int) -> QSeries:
     multiplicities), grouped by size and cut profiles (see
     `_cut_profiles`), runs from degree -max_degree up to -1, starting from
     the empty slice one degree below.  ``std(l, k)`` is counted as
-    ``fs(2l, k)``, since the identification of schemes is the identity on
-    internal encodings and carries the leading terms along.
+    ``fs(2l, k)`` (see the module docstring).
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")

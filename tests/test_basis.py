@@ -19,8 +19,8 @@ from cpbasis.basis import (
     BasisKind,
     QSeries,
     _cut_profiles,
+    _CutTracker,
     _enumerate_cached,
-    _maximal_paths,
     _Tracker,
     admissible_by_divisibility,
     admissible_by_inequalities,
@@ -191,6 +191,33 @@ def _all_paths(m: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _maximal_paths(m: int) -> tuple:
+    """Paths not contained block-wise in another, as (upper, lower) pair sets.
+
+    A path's upper block lies within its outermost pair (i, c) and its
+    lower block starts at c or later (the cut lemma behind
+    `_cut_profiles`).  So the maximal paths are, for each cut c = 1..m, a
+    maximal chain down from (1, c) as upper block and one down from
+    (c, m) as lower block, each step taking (i, j) to (i+1, j) or
+    (i, j-1) until the chain reaches the diagonal: m * 2^(m-1) paths,
+    sorted by their sorted blocks.
+    """
+
+    def chains(i: int, j: int) -> list[tuple[tuple[int, int], ...]]:
+        if i == j:
+            return [((i, j),)]
+        return [((i, j),) + rest for rest in chains(i + 1, j) + chains(i, j - 1)]
+
+    paths = [
+        (frozenset(upper), frozenset(lower))
+        for c in range(1, m + 1)
+        for upper in chains(1, c)
+        for lower in chains(c, m)
+    ]
+    return tuple(sorted(paths, key=lambda ul: (sorted(ul[0]), sorted(ul[1]))))
+
+
+@lru_cache(maxsize=None)
 def reference_terms(basis, d):
     """The leading terms of window d as factor-count dicts."""
     return tuple(dict(term.factor_counts()) for term in leading_terms(basis, d))
@@ -296,6 +323,42 @@ def test_admissible_sets_closed_under_divisors(case):
             assert admissible_by_inequalities(sub, basis)
 
 
+@st.composite
+def ascending_pushes(draw):
+    """A rank m <= 5, a level k <= 3 and factor keys (a, b, v), v <= 4, by ascending v."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=3))
+    colors = [c.pair for c in upper_scheme(m).colors()]
+    drawn = draw(
+        st.lists(
+            st.tuples(st.sampled_from(colors), st.integers(min_value=1, max_value=4)),
+            max_size=14,
+        )
+    )
+    # a stable sort: the colors keep their drawn order within a degree
+    return m, k, sorted(((a, b, v) for (a, b), v in drawn), key=lambda key: key[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=ascending_pushes())
+def test_cut_tracker_matches_reference(case):
+    m, k, keys = case
+    basis = BasisKind("fs", m, k)
+    tracker = _CutTracker(m, k, 4)
+    index = {key: i for i, key in enumerate(tracker.entries)}
+    pushed = []
+    for key in keys:
+        pushed.append(key)
+        prefix = up_part(m, *(((a, b), -v) for a, b, v in pushed))
+        verdict = tracker.push(index[key])
+        assert verdict == reference_inequalities(prefix, basis)
+        if not verdict:
+            break
+    for key in reversed(pushed):
+        tracker.pop(index[key])
+    assert not any(any(table) for table in tracker.slices + tracker.inside)
+
+
 class TestEnumeration:
     def test_std_rank1_level1_layers(self):
         layers = enumerate_basis(BasisKind("std", 1, 1), 2)
@@ -388,6 +451,19 @@ class TestEnumeration:
         assert (info.misses, info.hits) == (1, 1)
         assert fs == std
 
+    @pytest.mark.parametrize("rank, k, max_degree", [(5, 2, 5), (6, 2, 4), (7, 1, 5), (8, 1, 4)])
+    def test_engines_agree_past_rank_four(self, rank, k, max_degree):
+        # AC-4 compares the two engines up to rank 4 only
+        basis = BasisKind("fs", rank, k)
+        assert enumerate_keys(basis, max_degree, "divisibility") == enumerate_keys(
+            basis, max_degree, "inequalities"
+        )
+
+    @pytest.mark.parametrize("ell", [8, 12])
+    def test_inequality_walk_reach(self, ell):
+        _, layers = enumerate_keys(BasisKind("fs", 2 * ell, 1), 2, "inequalities")
+        assert tuple(len(layer) for layer in layers) == character_oracle(ell, 1, 2).coeffs
+
     def test_inequalities_engine_rejected_for_std(self):
         with pytest.raises(ValueError):
             enumerate_basis(BasisKind("std", 1, 1), 3, "inequalities")
@@ -450,6 +526,11 @@ class TestSliceTransfer:
     def test_counts_match_weyl_kac(self, ell, k):
         series = graded_series(BasisKind("std", ell, k), 30)
         assert series.coeffs == character_oracle(ell, k, 30).coeffs
+
+    def test_high_rank_without_recursion(self):
+        # 1,081 triangle pairs, past the default recursion limit
+        series = graded_series(BasisKind("std", 23, 1), 1)
+        assert series == character_oracle(23, 1, 1)
 
     def test_std_rank2_level2_reach(self):
         assert graded_series(BasisKind("std", 2, 2), 30).coeffs[30] == 11531735485

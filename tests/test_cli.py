@@ -51,6 +51,16 @@ class TestSeries:
             4617, 6993, 10459, 15450, 22590, 32711, 46923, 66753,
         ]
 
+    def test_fs_rank50_level1(self):
+        # 1,275 triangle pairs, past the default recursion limit
+        proc = run_python(
+            "-m", "cpbasis.cli", "series", "--kind", "fs", "--rank", "50",
+            "--level", "1", "--max-degree", "1",
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["coeffs"] == [1, 1275]
+
 
 class TestLeadingTerms:
     def test_csv_rows(self, capsys):
