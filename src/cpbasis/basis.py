@@ -178,10 +178,10 @@ def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
     position = _color_positions(basis.rank)
     # canonical factor order is deepest first
     tracker = _CutTracker(basis.rank, basis.level, -pi.factors[0].degree if pi.factors else 0)
-    return all(
-        tracker.push((-f.degree - 1) * len(position) + position[f.color.a, f.color.b])
-        for f in reversed(pi.factors)
-    )
+    for f in reversed(pi.factors):
+        if not tracker.push((-f.degree - 1) * len(position) + position[f.color.a, f.color.b]):
+            return False
+    return True
 
 
 def _constraints(m: int, k: int, max_degree: int):
