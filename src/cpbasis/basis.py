@@ -27,11 +27,12 @@ admissible exactly when that sum is at most the level for every two
 adjacent degrees, the degree above -1 counting as empty.
 
 Enumeration is one depth-first walk that pushes factors by ascending
-|degree| into a tracker, `_Tracker` of the terms or `_CutTracker` of the
-cut profiles, and skips the subtree of every inadmissible prefix; it
-keeps partitions as factor-index tuples.  The inequality checker runs
-`_CutTracker` too, and graded series are counted without listing: a
-transfer matrix runs over slices grouped by size and cut profiles.
+|degree| into a tracker, `_Tracker` of the terms (capped-sum counters
+packed in integers) or `_CutTracker` of the cut profiles, and skips the
+subtree of every inadmissible prefix; it keeps partitions as factor-index
+tuples.  The inequality checker runs `_CutTracker` too, and graded series
+are counted without listing: a transfer matrix runs over slices grouped by
+size and cut profiles.
 """
 
 from __future__ import annotations
@@ -210,14 +211,25 @@ def _entries(m: int, max_degree: int) -> tuple[tuple[int, int, int], ...]:
 
 
 class _Tracker:
-    """Incremental capped-sum constraints over the walk's entries.
+    """Incremental capped-sum constraints over the walk's entries, packed in integers.
 
     A constraint maps keys (a, b, v) to caps and is violated once the sum
-    over its keys of min(multiplicity, cap) reaches level+1; the state is
-    admissible while no constraint is violated.  ``entries`` lists the keys
-    of degrees 1..max_degree (see `_entries`), and ``push`` and ``pop``
-    take an index into it.  Keys past max_degree never get a factor, so
-    they are dropped.
+    over its keys of min(multiplicity, cap) reaches level+1.  ``entries``
+    lists the keys of degrees 1..max_degree (see `_entries`), and ``push``
+    and ``pop`` take an index into it.  Keys past max_degree never get a
+    factor, so they are dropped, and so is a constraint left without keys.
+
+    Each constraint is a slot of w = (k+1).bit_length() + 1 bits in the
+    integer ``state[g]`` of its group g, the shallowest degree among its
+    keys.  A slot starts at the bias 2^(w-1) - (k+1) and holds the bias
+    plus the capped sum, so its top bit sets exactly when the capped sum
+    reaches k+1.  ``steps[i][n]`` lists as ``(g, mask)`` pairs the slots
+    that grow when entry i goes from multiplicity n to n+1, those capping
+    it above n; ``push`` adds the masks and tests the top bits, ``pop``
+    subtracts them.  Slots never carry into each other, and that rests on
+    the walk: it pushes only from an admissible state, where every capped
+    sum is at most k, a push raises each by at most one, so a slot holds at
+    most 2^(w-1), and it pops a failing push before any further push.
     """
 
     def __init__(self, m: int, k: int, max_degree: int, constraints):
@@ -228,37 +240,47 @@ class _Tracker:
             frozenset((index[key], cap) for key, cap in c.items() if key in index)
             for c in constraints
         )
-        # steps[i][n]: the constraints whose capped sum grows when entry i
-        # goes from multiplicity n to n+1, i.e. those capping it above n;
-        # an entry of degree v is pushed at most max_degree // v times
-        self.steps = [[[] for _ in range(max_degree // v)] for _, _, v in self.entries]
-        for cid, c in enumerate(kept):
+        kept.pop(frozenset(), None)
+        width = (k + 1).bit_length() + 1
+        # bits[i][n][g]: the slot offsets in group g that entry i's (n+1)-th
+        # copy grows; an entry of degree v is pushed at most max_degree // v times
+        bits = [[{} for _ in range(max_degree // v)] for _, _, v in self.entries]
+        slots = [0] * (max_degree + 1)
+        for c in kept:
+            g = min(self.entries[i][2] for i, _ in c)
+            offset = slots[g] * width
+            slots[g] += 1
             for i, cap in c:
-                for n in range(min(cap, len(self.steps[i]))):
-                    self.steps[i][n].append(cid)
-        # room[cid]: how far constraint cid is from being violated
-        self.room = [k + 1] * len(kept)
+                for n in range(min(cap, len(bits[i]))):
+                    bits[i][n].setdefault(g, []).append(offset)
+        self.steps = [
+            [tuple((g, sum(1 << x for x in xs)) for g, xs in step.items()) for step in entry]
+            for entry in bits
+        ]
+        # ones[g]: a one at the lowest bit of each slot of group g
+        ones = [sum(1 << x for x in range(0, width * n, width)) for n in slots]
+        self.state = [((1 << width - 1) - (k + 1)) * one for one in ones]
+        self.high = [one << width - 1 for one in ones]
         self.mult = [0] * len(self.entries)
-        self.violated = 0
 
     def push(self, i: int) -> bool:
         n = self.mult[i]
         self.mult[i] = n + 1
-        room = self.room
-        for cid in self.steps[i][n]:
-            room[cid] -= 1
-            if not room[cid]:
-                self.violated += 1
-        return not self.violated
+        state, high = self.state, self.high
+        ok = True
+        for g, mask in self.steps[i][n]:
+            s = state[g] + mask
+            state[g] = s
+            if s & high[g]:
+                ok = False
+        return ok
 
     def pop(self, i: int) -> None:
         n = self.mult[i] - 1
         self.mult[i] = n
-        room = self.room
-        for cid in self.steps[i][n]:
-            if not room[cid]:
-                self.violated -= 1
-            room[cid] += 1
+        state = self.state
+        for g, mask in self.steps[i][n]:
+            state[g] -= mask
 
 
 @lru_cache(maxsize=None)
@@ -298,9 +320,12 @@ def _cut_reads(m: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
 class _CutTracker:
     """The path inequalities by the cut lemma, with the entries, push and pop of `_Tracker`.
 
-    It keeps a slice and an inside table per degree 0..max_degree (0 stays
-    empty).  A push at -v recomputes the cells that read the pushed color
-    (see `_cut_reads`), records those that grew, each by one, and checks
+    It keeps a slice and an inside table per degree 0..max_degree.  Every
+    degree starts on one shared zero table, never written, and gets tables
+    of its own at its first push, so a point check allocates only for the
+    degrees its partition holds; degree 0 stays empty.  A push at -v
+    recomputes the cells that read the pushed color (see `_cut_reads`),
+    records those that grew, each by one, and checks
     inside_v(i, c) + B_{v-1}(c) <= k at each grown cell (i, c); as
     inside(i, c) <= A(c), that decides A_v(c) + B_{v-1}(c) <= k.  It is exact
     only because the walk pushes by ascending |degree|, so no degree below
@@ -312,15 +337,19 @@ class _CutTracker:
         self.entries = _entries(m, max_degree)
         self.k = k
         self.reads = _cut_reads(m)
-        self.width = width = len(self.reads)
-        self.slices = [[0] * width for _ in range(max_degree + 1)]
-        self.inside = [[0] * (width + 1) for _ in range(max_degree + 1)]
+        self.width = len(self.reads)
+        self.zero = [0] * (self.width + 1)
+        self.slices = [self.zero] * (max_degree + 1)
+        self.inside = [self.zero] * (max_degree + 1)
         self.grown: list[tuple[list[int], list[int], list[int]]] = []
 
     def push(self, i: int) -> bool:
         v, color = divmod(i, self.width)
         reads = self.reads[color]
         e, inside, above = self.slices[v + 1], self.inside[v + 1], self.inside[v]
+        if e is self.zero:
+            e = self.slices[v + 1] = [0] * self.width
+            inside = self.inside[v + 1] = [0] * (self.width + 1)
         e[reads[0][0]] += 1
         grown = []
         ok = True

@@ -20,6 +20,7 @@ from cpbasis.basis import (
     QSeries,
     _cut_profiles,
     _CutTracker,
+    _entries,
     _enumerate_cached,
     _Tracker,
     admissible_by_divisibility,
@@ -357,6 +358,112 @@ def test_cut_tracker_matches_reference(case):
     for key in reversed(pushed):
         tracker.pop(index[key])
     assert not any(any(table) for table in tracker.slices + tracker.inside)
+
+
+class RoomTracker:
+    """Reference for `_Tracker`: one counter per constraint, of the room left to k+1."""
+
+    def __init__(self, m, k, max_degree, constraints):
+        self.entries = _entries(m, max_degree)
+        index = {key: i for i, key in enumerate(self.entries)}
+        kept = dict.fromkeys(
+            frozenset((index[key], cap) for key, cap in c.items() if key in index)
+            for c in constraints
+        )
+        self.steps = [[[] for _ in range(max_degree // v)] for _, _, v in self.entries]
+        for cid, c in enumerate(kept):
+            for i, cap in c:
+                for n in range(min(cap, len(self.steps[i]))):
+                    self.steps[i][n].append(cid)
+        self.room = [k + 1] * len(kept)
+        self.mult = [0] * len(self.entries)
+        self.violated = 0
+
+    def push(self, i):
+        n = self.mult[i]
+        self.mult[i] = n + 1
+        for cid in self.steps[i][n]:
+            self.room[cid] -= 1
+            if not self.room[cid]:
+                self.violated += 1
+        return not self.violated
+
+    def pop(self, i):
+        n = self.mult[i] - 1
+        self.mult[i] = n
+        for cid in self.steps[i][n]:
+            if not self.room[cid]:
+                self.violated -= 1
+            self.room[cid] += 1
+
+
+@st.composite
+def tracker_walks(draw):
+    """Random capped-sum constraints over fs(m) keys and a walk of pushes and pops.
+
+    m <= 4, k <= 4 (slot widths 3 and 4, k+1 = 4 among them) and entries to
+    degree N <= 6.  Constraints cap keys of a small pool: up to three keys
+    of degree 1 or 2, where pushes can fill a constraint, and perhaps one
+    down to degree N+1, which is dropped when past N.  Most pushes fall in
+    the pool.  A step is an entry index to push, or None to pop the latest
+    push.
+    """
+    m = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=6))
+    entries = _entries(m, n)
+    shallow = st.lists(st.sampled_from(_entries(m, 2)), min_size=1, max_size=3)
+    pool = draw(shallow) + draw(st.lists(st.sampled_from(_entries(m, n + 1)), max_size=1))
+    constraints = draw(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(pool), st.integers(min_value=1, max_value=k + 1), max_size=5
+            ),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    pushes = st.sampled_from([entries.index(key) for key in pool if key in entries] or [0])
+    steps = draw(
+        st.lists(
+            st.one_of(st.none(), pushes, pushes, pushes, st.integers(0, len(entries) - 1)),
+            min_size=16,
+            max_size=48,
+        )
+    )
+    return m, k, n, constraints, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tracker_walks())
+def test_tracker_matches_room_counters(case):
+    m, k, n, constraints, steps = case
+    tracker = _Tracker(m, k, n, constraints)
+    reference = RoomTracker(m, k, n, constraints)
+    assert tracker.entries == reference.entries
+    initial = list(tracker.state)
+    pushed = []
+    for i in steps:
+        if i is None:
+            if pushed:
+                tracker.pop(pushed[-1])
+                reference.pop(pushed.pop())
+            continue
+        # an entry of degree v is pushed at most n // v times
+        if tracker.mult[i] == n // tracker.entries[i][2]:
+            continue
+        verdict = tracker.push(i)
+        assert verdict == reference.push(i)
+        if verdict:
+            pushed.append(i)
+        else:
+            # as in the walk, a failing push is popped at once
+            tracker.pop(i)
+            reference.pop(i)
+    for i in reversed(pushed):
+        tracker.pop(i)
+    assert tracker.state == initial
+    assert not any(tracker.mult)
 
 
 class TestEnumeration:
