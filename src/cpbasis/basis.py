@@ -30,9 +30,10 @@ Enumeration is one depth-first walk that pushes factors by ascending
 |degree| into a tracker, `_Tracker` of the terms (capped-sum counters
 packed in integers) or `_CutTracker` of the cut profiles, and skips the
 subtree of every inadmissible prefix; it keeps partitions as factor-index
-tuples.  The inequality checker runs `_CutTracker` too, and graded series
-are counted without listing: a transfer matrix runs over slices grouped by
-size and cut profiles.
+tuples, filed by |degree| sequence so that each layer comes out in
+partition order with only its shapes sorted.  The inequality checker runs
+`_CutTracker` too, and graded series are counted without listing: a
+transfer matrix runs over slices grouped by size and cut profiles.
 """
 
 from __future__ import annotations
@@ -151,11 +152,12 @@ def admissible_by_divisibility(pi: ColoredPartition, basis: BasisKind) -> bool:
     """True when no leading term of any relevant window divides `pi`.
 
     Window by window (see `_window_views`), only the window-1 rows filed
-    under a key `pi` holds there are tested (see `_term_rows`).
+    under a key `pi` holds there are tested (see `_term_rows`); they are
+    compiled only once a window keeps a view.
     """
     _check_partition(pi, basis)
-    filed = _term_rows(basis)
     for view in _window_views(pi, basis.level):
+        filed = _term_rows(basis)
         for key in view:
             for row in filed.get(key, ()):
                 if all(view.get(x, 0) >= e for x, e in row):
@@ -298,6 +300,12 @@ def _cells(m: int) -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
+def _cuts(m: int) -> tuple[list[int], list[int]]:
+    """The cells of A(c) = inside(1, c) and of B(c) = inside(c, m), each for c = 1..m."""
+    cells = list(enumerate(_cells(m)))
+    return [p for p, c in cells if c[0] == 1], [p for p, c in cells if c[1] == m][::-1]
+
+
 @lru_cache(maxsize=None)
 def _cut_reads(m: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
     """Per color X_ab, in `Alphabet.colors` order, the cells (i, j) that read e(a, b).
@@ -306,7 +314,7 @@ def _cut_reads(m: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
     order, (a, b) itself first, with cut the cell of B(j) = inside(j, m).
     """
     cells = _cells(m)
-    cuts_b = [p for p, (_, j, _, _) in enumerate(cells) if j == m][::-1]
+    _, cuts_b = _cuts(m)
     return tuple(
         tuple(
             (p, x, y, cuts_b[j - 1])
@@ -369,44 +377,35 @@ class _CutTracker:
             inside[p] -= 1
 
 
-def _enumerate_layers(m: int, max_degree: int, tracker: _Tracker | _CutTracker):
-    """Admissible partitions as the tuples of entry indices the walk pushed.
+def _enumerate_layers(max_degree: int, tracker: _Tracker | _CutTracker):
+    """Admissible partitions as the tuples of entry indices the walk pushed, in partition order.
 
-    Entries ascend by (|degree|, color position), so a key lists its
-    factors in reverse canonical order.  Each layer is sorted in the
-    partition order: within one degree, ``ColoredPartition.sort_key``
-    ascends exactly as (length, |degree| sequence, color-position
-    sequence) of the key descends, since a deeper degree or a later
-    color position makes a smaller factor.
+    Entries ascend by (|degree|, color position), so a key lists its factors
+    in reverse canonical order and its shape, the |degree| sequence, grows per
+    push.  A deeper degree or later color position makes a smaller factor, so
+    in a layer ``sort_key`` ascends as (length, shape, colors) descends: keys
+    are filed by shape, shapes listed by descending (length, shape), and the
+    keys of a shape, met by ascending colors, in reverse walk order.
     """
     entries = tracker.entries
-    layers: list[list[tuple[int, ...]]] = [[] for _ in range(max_degree + 1)]
-    layers[0].append(())
+    shapes: list[dict] = [{(): [()]}] + [{} for _ in range(max_degree)]
 
-    def rec(start: int, used: int, prefix: tuple[int, ...]) -> None:
+    def rec(start: int, used: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> None:
         for idx in range(start, len(entries)):
             v = entries[idx][2]
             if used + v > max_degree:
                 break  # entries are sorted by |degree|
             if tracker.push(idx):
-                key = prefix + (idx,)
-                layers[used + v].append(key)
-                rec(idx, used + v, key)
+                key, grown = prefix + (idx,), shape + (v,)
+                shapes[used + v].setdefault(grown, []).append(key)
+                rec(idx, used + v, key, grown)
             tracker.pop(idx)
 
-    rec(0, 0, ())
-    width = m * (m + 1) // 2
-    degree = [v for _, _, v in entries]
-    position = [i % width for i in range(len(entries))]
-
-    def order(key: tuple[int, ...]):
-        return (
-            len(key),
-            tuple(map(degree.__getitem__, key)),
-            tuple(map(position.__getitem__, key)),
-        )
-
-    return tuple(tuple(sorted(layer, key=order, reverse=True)) for layer in layers)
+    rec(0, 0, (), ())
+    return tuple(
+        tuple(k for s in sorted(layer, key=lambda t: (len(t), t))[::-1] for k in layer[s][::-1])
+        for layer in shapes
+    )
 
 
 @lru_cache(maxsize=8)
@@ -415,7 +414,7 @@ def _enumerate_cached(m: int, k: int, max_degree: int, method: str):
         tracker = _Tracker(m, k, max_degree, _constraints(m, k, max_degree))
     else:
         tracker = _CutTracker(m, k, max_degree)
-    return tracker.entries, _enumerate_layers(m, max_degree, tracker)
+    return tracker.entries, _enumerate_layers(max_degree, tracker)
 
 
 def _enumeration_method(basis: BasisKind, max_degree: int, method: str | None) -> str:
@@ -510,8 +509,7 @@ def _cut_profiles(
     """
     cells = _cells(m)
     n = len(cells)
-    cuts_a = [p for p, (i, _, _, _) in enumerate(cells) if i == 1]
-    cuts_b = [p for p, (_, j, _, _) in enumerate(cells) if j == m][::-1]
+    cuts_a, cuts_b = _cuts(m)
     inside = [0] * (n + 1)  # cell n stays zero
     size = [0] * (n + 1)  # size[p]: the factors in the cells before cell p
     classes: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
@@ -583,14 +581,18 @@ def graded_series(basis: BasisKind, max_degree: int) -> QSeries:
     return QSeries(tuple(total >> i * width & slot for i in range(max_degree + 1)))
 
 
+def _part_counts(parts: list[int], max_degree: int) -> list[int]:
+    """Coefficients of prod 1/(1-q^part) over `parts`, repeats counted: partitions into them."""
+    coeffs = [1] + [0] * max_degree
+    for part in parts:
+        for m in range(part, max_degree + 1):
+            coeffs[m] += coeffs[m - part]
+    return coeffs
+
+
 def _euler_power_counts(power: int, max_degree: int) -> list[int]:
     """Coefficients of prod 1/(1-q^n)^power: partitions over `power` colors."""
-    coeffs = [1] + [0] * max_degree
-    for _ in range(power):
-        for part in range(1, max_degree + 1):
-            for m in range(part, max_degree + 1):
-                coeffs[m] += coeffs[m - part]
-    return coeffs
+    return _part_counts(list(range(1, max_degree + 1)) * power, max_degree)
 
 
 def character_oracle(ell: int, k: int, max_degree: int) -> QSeries:
@@ -646,10 +648,6 @@ def rr_counts(max_m: int) -> list[tuple[int, int, int]]:
     """
     if max_m < 1:
         raise ValueError("max_m must be positive")
-    cong = [1] + [0] * max_m
-    for part in range(1, max_m + 1):
-        if part % 5 in (1, 4):
-            for m in range(part, max_m + 1):
-                cong[m] += cong[m - part]
+    cong = _part_counts([p for p in range(1, max_m + 1) if p % 5 in (1, 4)], max_m)
     gap = graded_series(BasisKind("fs", 1, 1), max_m).coeffs
     return [(m, cong[m], gap[m]) for m in range(1, max_m + 1)]

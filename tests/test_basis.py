@@ -22,6 +22,7 @@ from cpbasis.basis import (
     _CutTracker,
     _entries,
     _enumerate_cached,
+    _term_rows,
     _Tracker,
     admissible_by_divisibility,
     admissible_by_inequalities,
@@ -156,6 +157,16 @@ class TestAdmissibility:
         pi = up_part(2, ((2, 2), -1), ((2, 2), -1))
         assert not admissible_by_divisibility(pi, basis)
         assert not admissible_by_inequalities(pi, basis)
+
+    def test_sparse_partition_compiles_no_terms(self):
+        # no window holds more than k = 3 factors, so no leading term can
+        # divide and fs(16, 3)'s term family is never compiled
+        _term_rows.cache_clear()
+        basis = BasisKind("fs", 16, 3)
+        pi = up_part(16, ((1, 1), -2), ((1, 16), -1), ((16, 16), -1))
+        assert admissible_by_divisibility(pi, basis)
+        assert _term_rows.cache_info().currsize == 0
+        assert admissible_by_inequalities(pi, basis)
 
 
 @st.composite
@@ -511,7 +522,12 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "basis, max_degree",
-        [(BasisKind("fs", 2, 1), 5), (BasisKind("std", 2, 2), 7), (BasisKind("fs", 3, 2), 7)],
+        [
+            (BasisKind("fs", 2, 1), 5),
+            (BasisKind("std", 2, 2), 7),
+            (BasisKind("fs", 3, 2), 7),
+            (BasisKind("fs", 4, 2), 7),
+        ],
         ids=str,
     )
     def test_layers_sorted_and_degree_consistent(self, basis, max_degree):
@@ -676,6 +692,9 @@ def test_counts_match_enumeration_property(kind_method, rank, level, max_degree)
     assume(sum(series.coeffs) <= 20_000)
     layers = enumerate_basis(basis, max_degree, method)
     assert series.coeffs == tuple(len(layer) for layer in layers)
+    for layer in layers:
+        keys = [p.sort_key for p in layer]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
     for n in range(max_degree):
         assert graded_series(basis, n).coeffs == series.coeffs[: n + 1]
 
