@@ -386,20 +386,29 @@ def _enumerate_layers(max_degree: int, tracker: _Tracker | _CutTracker):
     in a layer ``sort_key`` ascends as (length, shape, colors) descends: keys
     are filed by shape, shapes listed by descending (length, shape), and the
     keys of a shape, met by ascending colors, in reverse walk order.
+
+    A leaf is never recursed into: after a push at |degree| v to total t the
+    walk goes deeper only if t + v <= max_degree, since every later entry has
+    |degree| >= v and a call that fails that test would stop at its first
+    entry.
     """
-    entries = tracker.entries
+    sizes = [v for _, _, v in tracker.entries]
+    count = len(sizes)
+    push, pop = tracker.push, tracker.pop
     shapes: list[dict] = [{(): [()]}] + [{} for _ in range(max_degree)]
 
     def rec(start: int, used: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> None:
-        for idx in range(start, len(entries)):
-            v = entries[idx][2]
-            if used + v > max_degree:
+        for idx in range(start, count):
+            v = sizes[idx]
+            total = used + v
+            if total > max_degree:
                 break  # entries are sorted by |degree|
-            if tracker.push(idx):
+            if push(idx):
                 key, grown = prefix + (idx,), shape + (v,)
-                shapes[used + v].setdefault(grown, []).append(key)
-                rec(idx, used + v, key, grown)
-            tracker.pop(idx)
+                shapes[total].setdefault(grown, []).append(key)
+                if total + v <= max_degree:
+                    rec(idx, total, key, grown)
+            pop(idx)
 
     rec(0, 0, (), ())
     return tuple(

@@ -3,7 +3,9 @@
 Every run is deterministic for fixed flags.  Exit codes: 0 = success or
 verified, 1 = verification failure, 2 = usage error.  Human-readable
 tables go to stdout; `--format json|csv` switches to structured output;
-diagnostics go to stderr.
+diagnostics go to stderr.  `enumerate` formats its rows straight from the
+walk's integer keys and writes them in blocks of 1024 lines, one write
+per block, streaming even its JSON listing.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, islice
 
 from .basis import BasisKind, enumerate_keys, graded_series, leading_terms, rr_counts
 from .leading import window_split
@@ -66,36 +68,51 @@ def _cmd_enumerate(args) -> int:
     # a key lists its factors in reverse canonical order, one label per entry
     labels = [str(Factor(Color(alphabet, a, b), -v)) for a, b, v in entries]
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "kind": args.kind,
-                    "rank": args.rank,
-                    "level": args.level,
-                    "truncation": args.max_degree,
-                    "elements": [
-                        {"degree": -m, "factors": [labels[i] for i in reversed(key)]}
-                        for m, layer in enumerate(layers)
-                        for key in layer
-                    ],
-                }
-            )
+        # the envelope as json.dumps writes it, with the elements streamed
+        # into its list; degree 0 always holds the empty partition
+        head = json.dumps(
+            {
+                "kind": args.kind,
+                "rank": args.rank,
+                "level": args.level,
+                "truncation": args.max_degree,
+                "elements": [],
+            }
         )
+        elements = (
+            json.dumps({"degree": -m, "factors": [labels[i] for i in reversed(key)]})
+            for m, layer in enumerate(layers)
+            for key in layer
+        )
+        sys.stdout.write(head[:-2] + next(elements))
+        _write_lines(", " + element for element in elements)
+        sys.stdout.write("]}\n")
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["degree", "factors"])
-        for m, layer in enumerate(layers):
-            writer.writerows(
-                [-m, " ".join([labels[i] for i in reversed(key)])] for key in layer
-            )
+        # no label holds a comma, a quote or a line break, so csv.writer
+        # would quote no field and these rows are the bytes it writes
+        sys.stdout.write("degree,factors\r\n")
+        _write_lines(
+            f"{-m},{' '.join([labels[i] for i in reversed(key)])}\r\n"
+            for m, layer in enumerate(layers)
+            for key in layer
+        )
     else:
         print(f"admissible partitions: kind={args.kind} rank={args.rank} "
               f"level={args.level} down to degree -{args.max_degree}")
         for m, layer in enumerate(layers):
             print(f"degree -{m}: {len(layer)} elements")
-            for key in layer:
-                print(f"  {_monomial(key, labels)}")
+            _write_lines(f"  {_monomial(key, labels)}\n" for key in layer)
     return 0
+
+
+def _write_lines(lines) -> None:
+    """Write finished lines to stdout, joined 1024 at a time, one ``write`` per block.
+
+    The bound keeps a long layer from being held as one string.
+    """
+    lines = iter(lines)
+    while block := list(islice(lines, 1024)):
+        sys.stdout.write("".join(block))
 
 
 def _monomial(key: tuple[int, ...], labels: list[str]) -> str:

@@ -12,9 +12,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_python
 from cpbasis import cli
-from cpbasis.basis import BasisKind, _enumerate_cached, enumerate_basis
+from cpbasis.basis import (
+    BasisKind,
+    _entries,
+    _enumerate_cached,
+    _triangle_rank,
+    enumerate_basis,
+    enumerate_keys,
+)
 from cpbasis.cli import main
 from cpbasis.ident import transport_partition
+from cpbasis.partitions import Color, Factor
 
 
 def run(capsys, *argv):
@@ -161,6 +169,21 @@ def test_enumerate_output_matches_partition_objects(
     for n, (line, wanted) in enumerate(zip(got, want)):
         assert line == wanted, f"line {n}"
     assert len(got) == len(want)
+    if (kind, rank, level, max_degree) == ("std", 2, 2, 6):
+        # a layer longer than one block of the writer, so a seam is crossed
+        _, layers = enumerate_keys(BasisKind(kind, rank, level), max_degree)
+        assert max(len(layer) for layer in layers) > 1024
+
+
+@pytest.mark.parametrize("kind, ranks", [("fs", range(1, 9)), ("std", range(1, 5))])
+def test_factor_labels_need_no_csv_quoting(kind, ranks):
+    """The enumerate CSV rows are written unquoted, which csv.writer matches only
+    while no factor label holds a comma, a quote or a line break."""
+    for rank in ranks:
+        basis = BasisKind(kind, rank, 1)
+        for a, b, v in _entries(_triangle_rank(basis), 3):
+            label = str(Factor(Color(basis.alphabet, a, b), -v))
+            assert not set(label) & set(',"\r\n'), (rank, label)
 
 
 def verify_coincidence_from_objects(ell, k, n) -> tuple[int, str]:
