@@ -8,12 +8,13 @@ leading terms along, so below the `BasisKind` API ``std(l, k)`` is
 ``fs(2l, k)``.
 
 A strictly-negative-degree partition is admissible when no leading term
-of the relations divides it; the terms are written once, for window 1,
-and window d reads them d-1 degrees deeper.  For ``fs`` the same
-condition reads: for every window d and diagonal path, the path's
-upper-block multiplicities at degree -d-1 plus its lower-block ones at
--d are at most the level.  The two are checked independently and
-compared exhaustively in the test suite.
+of the relations divides it; the terms are the integer rows of
+`leading.rows`, written once for window 1, and window d reads them d-1
+degrees deeper, so std(l, k) and fs(2l, k) share one compiled family.
+For ``fs`` the same condition reads: for every window d and diagonal
+path, the path's upper-block multiplicities at degree -d-1 plus its
+lower-block ones at -d are at most the level.  The two are checked
+independently and compared exhaustively in the test suite.
 
 The path inequalities are decided by the cut lemma alone; no path is ever
 built.  A partition's color multiplicities at one degree form its slice e,
@@ -41,10 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import groupby, product
+from itertools import product
 from operator import add
 
-from .leading import fs_leading_terms, std_leading_terms
+from .leading import fs_leading_terms, rows, std_leading_terms
 from .partitions import (
     Alphabet,
     Color,
@@ -125,39 +126,30 @@ def _window_views(pi: ColoredPartition, k: int):
 
 
 @lru_cache(maxsize=None)
-def _term_rows(basis: BasisKind) -> dict:
-    """The window-1 leading terms as ``((a, b, offset), exponent)`` rows, by first key.
+def _term_rows(m: int, k: int) -> dict:
+    """`leading.rows` of fs(m, k), filed by first key and sorted within a key.
 
-    Offset 1 is degree -2 and offset 0 is degree -1; window d, window 1
-    moved d-1 degrees deeper, reads them at -d-1 and -d.  Each row lists a
-    term's pairs in canonical factor order and is filed under its first
-    key only, since a monomial that lacks that key is not divisible by the
-    term.  Key and pair objects are shared between the rows.
+    A monomial that lacks a row's first key is not divisible by its term.
+    Offset 1 is degree -d-1 and offset 0 is -d on window d; std(l, k)
+    reads the family of fs(2l, k).
     """
-    shared: dict = {}
     filed: dict[tuple[int, int, int], list] = {}
-    for term in leading_terms(basis, 1):
-        row = []
-        for f, group in groupby(term.factors):
-            key = (f.color.a, f.color.b, -f.degree - 1)
-            key = shared.setdefault(key, key)
-            pair = (key, sum(1 for _ in group))
-            row.append(shared.setdefault(pair, pair))
-        filed.setdefault(row[0][0], []).append(tuple(row))
-    # sorted: a frozenset's order follows string hashing, which varies by process
-    return {key: tuple(sorted(rows)) for key, rows in filed.items()}
+    for row in rows(m, k):
+        filed.setdefault(row[0][0], []).append(row)
+    return {key: tuple(sorted(filed_rows)) for key, filed_rows in filed.items()}
 
 
 def admissible_by_divisibility(pi: ColoredPartition, basis: BasisKind) -> bool:
     """True when no leading term of any relevant window divides `pi`.
 
     Window by window (see `_window_views`), only the window-1 rows filed
-    under a key `pi` holds there are tested (see `_term_rows`); they are
-    compiled only once a window keeps a view.
+    under a key `pi` holds there are tested (see `_term_rows`); std(l, k)
+    and fs(2l, k) share them, and they are compiled only once a window
+    keeps a view.
     """
     _check_partition(pi, basis)
     for view in _window_views(pi, basis.level):
-        filed = _term_rows(basis)
+        filed = _term_rows(_triangle_rank(basis), basis.level)
         for key in view:
             for row in filed.get(key, ()):
                 if all(view.get(x, 0) >= e for x, e in row):
@@ -194,9 +186,8 @@ def _constraints(m: int, k: int, max_degree: int):
     capped at its exponents, which sum to k+1, so its capped sum reaches
     k+1 exactly when it divides the monomial.
     """
-    rows = [row for filed in _term_rows(BasisKind("fs", m, k)).values() for row in filed]
     for d in _windows(max_degree):
-        for row in rows:
+        for row in rows(m, k):
             yield {(a, b, d + offset): cap for (a, b, offset), cap in row}
 
 

@@ -117,13 +117,11 @@ def _write_lines(lines) -> None:
 
 def _monomial(key: tuple[int, ...], labels: list[str]) -> str:
     """A partition as ``ColoredPartition.__str__`` writes it: canonical order, powers."""
-    if not key:
-        return "1"
     parts = []
     for i, run in groupby(reversed(key)):
-        e = sum(1 for _ in run)
+        e = len([*run])
         parts.append(labels[i] if e == 1 else f"{labels[i]}^{e}")
-    return " ".join(parts)
+    return " ".join(parts) or "1"
 
 
 def _cmd_series(args) -> int:

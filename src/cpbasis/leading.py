@@ -23,51 +23,60 @@ The rank-1 triangle reduces everything to powers of the single color on
 two consecutive degrees (the classical difference-two pattern).  The
 identification of schemes is the identity on internal encodings, so the
 standard-module terms of rank l are built by the same rule over the
-indices 1..2l of the full rank-l scheme.
+indices 1..2l of the full rank-l scheme.  The rule runs once, as the
+integer rows of window 1 (`rows`), which the admissibility checkers
+read; the partition objects of window d are built from them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from typing import Callable, Sequence
 
-from .partitions import (
-    Alphabet,
-    Color,
-    ColoredPartition,
-    Factor,
-    full_scheme,
-    upper_scheme,
-)
+from .partitions import Alphabet, ColoredPartition, full_scheme, upper_scheme
 
 
-def _term(alphabet: Alphabet, elements: Sequence[int], b: int, d: int) -> ColoredPartition:
-    """The window-d leading term of a sorted index multiset with upper-block exponent b."""
+def _row(elements: Sequence[int], b: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    """The window-1 leading term of a sorted index multiset with upper-block exponent b.
 
-    def nested(block: Sequence[int], degree: int) -> list[Factor]:
-        return [
-            Factor(Color(alphabet, block[p], block[-1 - p]), degree)
-            for p in range(len(block) // 2)
-        ]
+    As ``((a, b, offset), exponent)`` pairs in canonical factor order:
+    offset 1 (degree -2) first, then colors by descending (a, b).
+    """
+    keys = [
+        (block[p], block[-1 - p], offset)
+        for offset, block in ((1, elements[: 2 * b]), (0, elements[2 * b :]))
+        for p in range(len(block) // 2)
+    ]
+    keys.sort(key=lambda key: (key[2], key[0], key[1]), reverse=True)
+    return tuple((key, len([*run])) for key, run in groupby(keys))
 
-    factors = nested(elements[: 2 * b], -d - 1) + nested(elements[2 * b :], -d)
-    return ColoredPartition(alphabet, tuple(factors))
+
+@lru_cache(maxsize=None)
+def rows(n: int, k: int) -> tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]:
+    """`_row` of every multiset of size 2(k+1) of the indices 1..n, every split b in 0..k+1."""
+    return tuple(
+        _row(elements, b)
+        for elements in combinations_with_replacement(range(1, n + 1), 2 * (k + 1))
+        for b in range(k + 2)
+    )
+
+
+def _partition(alphabet: Alphabet, row, d: int) -> ColoredPartition:
+    """A `_row` moved to window d, where offset 1 is degree -d-1 and offset 0 is -d."""
+    return ColoredPartition.from_pairs(
+        alphabet, *(((a, b), -d - offset) for (a, b, offset), e in row for _ in range(e))
+    )
 
 
 def _window_terms(
     scheme: Callable[[int], Alphabet], rank: int, k: int, d: int
 ) -> frozenset[ColoredPartition]:
-    """`_term` of every multiset of size 2(k+1) over the scheme's indices, every split."""
+    """The `rows` over the scheme's indices as partitions on window d."""
     if rank < 1 or k < 1 or d < 1:
         raise ValueError("rank, level and window must be positive")
     alphabet = scheme(rank)
-    indices = range(1, alphabet.index_bound + 1)
-    return frozenset(
-        _term(alphabet, elements, b, d)
-        for elements in combinations_with_replacement(indices, 2 * (k + 1))
-        for b in range(k + 2)
-    )
+    return frozenset(_partition(alphabet, row, d) for row in rows(alphabet.index_bound, k))
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +129,7 @@ def leading_term_for_multiset(
     elements: list[int] = []
     for idx, count in enumerate(multiplicities, start=1):
         elements.extend([idx] * count)
-    return _term(upper_scheme(m), elements, b, d)
+    return _partition(upper_scheme(m), _row(elements, b), d)
 
 
 def window_split(term: ColoredPartition, d: int) -> int:

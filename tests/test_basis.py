@@ -15,6 +15,7 @@ from conftest import (
     gen_partitions,
     transport_partition_inverse,
 )
+from cpbasis import leading
 from cpbasis.basis import (
     BasisKind,
     QSeries,
@@ -162,10 +163,12 @@ class TestAdmissibility:
         # no window holds more than k = 3 factors, so no leading term can
         # divide and fs(16, 3)'s term family is never compiled
         _term_rows.cache_clear()
+        leading.rows.cache_clear()
         basis = BasisKind("fs", 16, 3)
         pi = up_part(16, ((1, 1), -2), ((1, 16), -1), ((16, 16), -1))
         assert admissible_by_divisibility(pi, basis)
         assert _term_rows.cache_info().currsize == 0
+        assert leading.rows.cache_info().currsize == 0
         assert admissible_by_inequalities(pi, basis)
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import combinations_with_replacement, groupby
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from cpbasis.ident import transport_partition
 from cpbasis.leading import (
     fs_leading_terms,
     leading_term_for_multiset,
+    rows,
     std_leading_terms,
     window_split,
 )
@@ -112,6 +114,19 @@ class TestPathReference:
     @pytest.mark.parametrize("d", [1, 2])
     def test_multisets_match_paths(self, m, k, d):
         assert fs_leading_terms(m, k, d) == path_leading_terms(m, k, d)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_match_paths(self, m, k):
+        # decoded independently of the generator: equal factors are adjacent
+        # in canonical order, and degree -d-offset is window 1's -1-offset
+        def decode(term):
+            return tuple(
+                ((f.color.a, f.color.b, -f.degree - 1), sum(1 for _ in group))
+                for f, group in groupby(term.factors)
+            )
+
+        assert Counter(map(decode, path_leading_terms(m, k, 1))) == Counter(rows(m, k))
 
 
 class TestRankTwoFamilies:
