@@ -17,25 +17,46 @@ import sys
 from fractions import Fraction
 from itertools import groupby, islice
 
-from .basis import BasisKind, enumerate_keys, graded_series, leading_terms, rr_counts
-from .leading import window_split
+from .basis import BasisKind, enumerate_keys, graded_series, rr_counts
+from .leading import check_window, rows
 from .oracle import audit_windows
 from .partitions import Color, Factor
 from .rootdata import RootSystemSpec, branching_dimensions, weight, weyl_dim
 
 
 def _leading_rows(kind: str, rank: int, level: int, window: int):
-    terms = leading_terms(BasisKind(kind, rank, level), window)
-    for term in sorted(terms, key=lambda p: p.sort_key):
+    """The window's leading terms in ascending `sort_key` order, formatted from `rows`.
+
+    On one window every term has k+1 factors, and its degree falls as its
+    split grows.  Within a split the offsets sit at the same places, so
+    the order compares the (a, b, offset) keys from the last factor down,
+    the larger first.
+    """
+    basis = BasisKind(kind, rank, level)
+    check_window(rank, level, window)
+    alphabet = basis.alphabet
+    terms = []
+    for row in rows(alphabet.index_bound, level):
+        keys = [key for key, e in row for _ in range(e)]
+        split = sum(e for (_, _, offset), e in row if offset)
+        terms.append((split, keys[::-1], keys))
+    terms.sort(key=lambda term: term[:2], reverse=True)
+    # one label per (a, b, offset), the color at degree -window-offset
+    labels = {
+        (color.a, color.b, offset): str(Factor(color, -window - offset))
+        for color in alphabet.colors()
+        for offset in (0, 1)
+    }
+    for split, _, keys in terms:
         yield {
             "window": window,
-            "split": window_split(term, window),
-            "factors": [str(f) for f in term.factors],
+            "split": split,
+            "factors": [labels[key] for key in keys],
         }
 
 
 def _cmd_leading_terms(args) -> int:
-    rows = list(_leading_rows(args.kind, args.rank, args.level, args.window))
+    terms = list(_leading_rows(args.kind, args.rank, args.level, args.window))
     if args.format == "json":
         print(
             json.dumps(
@@ -44,19 +65,19 @@ def _cmd_leading_terms(args) -> int:
                     "rank": args.rank,
                     "level": args.level,
                     "window": args.window,
-                    "terms": rows,
+                    "terms": terms,
                 }
             )
         )
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["window", "split", "factors"])
-        for row in rows:
+        for row in terms:
             writer.writerow([row["window"], row["split"], " ".join(row["factors"])])
     else:
         print(f"leading terms: kind={args.kind} rank={args.rank} "
-              f"level={args.level} window={args.window} ({len(rows)} terms)")
-        for row in rows:
+              f"level={args.level} window={args.window} ({len(terms)} terms)")
+        for row in terms:
             print(f"  split={row['split']}  {' '.join(row['factors'])}")
     return 0
 

@@ -69,12 +69,17 @@ def _partition(alphabet: Alphabet, row, d: int) -> ColoredPartition:
     )
 
 
+def check_window(rank: int, k: int, d: int) -> None:
+    """Refuse a rank, level or window that is not positive."""
+    if rank < 1 or k < 1 or d < 1:
+        raise ValueError("rank, level and window must be positive")
+
+
 def _window_terms(
     scheme: Callable[[int], Alphabet], rank: int, k: int, d: int
 ) -> frozenset[ColoredPartition]:
     """The `rows` over the scheme's indices as partitions on window d."""
-    if rank < 1 or k < 1 or d < 1:
-        raise ValueError("rank, level and window must be positive")
+    check_window(rank, k, d)
     alphabet = scheme(rank)
     return frozenset(_partition(alphabet, row, d) for row in rows(alphabet.index_bound, k))
 

@@ -8,6 +8,14 @@ on partitions.  Nothing here knows about diagonal paths: the module
 exists to validate the closed-form generators (and the order convention
 itself) against exhaustive enumeration.
 
+The minimum is found in two exact stages.  Every member of one support
+has the same length and degree, so the order compares the degree
+sequences first, and a member's degree sequence is its composition
+sorted, whatever the pairing.  Stage 1 keeps the compositions whose
+sorted sequence is least (a minimum over all of them, once per degree
+and length); stage 2 takes the minimum over every pairing spread over
+those compositions only.  No member outside them can be the minimum.
+
 Inside, a support member is a plain integer key: its factors in
 canonical ascending order, each the triple ``(degree, -a, -b)`` that
 flattens ``Factor.sort_key``.  `ColoredPartition` objects are built only
@@ -65,13 +73,8 @@ class RelationSupport:
     partitions: frozenset[ColoredPartition] = field(repr=False)
 
 
-def _support_keys(multiset: tuple[int, ...], n: int, k: int, m: int):
-    """Keys of the partitions in the degree-n coefficient of the multiset's relation.
-
-    Every pairing of the multiset into k+1 unordered pairs, spread over
-    every composition of n into k+1 degrees <= -1; a partition reached by
-    several pairings or compositions is yielded once for each.
-    """
+def _check_arguments(multiset: tuple[int, ...], n: int, k: int, m: int) -> None:
+    """Refuse a multiset or degree that names no level-k relation coefficient of rank m."""
     if len(multiset) != m:
         raise ValueError(f"expected {m} multiplicities, got {len(multiset)}")
     if any(c < 0 for c in multiset):
@@ -82,15 +85,45 @@ def _support_keys(multiset: tuple[int, ...], n: int, k: int, m: int):
         raise ValueError(
             f"degree {n} leaves no composition into {k + 1} parts <= -1"
         )
+
+
+def _spread_keys(multiset: tuple[int, ...], compositions):
+    """Keys of every pairing of the multiset spread over every given composition.
+
+    A partition reached by several pairings or compositions is yielded
+    once for each.
+    """
     elements: list[int] = []
     for idx, count in enumerate(multiset, start=1):
         elements.extend([idx] * count)
-    compositions = _negative_compositions(n, k + 1)
     for pairing in _pairings(tuple(elements)):
         columns = tuple(-a for a, _ in pairing)
         rows = tuple(-b for _, b in pairing)
         for comp in compositions:
             yield tuple(sorted(zip(comp, columns, rows)))
+
+
+def _support_keys(multiset: tuple[int, ...], n: int, k: int, m: int):
+    """Keys of the partitions in the degree-n coefficient of the multiset's relation.
+
+    Every pairing of the multiset into k+1 unordered pairs, spread over
+    every composition of n into k+1 degrees <= -1; a partition reached by
+    several pairings or compositions is yielded once for each.
+    """
+    return _spread_keys(multiset, _negative_compositions(n, k + 1))
+
+
+@lru_cache(maxsize=None)
+def _least_compositions(n: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """The compositions of `_negative_compositions(n, parts)` whose degree sequence is least.
+
+    A key's degree sequence, read from its largest part down, is its
+    composition sorted in descending order, whatever the pairing; these
+    are the compositions where that sequence is least under `_order_key`.
+    """
+    compositions = _negative_compositions(n, parts)
+    least = min(sorted(comp, reverse=True) for comp in compositions)
+    return tuple(c for c in compositions if sorted(c, reverse=True) == least)
 
 
 def _order_key(key: tuple[tuple[int, int, int], ...]):
@@ -118,6 +151,7 @@ def relation_support(
     every composition of n into k+1 degrees <= -1.
     """
     multiset = tuple(multiset)
+    _check_arguments(multiset, n, k, m)
     keys = set(_support_keys(multiset, n, k, m))
     alphabet = upper_scheme(m)
     return RelationSupport(
@@ -132,8 +166,18 @@ def relation_support(
 def brute_leading_term(
     multiset: tuple[int, ...], n: int, k: int, m: int
 ) -> ColoredPartition:
-    """Minimum of the relation support under the well order on partitions."""
-    best = min(_support_keys(tuple(multiset), n, k, m), key=_order_key)
+    """Minimum of the relation support under the well order on partitions.
+
+    Found in two stages, and still over the whole support.  `_order_key`
+    compares the degree sequences before any color, and a key's degree
+    sequence is its sorted composition whatever the pairing; so the
+    minimum spreads some pairing over one of `_least_compositions`, and
+    the colors decide among every pairing spread over those alone.
+    """
+    multiset = tuple(multiset)
+    _check_arguments(multiset, n, k, m)
+    least = _least_compositions(n, k + 1)
+    best = min(_spread_keys(multiset, least), key=_order_key)
     return _partition(upper_scheme(m), best)
 
 

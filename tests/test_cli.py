@@ -19,9 +19,11 @@ from cpbasis.basis import (
     _triangle_rank,
     enumerate_basis,
     enumerate_keys,
+    leading_terms,
 )
 from cpbasis.cli import main
 from cpbasis.ident import transport_partition
+from cpbasis.leading import window_split
 from cpbasis.partitions import Color, Factor
 
 
@@ -93,6 +95,55 @@ class TestLeadingTerms:
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["kind"] == "std" and len(payload["terms"]) > 0
+
+
+def leading_terms_from_objects(kind, rank, level, window, fmt) -> str:
+    """The leading-terms command's output, formatted from sorted `ColoredPartition` objects."""
+    terms = sorted(
+        leading_terms(BasisKind(kind, rank, level), window), key=lambda p: p.sort_key
+    )
+    rows = [
+        {
+            "window": window,
+            "split": window_split(t, window),
+            "factors": [str(f) for f in t.factors],
+        }
+        for t in terms
+    ]
+    out = io.StringIO()
+    if fmt == "json":
+        payload = {
+            "kind": kind, "rank": rank, "level": level, "window": window, "terms": rows,
+        }
+        print(json.dumps(payload), file=out)
+    elif fmt == "csv":
+        writer = csv.writer(out)
+        writer.writerow(["window", "split", "factors"])
+        for row in rows:
+            writer.writerow([row["window"], row["split"], " ".join(row["factors"])])
+    else:
+        print(f"leading terms: kind={kind} rank={rank} "
+              f"level={level} window={window} ({len(rows)} terms)", file=out)
+        for row in rows:
+            print(f"  split={row['split']}  {' '.join(row['factors'])}", file=out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize(
+    "kind, rank", [("fs", 1), ("fs", 2), ("fs", 3), ("fs", 4), ("std", 1), ("std", 2)]
+)
+def test_leading_terms_output_matches_partition_objects(capsys, kind, rank, level):
+    for window in (1, 2, 3):
+        for fmt in ("human", "json", "csv"):
+            code, out, err = run(
+                capsys, "leading-terms", "--kind", kind, "--rank", str(rank),
+                "--level", str(level), "--window", str(window), "--format", fmt,
+            )
+            assert (code, err) == (0, "")
+            assert out == leading_terms_from_objects(kind, rank, level, window, fmt), (
+                window, fmt,
+            )
 
 
 class TestEnumerate:

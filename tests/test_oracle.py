@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cpbasis import oracle
+from cpbasis.cli import main
 from cpbasis.leading import fs_leading_terms
 from cpbasis.oracle import (
+    _least_compositions,
     _negative_compositions,
     _order_key,
     _pairings,
+    _support_keys,
     audit_windows,
     brute_leading_term,
     relation_support,
@@ -238,3 +243,91 @@ def test_argument_errors(args, message):
         with pytest.raises(ValueError) as exc:
             fn(*args)
         assert str(exc.value) == message
+
+
+def one_stage_minimum(multiset, n, k, m) -> ColoredPartition:
+    """The one-stage minimum: `_order_key` over every key of the whole support."""
+    best = min(_support_keys(multiset, n, k, m), key=_order_key)
+    return up_part(m, *(((-a, -b), d) for d, a, b in best))
+
+
+def test_two_stages_match_one_stage_minimum():
+    # every multiset of size 2(k+1) for m <= 3, k <= 3, on nine degrees each
+    cases = 0
+    for m in range(1, 4):
+        for k in range(1, 4):
+            for combo in combinations_with_replacement(range(1, m + 1), 2 * (k + 1)):
+                multiset = tuple(combo.count(i) for i in range(1, m + 1))
+                for n in range(-(k + 1), -(k + 1) - 9, -1):
+                    assert brute_leading_term(multiset, n, k, m) == one_stage_minimum(
+                        multiset, n, k, m
+                    )
+                    cases += 1
+    assert cases == 1008
+
+
+@pytest.mark.parametrize("n, parts", [(-2, 2), (-7, 2), (-9, 3), (-12, 4), (-5, 5)])
+def test_least_compositions_are_balanced_and_complete(n, parts):
+    # the least descending degree sequence spreads n as evenly as it can
+    least = _least_compositions(n, parts)
+    q, r = divmod(-n, parts)
+    balanced = sorted([-q - 1] * r + [-q] * (parts - r))
+    assert sorted(least) == sorted(
+        c for c in _negative_compositions(n, parts) if sorted(c) == balanced
+    )
+    assert least
+
+
+class TestAuditFailures:
+    """The audit reports what the closed forms and the minima disagree on."""
+
+    def audit(self, capsys, m, k, dmax):
+        code = main(["audit-oracle", "--rank", str(m), "--level", str(k),
+                     "--max-window", str(dmax)])
+        return code, json.loads(capsys.readouterr().out)["mismatches"]
+
+    def test_dropped_closed_term_is_unexpected(self, monkeypatch, capsys):
+        dropped = up_part(2, ((1, 2), -1), ((1, 2), -1))
+        assert dropped in fs_leading_terms(2, 1, 1)
+        monkeypatch.setattr(
+            oracle, "fs_leading_terms", lambda m, k, d: fs_leading_terms(m, k, d) - {dropped}
+        )
+        code, mismatches = self.audit(capsys, 2, 1, 1)
+        assert code == 1
+        assert mismatches == [
+            {"window": 1, "split": 0, "missing": [], "unexpected": [str(dropped)]}
+        ]
+
+    def test_added_closed_term_is_missing(self, monkeypatch, capsys):
+        # a support member of the multiset {1, 1, 2, 2}, but not its minimum
+        added = up_part(2, ((1, 1), -1), ((2, 2), -1))
+        assert added not in fs_leading_terms(2, 1, 1)
+        monkeypatch.setattr(
+            oracle, "fs_leading_terms", lambda m, k, d: fs_leading_terms(m, k, d) | {added}
+        )
+        code, mismatches = self.audit(capsys, 2, 1, 1)
+        assert code == 1
+        assert mismatches == [
+            {"window": 1, "split": 0, "missing": [str(added)], "unexpected": []}
+        ]
+
+    def test_minimum_off_the_window(self, monkeypatch, capsys):
+        spread = up_part(1, ((1, 1), -3), ((1, 1), -2), ((1, 1), -1))
+        monkeypatch.setattr(oracle, "brute_leading_term", lambda ms, n, k, m: spread)
+        code, mismatches = self.audit(capsys, 1, 2, 1)
+        assert code == 1
+        errors = [x for x in mismatches if "error" in x]
+        assert errors == [
+            {
+                "window": 1,
+                "split": b,
+                "multiset": [6],
+                "error": "not window-concentrated",
+                "term": str(spread),
+            }
+            for b in range(4)
+        ]
+        # with no minimum kept, every closed term of the window is missing
+        assert [x["missing"] for x in mismatches if "missing" in x] == [
+            [str(t)] for t in sorted(fs_leading_terms(1, 2, 1), key=lambda p: -p.degree)
+        ]
