@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from operator import add
+from operator import add, index
 
 from .leading import fs_leading_terms, rows, std_leading_terms
 from .partitions import (
@@ -479,7 +479,7 @@ class QSeries:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
 
     @property
     def truncation(self) -> int:

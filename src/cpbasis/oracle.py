@@ -11,10 +11,10 @@ itself) against exhaustive enumeration.
 The minimum is found in two exact stages.  Every member of one support
 has the same length and degree, so the order compares the degree
 sequences first, and a member's degree sequence is its composition
-sorted, whatever the pairing.  Stage 1 keeps the compositions whose
-sorted sequence is least (a minimum over all of them, once per degree
-and length); stage 2 takes the minimum over every pairing spread over
-those compositions only.  No member outside them can be the minimum.
+sorted, whatever the pairing.  Stage 1 builds the compositions whose
+sorted sequence is least, the most even ones, without listing the
+others; stage 2 takes the minimum over every pairing spread over those
+compositions only.  No member outside them can be the minimum.
 
 Inside, a support member is a plain integer key: its factors in
 canonical ascending order, each the triple ``(degree, -a, -b)`` that
@@ -26,30 +26,34 @@ support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .leading import fs_leading_terms, window_split
 from .partitions import Color, ColoredPartition, Factor, upper_scheme
 
 
-def _pairings(elements: tuple[int, ...]):
-    """Distinct ways to split a sorted multiset into unordered pairs."""
+def _pairings(elements: tuple[int, ...], _least=None):
+    """Each way to split a sorted multiset into unordered pairs, exactly once.
+
+    A pairing comes as its pairs in ascending order: the first element
+    takes each distinct partner once, and when the next first element
+    equals it, that element's partner is at least this one (`_least`).
+    """
     if not elements:
         yield ()
         return
     first, rest = elements[0], elements[1:]
-    seen = set()
     for idx, partner in enumerate(rest):
-        if partner in seen:
+        if idx and partner == rest[idx - 1]:
             continue
-        seen.add(partner)
+        if _least is not None and partner < _least:
+            continue
         remainder = rest[:idx] + rest[idx + 1 :]
-        for tail in _pairings(remainder):
+        least = partner if remainder and remainder[0] == first else None
+        for tail in _pairings(remainder, least):
             yield ((first, partner),) + tail
 
 
-@lru_cache(maxsize=None)
 def _negative_compositions(n: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """Ordered tuples of `parts` integers <= -1 summing to n."""
     if parts == 1:
@@ -75,6 +79,8 @@ class RelationSupport:
 
 def _check_arguments(multiset: tuple[int, ...], n: int, k: int, m: int) -> None:
     """Refuse a multiset or degree that names no level-k relation coefficient of rank m."""
+    if m < 1 or k < 1:
+        raise ValueError("rank and level must be positive")
     if len(multiset) != m:
         raise ValueError(f"expected {m} multiplicities, got {len(multiset)}")
     if any(c < 0 for c in multiset):
@@ -113,17 +119,20 @@ def _support_keys(multiset: tuple[int, ...], n: int, k: int, m: int):
     return _spread_keys(multiset, _negative_compositions(n, k + 1))
 
 
-@lru_cache(maxsize=None)
 def _least_compositions(n: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    """The compositions of `_negative_compositions(n, parts)` whose degree sequence is least.
+    """The compositions of n into `parts` degrees <= -1 whose degree sequence is least.
 
     A key's degree sequence, read from its largest part down, is its
-    composition sorted in descending order, whatever the pairing; these
-    are the compositions where that sequence is least under `_order_key`.
+    composition sorted in descending order, whatever the pairing; among
+    sequences of one sum and length the least is the most even, so these
+    are the arrangements of r parts -q-1 and parts-r parts -q, where
+    q, r = divmod(-n, parts).
     """
-    compositions = _negative_compositions(n, parts)
-    least = min(sorted(comp, reverse=True) for comp in compositions)
-    return tuple(c for c in compositions if sorted(c, reverse=True) == least)
+    q, r = divmod(-n, parts)
+    return tuple(
+        tuple(-q - 1 if i in low else -q for i in range(parts))
+        for low in map(set, combinations(range(parts), r))
+    )
 
 
 def _order_key(key: tuple[tuple[int, int, int], ...]):

@@ -9,11 +9,11 @@ hence is independent of the representative modulo (1,...,1)).
 The invariant form is the Euclidean coordinate form rescaled so that the
 highest root theta satisfies <theta, theta> = 2; only family C needs a
 rescaling (by 1/2).  All arithmetic is exact.  `Weight` keeps Fraction
-coordinates for the API; Weyl products run on integers: roots and 2*rho
-have integer coordinates, a weight is scaled by the lcm of its
-denominators, and the product formula's ratio ignores both that scale and
-the form's, so numerators and denominators are multiplied separately and
-divided once.
+coordinates for the API; the roots and 2*rho are built as integer
+tuples, so Weyl products run on integers: a weight is scaled by the lcm
+of its denominators, and the product formula's ratio ignores both that
+scale and the form's, so numerators and denominators are multiplied
+separately and divided once.
 """
 
 from __future__ import annotations
@@ -111,35 +111,11 @@ def weight(spec: RootSystemSpec, coords) -> Weight:
 
 def positive_roots(spec: RootSystemSpec) -> list[Weight]:
     """The standard positive system of `spec`, in a fixed deterministic order."""
-    n = spec.ambient_dim
-    roots: list[Weight] = []
-    if spec.family == "A":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(eps(i, n) + (-1) * eps(j, n))
-        return roots
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            roots.append(eps(i, n) + (-1) * eps(j, n))
-            roots.append(eps(i, n) + eps(j, n))
-    if spec.family == "B":
-        roots.extend(eps(i, n) for i in range(1, n + 1))
-    elif spec.family == "C":
-        roots.extend(2 * eps(i, n) for i in range(1, n + 1))
-    return roots
+    return [Weight(alpha) for alpha in _integer_roots(spec)[0]]
 
 
 def simple_roots(spec: RootSystemSpec) -> list[Weight]:
-    n = spec.ambient_dim
-    last = n if spec.family == "A" else spec.rank
-    alphas = [eps(i, n) + (-1) * eps(i + 1, n) for i in range(1, last)]
-    if spec.family == "B":
-        alphas.append(eps(spec.rank, n))
-    elif spec.family == "C":
-        alphas.append(2 * eps(spec.rank, n))
-    elif spec.family == "D":
-        alphas.append(eps(spec.rank - 1, n) + eps(spec.rank, n))
-    return alphas
+    return [Weight(alpha) for alpha in _integer_roots(spec)[1]]
 
 
 def highest_root(spec: RootSystemSpec) -> Weight:
@@ -165,22 +141,36 @@ def inner(spec: RootSystemSpec, x: Weight, y: Weight) -> Fraction:
 
 def half_sum_positive(spec: RootSystemSpec) -> Weight:
     """rho, computed as the half-sum of the positive roots."""
-    acc = zero_weight(spec)
-    for alpha in positive_roots(spec):
-        acc = acc + alpha
-    return Fraction(1, 2) * acc
+    return Weight(tuple(Fraction(c, 2) for c in _integer_roots(spec)[2]))
 
 
 @lru_cache(maxsize=None)
 def _integer_roots(spec: RootSystemSpec):
     """Positive roots in order, simple roots and 2*rho, as integer coordinate tuples."""
-    positive = tuple(
-        tuple(int(c) for c in alpha.coords) for alpha in positive_roots(spec)
-    )
-    simple = tuple(
-        tuple(int(c) for c in alpha.coords) for alpha in simple_roots(spec)
-    )
-    return positive, simple, tuple(map(sum, zip(*positive)))
+    n = spec.ambient_dim
+
+    def root(*terms: tuple[int, int]) -> tuple[int, ...]:
+        # the sum of c*eps_i over the (i, c) terms, 1-based
+        return tuple(sum(c for i, c in terms if i == t) for t in range(1, n + 1))
+
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    last = n if spec.family == "A" else spec.rank
+    simple = [root((i, 1), (i + 1, -1)) for i in range(1, last)]
+    if spec.family == "A":
+        positive = [root((i, 1), (j, -1)) for i, j in pairs]
+    else:
+        positive = [
+            r for i, j in pairs for r in (root((i, 1), (j, -1)), root((i, 1), (j, 1)))
+        ]
+    if spec.family == "B":
+        positive += [root((i, 1)) for i in range(1, n + 1)]
+        simple.append(root((n, 1)))
+    elif spec.family == "C":
+        positive += [root((i, 2)) for i in range(1, n + 1)]
+        simple.append(root((n, 2)))
+    elif spec.family == "D":
+        simple.append(root((n - 1, 1), (n, 1)))
+    return tuple(positive), tuple(simple), tuple(map(sum, zip(*positive)))
 
 
 def _pairing(x: tuple[int, ...], y: tuple[int, ...]) -> int:

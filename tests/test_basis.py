@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -612,6 +613,13 @@ class TestSeries:
     def test_qseries_multiplication(self):
         one_plus_q = QSeries((1, 1, 0))
         assert (one_plus_q * one_plus_q).coeffs == (1, 2, 1)
+
+    def test_qseries_refuses_inexact_coefficients(self):
+        # a float or a Fraction is refused rather than truncated
+        assert QSeries((1, True, 0)).coeffs == (1, 1, 0)
+        for bad in (1.9, Fraction(7, 2)):
+            with pytest.raises(TypeError):
+                QSeries((1, bad))
 
     def test_partition_series(self):
         assert partition_series(6).coeffs == (1, 1, 2, 3, 5, 7, 11)

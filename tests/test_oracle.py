@@ -236,6 +236,8 @@ def test_order_key_is_the_well_order_on_one_support(case):
         (((5, -1), -2, 1, 2), "multiplicities must be nonnegative"),
         (((2, 1), -2, 1, 2), "multiset size must be 2(k+1) = 4"),
         (((2, 2), -1, 1, 2), "degree -1 leaves no composition into 2 parts <= -1"),
+        (((), 0, -1, 0), "rank and level must be positive"),
+        (((2,), -1, 0, 1), "rank and level must be positive"),
     ],
 )
 def test_argument_errors(args, message):
@@ -276,6 +278,65 @@ def test_least_compositions_are_balanced_and_complete(n, parts):
         c for c in _negative_compositions(n, parts) if sorted(c) == balanced
     )
     assert least
+
+
+def partner_once_pairings(elements):
+    """Pairings where the first element takes each distinct partner once, repeats kept."""
+    if not elements:
+        yield ()
+        return
+    first, rest = elements[0], elements[1:]
+    seen = set()
+    for idx, partner in enumerate(rest):
+        if partner in seen:
+            continue
+        seen.add(partner)
+        for tail in partner_once_pairings(rest[:idx] + rest[idx + 1 :]):
+            yield ((first, partner),) + tail
+
+
+def test_pairings_are_the_distinct_pairings_once_each():
+    cases = 0
+    for size in range(2, 13):
+        for elements in combinations_with_replacement(range(1, 5), size):
+            pairings = list(_pairings(elements))
+            assert all(list(p) == sorted(p) for p in pairings)
+            assert len(set(pairings)) == len(pairings)
+            assert set(pairings) == {
+                tuple(sorted(p)) for p in partner_once_pairings(elements)
+            }
+            cases += 1
+    assert cases == 1815
+    assert len(list(_pairings((1, 1, 1, 2, 2, 2, 3, 3, 4, 4)))) == 25
+    assert len(list(partner_once_pairings((1, 1, 1, 2, 2, 2, 3, 3, 4, 4)))) == 96
+    assert len(list(_pairings((1,) * 6 + (2,) * 6))) == 4
+    assert len(list(partner_once_pairings((1,) * 6 + (2,) * 6))) == 13
+
+
+def searched_least_compositions(n, parts):
+    """The compositions of `_negative_compositions` whose descending sequence is least."""
+    compositions = _negative_compositions(n, parts)
+    least = min(sorted(comp, reverse=True) for comp in compositions)
+    return {c for c in compositions if sorted(c, reverse=True) == least}
+
+
+def test_least_compositions_match_the_search():
+    for parts in range(1, 7):
+        for n in range(-parts, -parts - 13, -1):
+            built = _least_compositions(n, parts)
+            assert len(set(built)) == len(built)
+            assert set(built) == searched_least_compositions(n, parts)
+
+
+def test_minimum_never_lists_compositions(monkeypatch):
+    def refuse(n, parts):
+        raise AssertionError("stage 1 listed the compositions")
+
+    monkeypatch.setattr(oracle, "_negative_compositions", refuse)
+    assert brute_leading_term((2, 2), -3, 1, 2) == up_part(
+        2, ((1, 1), -2), ((2, 2), -1)
+    )
+    assert audit_windows(2, 3, 3).ok
 
 
 class TestAuditFailures:

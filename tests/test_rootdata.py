@@ -74,6 +74,48 @@ class TestPositiveRoots:
             RootSystemSpec("E", 6)
 
 
+def eps_root_lists(spec: RootSystemSpec):
+    """Positive roots, simple roots and rho built by `eps` arithmetic, one root at a time."""
+    n = spec.ambient_dim
+    positive = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            positive.append(eps(i, n) + (-1) * eps(j, n))
+            if spec.family != "A":
+                positive.append(eps(i, n) + eps(j, n))
+    if spec.family == "B":
+        positive.extend(eps(i, n) for i in range(1, n + 1))
+    elif spec.family == "C":
+        positive.extend(2 * eps(i, n) for i in range(1, n + 1))
+    last = n if spec.family == "A" else spec.rank
+    simple = [eps(i, n) + (-1) * eps(i + 1, n) for i in range(1, last)]
+    if spec.family == "B":
+        simple.append(eps(spec.rank, n))
+    elif spec.family == "C":
+        simple.append(2 * eps(spec.rank, n))
+    elif spec.family == "D":
+        simple.append(eps(spec.rank - 1, n) + eps(spec.rank, n))
+    acc = zero_weight(spec)
+    for alpha in positive:
+        acc = acc + alpha
+    return positive, simple, Fraction(1, 2) * acc
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_integer_root_data_matches_eps_route(family):
+    for rank in range(1, 10):
+        try:
+            spec = RootSystemSpec(family, rank)
+        except ValueError:
+            continue
+        positive, simple, rho = eps_root_lists(spec)
+        assert positive_roots(spec) == positive
+        assert simple_roots(spec) == simple
+        assert half_sum_positive(spec) == rho
+        # the Weight wrappers keep exact Fraction coordinates
+        assert all(type(c) is Fraction for c in half_sum_positive(spec).coords)
+
+
 class TestWeylDim:
     def test_adjoint_of_rank2_symplectic(self):
         spec = RootSystemSpec("C", 2)
