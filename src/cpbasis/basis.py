@@ -14,7 +14,11 @@ degrees deeper, so std(l, k) and fs(2l, k) share one compiled family.
 For ``fs`` the same condition reads: for every window d and diagonal
 path, the path's upper-block multiplicities at degree -d-1 plus its
 lower-block ones at -d are at most the level.  The two are checked
-independently and compared exhaustively in the test suite.
+independently and compared exhaustively in the test suite.  Either
+condition couples adjacent degrees only and reads the same on every
+window, so a tracker is window-relative: one slot layout serves every
+window, and a point check closes each gap of more than 2 between the
+degrees its partition holds down to 2 (see `_pushes`).
 
 The path inequalities are decided by the cut lemma alone; no path is ever
 built.  A partition's color multiplicities at one degree form its slice e,
@@ -29,12 +33,13 @@ adjacent degrees, the degree above -1 counting as empty.
 
 Enumeration is one depth-first walk that pushes factors by ascending
 |degree| into a tracker, `_Tracker` of the terms (capped-sum counters
-packed in integers) or `_CutTracker` of the cut profiles, and skips the
-subtree of every inadmissible prefix; it keeps partitions as factor-index
-tuples, filed by |degree| sequence so that each layer comes out in
-partition order with only its shapes sorted.  The inequality checker runs
-`_CutTracker` too, and graded series are counted without listing: a
-transfer matrix runs over slices grouped by size and cut profiles.
+packed in one integer per window) or `_CutTracker` of the cut profiles,
+and skips the subtree of every inadmissible prefix; it keeps partitions
+as factor-index tuples, filed by |degree| sequence so that each layer
+comes out in partition order with only its shapes sorted.  The two point
+checkers push into the same two trackers, and graded series are counted
+without listing: a transfer matrix runs over slices grouped by size and
+cut profiles.
 """
 
 from __future__ import annotations
@@ -95,66 +100,21 @@ def _check_partition(pi: ColoredPartition, basis: BasisKind) -> None:
         raise ValueError("admissibility is defined for strictly negative degrees")
 
 
-def _windows(depth: int) -> range:
-    """Windows 1..max(1, depth-1): enough for a partition reaching degree -depth.
-
-    A leading term of window `depth` that fits above -depth-1 lies on
-    -depth alone, and is an all-upper term of window depth-1; window 1 is
-    always kept, as the only home of the terms on degree -1 alone.
-    """
-    return range(1, max(1, depth - 1) + 1) if depth else range(0)
-
-
-def _window_views(pi: ColoredPartition, k: int):
-    """The windows of `pi` where a leading term may divide it, as ``{(a, b, offset): n}``.
-
-    Window d reads offset 1 at degree -d-1 and offset 0 at -d.  Every
-    term needs k+1 factors on its window's two degrees, so a window
-    holding fewer is skipped before its view is built.
-    """
-    slices: dict[int, dict[tuple[int, int], int]] = {}
-    for f in pi.factors:
-        counts = slices.setdefault(-f.degree, {})
-        pair = (f.color.a, f.color.b)
-        counts[pair] = counts.get(pair, 0) + 1
-    size = {v: sum(counts.values()) for v, counts in slices.items()}
-    for d in _windows(max(slices, default=0)):
-        if size.get(d + 1, 0) + size.get(d, 0) > k:
-            view = {(a, b, 1): n for (a, b), n in slices.get(d + 1, {}).items()}
-            view.update(((a, b, 0), n) for (a, b), n in slices.get(d, {}).items())
-            yield view
-
-
-@lru_cache(maxsize=None)
-def _term_rows(m: int, k: int) -> dict:
-    """`leading.rows` of fs(m, k), filed by first key and sorted within a key.
-
-    A monomial that lacks a row's first key is not divisible by its term.
-    Offset 1 is degree -d-1 and offset 0 is -d on window d; std(l, k)
-    reads the family of fs(2l, k).
-    """
-    filed: dict[tuple[int, int, int], list] = {}
-    for row in rows(m, k):
-        filed.setdefault(row[0][0], []).append(row)
-    return {key: tuple(sorted(filed_rows)) for key, filed_rows in filed.items()}
-
-
 def admissible_by_divisibility(pi: ColoredPartition, basis: BasisKind) -> bool:
-    """True when no leading term of any relevant window divides `pi`.
+    """True when no leading term of any window divides `pi`.
 
-    Window by window (see `_window_views`), only the window-1 rows filed
-    under a key `pi` holds there are tested (see `_term_rows`); std(l, k)
-    and fs(2l, k) share them, and they are compiled only once a window
-    keeps a view.
+    Every term has k+1 factors on two adjacent degrees, so a partition
+    where no two adjacent degrees hold more than k is admissible before
+    any term is compiled.  Otherwise its factors go into a `_Tracker`
+    (see `_pushes`); std(l, k) and fs(2l, k) share its term family.
     """
     _check_partition(pi, basis)
-    for view in _window_views(pi, basis.level):
-        filed = _term_rows(_triangle_rank(basis), basis.level)
-        for key in view:
-            for row in filed.get(key, ()):
-                if all(view.get(x, 0) >= e for x, e in row):
-                    return False
-    return True
+    size: dict[int, int] = {}
+    for f in pi.factors:
+        size[-f.degree] = size.get(-f.degree, 0) + 1
+    if all(n + size.get(v + 1, 0) <= basis.level for v, n in size.items()):
+        return True
+    return _pushes(_Tracker, pi, _triangle_rank(basis), basis.level)
 
 
 def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
@@ -163,32 +123,38 @@ def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
     For every window d >= 1 and every diagonal path, the sum of the
     multiplicities of the upper-block colors at degree -d-1 and of the
     lower-block colors at degree -d must be at most the level.  The
-    factors go into a fresh `_CutTracker`, shallowest first.
+    factors go into a `_CutTracker` (see `_pushes`).
     """
     if basis.kind != "fs":
         raise ValueError(
             "path inequalities apply to the fs kind; transport std partitions first"
         )
     _check_partition(pi, basis)
-    position = _color_positions(basis.rank)
-    # canonical factor order is deepest first
-    tracker = _CutTracker(basis.rank, basis.level, -pi.factors[0].degree if pi.factors else 0)
-    for f in reversed(pi.factors):
-        if not tracker.push((-f.degree - 1) * len(position) + position[f.color.a, f.color.b]):
-            return False
-    return True
+    return _pushes(_CutTracker, pi, basis.rank, basis.level)
 
 
-def _constraints(m: int, k: int, max_degree: int):
-    """Every leading term of fs(m, k) down to degree -max_degree as a capped-sum constraint.
+def _pushes(tracker_type: type, pi: ColoredPartition, m: int, k: int) -> bool:
+    """True when every factor of `pi` pushes into a fresh tracker, shallowest first.
 
-    The window-1 rows moved to each window d of `_windows`.  A term is
-    capped at its exponents, which sum to k+1, so its capped sum reaches
-    k+1 exactly when it divides the monomial.
+    The |degree|s that `pi` holds are moved to a compact range, each gap
+    wider than 2 closed down to 2, and the tracker is only as deep as that
+    range.  Both conditions couple adjacent degrees only and read the same
+    on every window, so closing a gap between degrees that stay apart, and
+    moving the shallowest degree up, changes no verdict.
     """
-    for d in _windows(max_degree):
-        for row in rows(m, k):
-            yield {(a, b, d + offset): cap for (a, b, offset), cap in row}
+    depth = last = 0
+    depths: dict[int, int] = {}
+    for v in sorted({-f.degree for f in pi.factors}):
+        depth += min(v - last, 2)
+        depths[v], last = depth, v
+    tracker = tracker_type(m, k, depth)
+    position = _color_positions(m)
+    width = len(position)
+    # canonical factor order is deepest first
+    return all(
+        tracker.push((depths[-f.degree] - 1) * width + position[f.color.a, f.color.b])
+        for f in reversed(pi.factors)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -203,57 +169,86 @@ def _entries(m: int, max_degree: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((a, b, v) for v in range(1, max_degree + 1) for a, b in _color_positions(m))
 
 
+@lru_cache(maxsize=None)
+def _term_masks(m: int, k: int) -> tuple[int, int, dict[tuple[int, int, int, int], int]]:
+    """The slot layout of one window of fs(m, k) for `_Tracker`: ``(start, high, masks)``.
+
+    A slot of w = (k+1).bit_length() + 1 bits is kept for every row of
+    `leading.rows` with an offset-0 factor; a row with none, all at offset
+    1, is the next window's row of the same pairs all at offset 0.  start
+    holds the bias 2^(w-1) - (k+1) in every slot, high the top bit of every
+    slot, and ``masks[a, b, offset, n]`` a one at the lowest bit of each
+    slot whose row caps key (a, b, offset) above n; a missing mask is 0.
+    The masks are set bit by bit in byte arrays, so they cost linear time.
+    """
+    width = (k + 1).bit_length() + 1
+    slots = [row for row in rows(m, k) if any(offset == 0 for (_, _, offset), _ in row)]
+    size = (len(slots) * width + 7) // 8
+    bits: dict[tuple[int, int, int, int], bytearray] = {}
+    for s, row in enumerate(slots):
+        byte, bit = divmod(s * width, 8)
+        for (a, b, offset), cap in row:
+            for n in range(cap):
+                key = (a, b, offset, n)
+                if key not in bits:
+                    bits[key] = bytearray(size)
+                bits[key][byte] |= 1 << bit
+    masks = {key: int.from_bytes(bits.pop(key), "little") for key in list(bits)}
+    ones = ((1 << width * len(slots)) - 1) // ((1 << width) - 1)
+    return ((1 << width - 1) - (k + 1)) * ones, ones << width - 1, masks
+
+
+@lru_cache(maxsize=None)
+def _tracker_steps(m: int, k: int, max_degree: int) -> tuple[tuple[tuple, ...], ...]:
+    """`_Tracker.steps`: per entry (a, b, v) and copy n < k+1, the ``(group, mask)`` pairs it grows.
+
+    The copy is key (a, b, 0) of window v and key (a, b, 1) of window
+    v-1; window 0 and empty masks are left out.
+    """
+    mask_of = _term_masks(m, k)[2].get
+    return tuple(
+        tuple(
+            tuple(
+                (g, mask)
+                for g, mask in ((v, mask_of((a, b, 0, n), 0)), (v - 1, mask_of((a, b, 1, n), 0)))
+                if g and mask
+            )
+            for n in range(k + 1)
+        )
+        for a, b, v in _entries(m, max_degree)
+    )
+
+
 class _Tracker:
-    """Incremental capped-sum constraints over the walk's entries, packed in integers.
+    """The leading terms as capped-sum counters packed in integers, one integer per window.
 
-    A constraint maps keys (a, b, v) to caps and is violated once the sum
-    over its keys of min(multiplicity, cap) reaches level+1.  ``entries``
-    lists the keys of degrees 1..max_degree (see `_entries`), and ``push``
-    and ``pop`` take an index into it.  Keys past max_degree never get a
-    factor, so they are dropped, and so is a constraint left without keys.
+    A term is violated once the sum over its keys of min(multiplicity,
+    exponent) reaches k+1, which is when it divides the monomial.  It has
+    the entries, push and pop of `_CutTracker`.  Every window holds the
+    window-1 terms moved deeper, so every window gets the same slots (see
+    `_term_masks`): window v's integer ``state[v]`` has one slot per term
+    with a factor on -v, and a term all on -v-1 is window v+1's.  A slot
+    starts at the bias 2^(w-1) - (k+1) and holds the bias plus the capped
+    sum, so its top bit sets exactly when the capped sum reaches k+1.
+    ``steps[i][n]`` lists as ``(v, mask)`` pairs the slots that grow when
+    entry i goes from multiplicity n to n+1 (see `_tracker_steps`); ``push``
+    adds the masks and tests the top bits, ``pop`` subtracts them.  A
+    (k+1)-th copy of one color on one degree is itself a term, so it fails
+    and no entry is pushed past it.
 
-    Each constraint is a slot of w = (k+1).bit_length() + 1 bits in the
-    integer ``state[g]`` of its group g, the shallowest degree among its
-    keys.  A slot starts at the bias 2^(w-1) - (k+1) and holds the bias
-    plus the capped sum, so its top bit sets exactly when the capped sum
-    reaches k+1.  ``steps[i][n]`` lists as ``(g, mask)`` pairs the slots
-    that grow when entry i goes from multiplicity n to n+1, those capping
-    it above n; ``push`` adds the masks and tests the top bits, ``pop``
-    subtracts them.  Slots never carry into each other, and that rests on
-    the walk: it pushes only from an admissible state, where every capped
-    sum is at most k, a push raises each by at most one, so a slot holds at
-    most 2^(w-1), and it pops a failing push before any further push.
+    Slots never carry into each other, and that rests on the caller: it
+    pushes only from an admissible state, where every capped sum is at most
+    k, a push raises each by at most one, so a slot holds at most 2^(w-1),
+    and it pops or drops a failing push before any further push.  Terms
+    reaching past -max_degree never fill, as no factor lies there.
     """
 
-    def __init__(self, m: int, k: int, max_degree: int, constraints):
+    def __init__(self, m: int, k: int, max_degree: int):
         self.entries = _entries(m, max_degree)
-        index = {key: i for i, key in enumerate(self.entries)}
-        # kept once each: window d's all-upper term is window d+1's all-lower one
-        kept = dict.fromkeys(
-            frozenset((index[key], cap) for key, cap in c.items() if key in index)
-            for c in constraints
-        )
-        kept.pop(frozenset(), None)
-        width = (k + 1).bit_length() + 1
-        # bits[i][n][g]: the slot offsets in group g that entry i's (n+1)-th
-        # copy grows; an entry of degree v is pushed at most max_degree // v times
-        bits = [[{} for _ in range(max_degree // v)] for _, _, v in self.entries]
-        slots = [0] * (max_degree + 1)
-        for c in kept:
-            g = min(self.entries[i][2] for i, _ in c)
-            offset = slots[g] * width
-            slots[g] += 1
-            for i, cap in c:
-                for n in range(min(cap, len(bits[i]))):
-                    bits[i][n].setdefault(g, []).append(offset)
-        self.steps = [
-            [tuple((g, sum(1 << x for x in xs)) for g, xs in step.items()) for step in entry]
-            for entry in bits
-        ]
-        # ones[g]: a one at the lowest bit of each slot of group g
-        ones = [sum(1 << x for x in range(0, width * n, width)) for n in slots]
-        self.state = [((1 << width - 1) - (k + 1)) * one for one in ones]
-        self.high = [one << width - 1 for one in ones]
+        self.steps = _tracker_steps(m, k, max_degree)
+        start, high, _ = _term_masks(m, k)
+        self.state = [start] * (max_degree + 1)
+        self.high = [high] * (max_degree + 1)
         self.mult = [0] * len(self.entries)
 
     def push(self, i: int) -> bool:
@@ -410,10 +405,7 @@ def _enumerate_layers(max_degree: int, tracker: _Tracker | _CutTracker):
 
 @lru_cache(maxsize=8)
 def _enumerate_cached(m: int, k: int, max_degree: int, method: str):
-    if method == "divisibility":
-        tracker = _Tracker(m, k, max_degree, _constraints(m, k, max_degree))
-    else:
-        tracker = _CutTracker(m, k, max_degree)
+    tracker = (_Tracker if method == "divisibility" else _CutTracker)(m, k, max_degree)
     return tracker.entries, _enumerate_layers(max_degree, tracker)
 
 

@@ -53,6 +53,13 @@ class RootSystemSpec:
         return f"{self.family}{self.rank}"
 
 
+def _exact(value) -> Fraction:
+    """`value` as a Fraction; a float is refused, as its binary value is seldom the one meant."""
+    if isinstance(value, float):
+        raise TypeError(f"weights are exact: use an integer, Fraction or string, not {value!r}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class Weight:
     """A vector in the epsilon-coordinate basis, with exact rational entries."""
@@ -60,7 +67,7 @@ class Weight:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(_exact, self.coords)))
 
     def __add__(self, other: "Weight") -> "Weight":
         if len(self.coords) != len(other.coords):
@@ -68,7 +75,8 @@ class Weight:
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __rmul__(self, scalar) -> "Weight":
-        return Weight(tuple(Fraction(scalar) * c for c in self.coords))
+        scalar = _exact(scalar)
+        return Weight(tuple(scalar * c for c in self.coords))
 
     def dot(self, other: "Weight") -> Fraction:
         """Plain coordinate dot product (the coweight pairing)."""
@@ -101,7 +109,7 @@ def zero_weight(spec: RootSystemSpec) -> Weight:
 
 def weight(spec: RootSystemSpec, coords) -> Weight:
     """A Weight for `spec`, checking the coordinate count."""
-    coords = tuple(Fraction(c) for c in coords)
+    coords = tuple(map(_exact, coords))
     if len(coords) != spec.ambient_dim:
         raise ValueError(
             f"{spec} weights need {spec.ambient_dim} coordinates, got {len(coords)}"

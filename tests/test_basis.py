@@ -16,7 +16,7 @@ from conftest import (
     gen_partitions,
     transport_partition_inverse,
 )
-from cpbasis import leading
+from cpbasis import basis as basis_module, leading
 from cpbasis.basis import (
     BasisKind,
     QSeries,
@@ -24,7 +24,7 @@ from cpbasis.basis import (
     _CutTracker,
     _entries,
     _enumerate_cached,
-    _term_rows,
+    _term_masks,
     _Tracker,
     admissible_by_divisibility,
     admissible_by_inequalities,
@@ -163,14 +163,38 @@ class TestAdmissibility:
     def test_sparse_partition_compiles_no_terms(self):
         # no window holds more than k = 3 factors, so no leading term can
         # divide and fs(16, 3)'s term family is never compiled
-        _term_rows.cache_clear()
+        _term_masks.cache_clear()
         leading.rows.cache_clear()
         basis = BasisKind("fs", 16, 3)
         pi = up_part(16, ((1, 1), -2), ((1, 16), -1), ((16, 16), -1))
         assert admissible_by_divisibility(pi, basis)
-        assert _term_rows.cache_info().currsize == 0
+        assert _term_masks.cache_info().currsize == 0
         assert leading.rows.cache_info().currsize == 0
         assert admissible_by_inequalities(pi, basis)
+
+    @pytest.mark.parametrize(
+        "factors, expected",
+        [
+            ((((1, 4), -100000), ((1, 4), -100000), ((2, 3), -100000)), False),
+            ((((1, 4), -100000), ((1, 4), -99998), ((2, 3), -99998)), True),
+            ((((1, 1), -100001), ((1, 4), -100000), ((1, 4), -100000)), False),
+        ],
+    )
+    def test_deep_partition_is_checked_at_its_own_size(self, monkeypatch, factors, expected):
+        # a check builds trackers only as deep as twice the degrees the partition holds
+        depths = []
+        entries = basis_module._entries
+
+        def recorded(m, max_degree):
+            depths.append(max_degree)
+            return entries(m, max_degree)
+
+        monkeypatch.setattr(basis_module, "_entries", recorded)
+        basis = BasisKind("fs", 4, 2)
+        pi = up_part(4, *factors)
+        assert admissible_by_divisibility(pi, basis) is expected
+        assert admissible_by_inequalities(pi, basis) is expected
+        assert depths and max(depths) <= 2 * len({f.degree for f in pi.factors})
 
 
 @st.composite
@@ -375,6 +399,80 @@ def test_cut_tracker_matches_reference(case):
     assert not any(any(table) for table in tracker.slices + tracker.inside)
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=ascending_pushes())
+def test_tracker_matches_reference(case):
+    m, k, keys = case
+    basis = BasisKind("fs", m, k)
+    tracker = _Tracker(m, k, 4)
+    initial = list(tracker.state)
+    index = {key: i for i, key in enumerate(tracker.entries)}
+    pushed = []
+    for key in keys:
+        pushed.append(key)
+        prefix = up_part(m, *(((a, b), -v) for a, b, v in pushed))
+        verdict = tracker.push(index[key])
+        assert verdict == reference_divisibility(prefix, basis)
+        if not verdict:
+            break
+    for key in reversed(pushed):
+        tracker.pop(index[key])
+    assert tracker.state == initial
+    assert not any(tracker.mult)
+
+
+@st.composite
+def moved_partitions(draw):
+    """An fs basis (rank <= 4, level <= 3), a partition down to degree -12 and a moved copy.
+
+    The copy moves every factor at or below one held degree 1..40 degrees
+    deeper: below the shallowest, that shifts the whole partition; below
+    the deeper end of a gap of at least 2 between held degrees, it widens
+    that gap.
+    """
+    m = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=3))
+    colors = [c.pair for c in upper_scheme(m).colors()]
+    factors = draw(
+        st.lists(
+            st.tuples(st.sampled_from(colors), st.integers(min_value=1, max_value=12)),
+            min_size=1,
+            max_size=2 * k + 3,
+        )
+    )
+    held = sorted({v for _, v in factors})
+    cut = draw(st.sampled_from(held[:1] + [v for u, v in zip(held, held[1:]) if v - u >= 2]))
+    by = draw(st.integers(min_value=1, max_value=40))
+    moved = [(pair, v + by if v >= cut else v) for pair, v in factors]
+    return (
+        BasisKind("fs", m, k),
+        up_part(m, *((pair, -v) for pair, v in factors)),
+        up_part(m, *((pair, -v) for pair, v in moved)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=moved_partitions())
+def test_verdicts_survive_wider_gaps_and_shifts(case):
+    basis, pi, moved = case
+    expected = reference_divisibility(pi, basis)
+    for check in (admissible_by_divisibility, admissible_by_inequalities):
+        assert check(pi, basis) == check(moved, basis) == expected
+
+
+def reference_constraints(m, k, max_degree):
+    """Every leading term of fs(m, k) on windows 1..max(1, N-1), N = max_degree, as caps.
+
+    The window-1 rows moved to each window; a term is capped at its
+    exponents, which sum to k+1, so its capped sum reaches k+1 exactly when
+    it divides the monomial.  A deeper window's terms either reach past -N
+    or lie on -N alone, as the all-upper term of window N-1.
+    """
+    for d in range(1, max(1, max_degree - 1) + 1):
+        for row in leading.rows(m, k):
+            yield {(a, b, d + offset): cap for (a, b, offset), cap in row}
+
+
 class RoomTracker:
     """Reference for `_Tracker`: one counter per constraint, of the room left to k+1."""
 
@@ -414,31 +512,20 @@ class RoomTracker:
 
 @st.composite
 def tracker_walks(draw):
-    """Random capped-sum constraints over fs(m) keys and a walk of pushes and pops.
+    """A rank m <= 4, a level k <= 4, a depth N <= 6 and a walk of pushes and pops.
 
-    m <= 4, k <= 4 (slot widths 3 and 4, k+1 = 4 among them) and entries to
-    degree N <= 6.  Constraints cap keys of a small pool: up to three keys
-    of degree 1 or 2, where pushes can fill a constraint, and perhaps one
-    down to degree N+1, which is dropped when past N.  Most pushes fall in
-    the pool.  A step is an entry index to push, or None to pop the latest
-    push.
+    Slot widths 3 and 4 occur, and k+1 = 4 among them.  Most pushes fall in
+    a pool of up to three entries of degree 1 or 2 and perhaps one deeper,
+    so that terms fill.  A step is an entry index to push, or None to pop
+    the latest push.
     """
     m = draw(st.integers(min_value=1, max_value=4))
     k = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=1, max_value=6))
     entries = _entries(m, n)
-    shallow = st.lists(st.sampled_from(_entries(m, 2)), min_size=1, max_size=3)
-    pool = draw(shallow) + draw(st.lists(st.sampled_from(_entries(m, n + 1)), max_size=1))
-    constraints = draw(
-        st.lists(
-            st.dictionaries(
-                st.sampled_from(pool), st.integers(min_value=1, max_value=k + 1), max_size=5
-            ),
-            min_size=2,
-            max_size=12,
-        )
-    )
-    pushes = st.sampled_from([entries.index(key) for key in pool if key in entries] or [0])
+    shallow = st.lists(st.sampled_from(_entries(m, min(n, 2))), min_size=1, max_size=3)
+    pool = draw(shallow) + draw(st.lists(st.sampled_from(entries), max_size=1))
+    pushes = st.sampled_from([entries.index(key) for key in pool])
     steps = draw(
         st.lists(
             st.one_of(st.none(), pushes, pushes, pushes, st.integers(0, len(entries) - 1)),
@@ -446,15 +533,15 @@ def tracker_walks(draw):
             max_size=48,
         )
     )
-    return m, k, n, constraints, steps
+    return m, k, n, steps
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=tracker_walks())
 def test_tracker_matches_room_counters(case):
-    m, k, n, constraints, steps = case
-    tracker = _Tracker(m, k, n, constraints)
-    reference = RoomTracker(m, k, n, constraints)
+    m, k, n, steps = case
+    tracker = _Tracker(m, k, n)
+    reference = RoomTracker(m, k, n, reference_constraints(m, k, n))
     assert tracker.entries == reference.entries
     initial = list(tracker.state)
     pushed = []
@@ -553,21 +640,34 @@ class TestEnumeration:
                 assert sub in admissible
 
     def test_tracker_caps_multiplicities(self):
-        # level 2: a constraint is violated once its capped sum reaches 3
-        # the second constraint lies past degree 3, so it is dropped
-        tracker = _Tracker(1, 2, 3, [{(1, 1, 1): 2, (1, 1, 2): 1}, {(1, 1, 4): 3}])
-        one, two = tracker.entries.index((1, 1, 1)), tracker.entries.index((1, 1, 2))
-        assert tracker.push(one) and tracker.push(one)
-        # the third (1,1)(-1) is past its cap of 2 and adds nothing
-        assert tracker.push(one)
+        # rank 1, level 2: window v's terms X(-v-1)^i X(-v)^(3-i), i = 0..2, take
+        # slots 0..2 of 3 bits in state[v], each the bias 1 plus the capped sum;
+        # X(-v-1)^3 is window v+1's i = 0 term and gets no slot in window v
+        tracker = _Tracker(1, 2, 3)
+        one, two = (tracker.entries.index((1, 1, v)) for v in (1, 2))
+
+        def sums(v):
+            return [(tracker.state[v] >> 3 * s & 7) - 1 for s in range(3)]
+
+        assert tracker.push(one) and sums(1) == [1, 1, 1]
+        # the second X(-1) is past its cap of 1 in X(-2)^2 X(-1) and adds nothing there
+        assert tracker.push(one) and sums(1) == [2, 2, 1]
+        state = list(tracker.state)
+        # X(-2) X(-1)^2 fills; X(-2) also opens window 2
         assert not tracker.push(two)
+        assert sums(1) == [2, 3, 2] and sums(2) == [1, 1, 1]
         tracker.pop(two)
-        tracker.pop(one)
-        # two copies of (1,1)(-1) still fill its cap
-        assert not tracker.push(two)
+        assert tracker.state == state
+        # a third X(-1) fills X(-1)^3
+        assert not tracker.push(one)
+        for _ in range(3):
+            tracker.pop(one)
+        # past its cap of 1 in X(-2) X(-1)^2, the second X(-2) adds nothing there
+        assert tracker.push(two) and sums(1) == [0, 1, 1]
+        assert tracker.push(two) and sums(1) == [0, 1, 2]
         tracker.pop(two)
-        tracker.pop(one)
-        assert tracker.push(two)
+        tracker.pop(two)
+        assert not any(tracker.mult) and sums(1) == sums(2) == sums(3) == [0, 0, 0]
 
     @pytest.mark.parametrize("ell, k", [(1, 1), (1, 2), (2, 1)])
     def test_std_and_double_rank_fs_share_one_walk(self, ell, k):

@@ -159,6 +159,31 @@ class TestWeylDim:
             weyl_dim(spec, Weight((Fraction(1),)))
 
 
+class TestExactWeights:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Weight((0.1, 0)),
+            lambda: Weight((Fraction(1), 0.5)),
+            lambda: weight(RootSystemSpec("C", 2), [0.1, 0]),
+            lambda: 0.1 * eps(1, 2),
+            lambda: 2.0 * eps(1, 2),
+        ],
+    )
+    def test_floats_refused(self, build):
+        # a float's binary value is seldom the one meant: 0.1 is 3602879701896397/2^55
+        with pytest.raises(TypeError):
+            build()
+
+    def test_exact_values_accepted(self):
+        spec = RootSystemSpec("C", 2)
+        assert Weight((1, "1/2")).coords == (Fraction(1), Fraction(1, 2))
+        assert weight(spec, ["1/2", Fraction(1, 3)]).coords == (Fraction(1, 2), Fraction(1, 3))
+        assert (Fraction(1, 2) * eps(1, 2)).coords == (Fraction(1, 2), Fraction(0))
+        assert (3 * eps(2, 2)).coords == (Fraction(0), Fraction(3))
+        assert ("1/2" * eps(1, 2)) == weight(spec, ["1/2", 0])
+
+
 class TestBranching:
     def test_rank_two_fundamental_case(self):
         assert verify_branching(2, 1)
