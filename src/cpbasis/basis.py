@@ -34,9 +34,11 @@ adjacent degrees, the degree above -1 counting as empty.
 Enumeration is one depth-first walk that pushes factors by ascending
 |degree| into a tracker, `_Tracker` of the terms (capped-sum counters
 packed in one integer per window) or `_CutTracker` of the cut profiles,
-and skips the subtree of every inadmissible prefix; it keeps partitions
-as factor-index tuples, filed by |degree| sequence so that each layer
-comes out in partition order with only its shapes sorted.  The two point
+and skips the subtree of every inadmissible prefix; it decides the leaves,
+the partitions nothing can follow, in one bulk test per degree instead of
+pushing them.  It keeps partitions as factor-index tuples, filed by
+|degree| sequence so that each layer comes out in partition order with
+only its shapes sorted.  The two point
 checkers push into the same two trackers, and graded series are counted
 without listing: a transfer matrix runs over slices grouped by size and
 cut profiles.
@@ -170,8 +172,10 @@ def _entries(m: int, max_degree: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _term_masks(m: int, k: int) -> tuple[int, int, dict[tuple[int, int, int, int], int]]:
-    """The slot layout of one window of fs(m, k) for `_Tracker`: ``(start, high, masks)``.
+def _term_masks(
+    m: int, k: int
+) -> tuple[int, int, dict[tuple[int, int, int, int], int], tuple[int, int, tuple]]:
+    """The slot layout of one window of fs(m, k) for `_Tracker`: ``(start, high, masks, firsts)``.
 
     A slot of w = (k+1).bit_length() + 1 bits is kept for every row of
     `leading.rows` with an offset-0 factor; a row with none, all at offset
@@ -180,6 +184,11 @@ def _term_masks(m: int, k: int) -> tuple[int, int, dict[tuple[int, int, int, int
     slot, and ``masks[a, b, offset, n]`` a one at the lowest bit of each
     slot whose row caps key (a, b, offset) above n; a missing mask is 0.
     The masks are set bit by bit in byte arrays, so they cost linear time.
+    ``firsts`` is `_Tracker.fitting`'s table ``(ones, top, pairs)``: ones
+    has a one at the lowest bit of every slot, top = w-1 shifts it to the
+    top bit, and ``pairs[c]`` holds the masks that a first copy of the c-th
+    color (a, b) adds on any degree -v, key (a, b, 0) of window v and key
+    (a, b, 1) of window v-1.
     """
     width = (k + 1).bit_length() + 1
     slots = [row for row in rows(m, k) if any(offset == 0 for (_, _, offset), _ in row)]
@@ -195,7 +204,10 @@ def _term_masks(m: int, k: int) -> tuple[int, int, dict[tuple[int, int, int, int
                 bits[key][byte] |= 1 << bit
     masks = {key: int.from_bytes(bits.pop(key), "little") for key in list(bits)}
     ones = ((1 << width * len(slots)) - 1) // ((1 << width) - 1)
-    return ((1 << width - 1) - (k + 1)) * ones, ones << width - 1, masks
+    pairs = tuple(
+        (masks.get((a, b, 0, 0), 0), masks.get((a, b, 1, 0), 0)) for a, b in _color_positions(m)
+    )
+    return ((1 << width - 1) - (k + 1)) * ones, ones << width - 1, masks, (ones, width - 1, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -241,12 +253,24 @@ class _Tracker:
     k, a push raises each by at most one, so a slot holds at most 2^(w-1),
     and it pops or drops a failing push before any further push.  Terms
     reaching past -max_degree never fill, as no factor lies there.
+
+    ``fitting(lo, hi)`` answers a push for every entry of one degree at once
+    and changes nothing.  In an admissible state a first copy adds exactly 1
+    to each slot of its masks, so it fails exactly when one of them already
+    holds the capped sum k; such full slots are those whose top bit sets
+    when 1 is added to every slot, which no slot carries out of.  So the
+    full slots of windows v and v-1 are found once per call, and each
+    entry's first-copy masks (see `_term_masks`) meet them in two ANDs.
+    An entry already held goes through ``steps`` as ``push`` does: its first
+    copy's masks would give the same verdict only through the coincidence
+    with the path inequalities, which this route is checked against and so
+    must not assume.
     """
 
     def __init__(self, m: int, k: int, max_degree: int):
         self.entries = _entries(m, max_degree)
         self.steps = _tracker_steps(m, k, max_degree)
-        start, high, _ = _term_masks(m, k)
+        start, high, _, self.firsts = _term_masks(m, k)
         self.state = [start] * (max_degree + 1)
         self.high = [high] * (max_degree + 1)
         self.mult = [0] * len(self.entries)
@@ -269,6 +293,25 @@ class _Tracker:
         state = self.state
         for g, mask in self.steps[i][n]:
             state[g] -= mask
+
+    def fitting(self, lo: int, hi: int) -> list[int]:
+        """The entries in [lo, hi), all of one |degree| v, that ``push`` would accept."""
+        v = self.entries[lo][2]
+        state, mult = self.state, self.mult
+        ones, top, firsts = self.firsts
+        full = (state[v] + ones) >> top & ones
+        fuller = (state[v - 1] + ones) >> top & ones if v > 1 else 0  # window 0 is untracked
+        base = (v - 1) * len(firsts)  # the entries of degree v start here
+        return [
+            i
+            for i, (x, y) in zip(range(lo, hi), firsts[lo - base : hi - base])
+            if (self._fits(i) if mult[i] else not (x & full or y & fuller))
+        ]
+
+    def _fits(self, i: int) -> bool:
+        """True when a push of entry i would succeed; changes nothing."""
+        state, high = self.state, self.high
+        return not any((state[g] + mask) & high[g] for g, mask in self.steps[i][self.mult[i]])
 
 
 @lru_cache(maxsize=None)
@@ -324,7 +367,9 @@ class _CutTracker:
     inside(i, c) <= A(c), that decides A_v(c) + B_{v-1}(c) <= k.  It is exact
     only because the walk pushes by ascending |degree|, so no degree below
     -v holds a factor, and the state before each push is admissible, so
-    only a grown cell can break a condition.  ``pop`` undoes the latest push.
+    only a grown cell can break a condition.  ``pop`` undoes the latest push,
+    and ``fitting(lo, hi)``, as in `_Tracker`, lists the entries in [lo, hi)
+    that ``push`` would accept, by pushing and popping each in turn.
     """
 
     def __init__(self, m: int, k: int, max_degree: int):
@@ -362,6 +407,14 @@ class _CutTracker:
         for p in grown:
             inside[p] -= 1
 
+    def fitting(self, lo: int, hi: int) -> list[int]:
+        fits = []
+        for i in range(lo, hi):
+            if self.push(i):
+                fits.append(i)
+            self.pop(i)
+        return fits
+
 
 def _enumerate_layers(max_degree: int, tracker: _Tracker | _CutTracker):
     """Admissible partitions as the tuples of entry indices the walk pushed, in partition order.
@@ -373,30 +426,45 @@ def _enumerate_layers(max_degree: int, tracker: _Tracker | _CutTracker):
     are filed by shape, shapes listed by descending (length, shape), and the
     keys of a shape, met by ascending colors, in reverse walk order.
 
-    A leaf is never recursed into: after a push at |degree| v to total t the
-    walk goes deeper only if t + v <= max_degree, since every later entry has
-    |degree| >= v and a call that fails that test would stop at its first
-    entry.
+    The walk takes one |degree| v at a time, from the prefix's last entry
+    on, and files each degree's keys under one shape.  A partition of total
+    t whose last factor has |degree| v is a leaf when t + v > max_degree:
+    every later entry has |degree| >= v, so nothing can follow it.  Once a
+    node's degree v makes leaves, so does every later degree; their keys are
+    filed from one ``fitting`` call per degree, with no push.  Only the
+    earlier degrees' entries are pushed, and each that fits is filed and
+    recursed into; as a recursive call files only into longer shapes, a
+    shape's keys still arrive in walk order.
     """
-    sizes = [v for _, _, v in tracker.entries]
-    count = len(sizes)
-    push, pop = tracker.push, tracker.pop
+    width = len(tracker.entries) // max_degree if max_degree else 0
+    push, pop, fitting = tracker.push, tracker.pop, tracker.fitting
     shapes: list[dict] = [{(): [()]}] + [{} for _ in range(max_degree)]
 
-    def rec(start: int, used: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> None:
-        for idx in range(start, count):
-            v = sizes[idx]
-            total = used + v
-            if total > max_degree:
-                break  # entries are sorted by |degree|
-            if push(idx):
-                key, grown = prefix + (idx,), shape + (v,)
-                shapes[total].setdefault(grown, []).append(key)
-                if total + v <= max_degree:
-                    rec(idx, total, key, grown)
-            pop(idx)
+    def rec(v: int, lo: int, used: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> None:
+        # entry lo is of |degree| v; each pass takes the entries of one degree,
+        # which end at index v * width
+        while used + v + v <= max_degree:
+            hi, total = v * width, used + v
+            grown = shape + (v,)
+            keys = shapes[total].setdefault(grown, [])
+            for idx in range(lo, hi):
+                if push(idx):
+                    key = prefix + (idx,)
+                    keys.append(key)
+                    rec(v, idx, total, key, grown)
+                pop(idx)
+            v, lo = v + 1, hi
+        # every partition filed from here on is a leaf
+        while used + v <= max_degree:
+            hi = v * width
+            fits = fitting(lo, hi)
+            if fits:
+                shapes[used + v].setdefault(shape + (v,), []).extend(
+                    [prefix + (i,) for i in fits]
+                )
+            v, lo = v + 1, hi
 
-    rec(0, 0, (), ())
+    rec(1, 0, 0, (), ())
     return tuple(
         tuple(k for s in sorted(layer, key=lambda t: (len(t), t))[::-1] for k in layer[s][::-1])
         for layer in shapes

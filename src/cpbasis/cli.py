@@ -5,7 +5,8 @@ verified, 1 = verification failure, 2 = usage error.  Human-readable
 tables go to stdout; `--format json|csv` switches to structured output;
 diagnostics go to stderr.  `enumerate` formats its rows straight from the
 walk's integer keys and writes them in blocks of 1024 lines, one write
-per block, streaming even its JSON listing.
+per block, streaming even its JSON listing; its CSV rows are formatted a
+layer at a time, the degree field once per layer.
 """
 
 from __future__ import annotations
@@ -110,13 +111,18 @@ def _cmd_enumerate(args) -> int:
         sys.stdout.write("]}\n")
     elif args.format == "csv":
         # no label holds a comma, a quote or a line break, so csv.writer
-        # would quote no field and these rows are the bytes it writes
+        # would quote no field and these rows are the bytes it writes; a
+        # layer shares one degree field, and its rows go out in blocks of
+        # 1024 as in `_write_lines`
         sys.stdout.write("degree,factors\r\n")
-        _write_lines(
-            f"{-m},{' '.join([labels[i] for i in reversed(key)])}\r\n"
-            for m, layer in enumerate(layers)
-            for key in layer
-        )
+        label = labels.__getitem__
+        for m, layer in enumerate(layers):
+            head = f"{-m},"
+            for s in range(0, len(layer), 1024):
+                block = layer[s : s + 1024]
+                sys.stdout.write(
+                    "".join([head + " ".join(map(label, key[::-1])) + "\r\n" for key in block])
+                )
     else:
         print(f"admissible partitions: kind={args.kind} rank={args.rank} "
               f"level={args.level} down to degree -{args.max_degree}")
@@ -174,8 +180,10 @@ def _cmd_verify_coincidence(args) -> int:
     for m in range(n + 1):
         # iota is the identity on (a, b) encodings, so a partition and its
         # transport have one key: the transported fs layer equals the std
-        # layer exactly when the key sets do
-        match = set(fs_layers[m]) == set(std_layers[m])
+        # layer exactly when the key sets do.  Both walks list a layer in
+        # partition order, so equal sets come as equal tuples, and sets are
+        # built only when the tuples differ
+        match = fs_layers[m] == std_layers[m] or set(fs_layers[m]) == set(std_layers[m])
         ok = ok and match
         print(
             f"{-m:6d}  {len(fs_layers[m]):8d}  {len(std_layers[m]):9d}  "

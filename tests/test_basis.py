@@ -24,6 +24,7 @@ from cpbasis.basis import (
     _CutTracker,
     _entries,
     _enumerate_cached,
+    _enumerate_layers,
     _term_masks,
     _Tracker,
     admissible_by_divisibility,
@@ -566,6 +567,141 @@ def test_tracker_matches_room_counters(case):
         tracker.pop(i)
     assert tracker.state == initial
     assert not any(tracker.mult)
+
+
+@st.composite
+def fitting_cases(draw):
+    """A tracker type, an admissible prefix pushed in walk order and a range [lo, hi) after it.
+
+    The rank m <= 5, the level k <= 3 and the depth N <= 5.  The pushes are
+    drawn from a pool of a few entries, sorted, and stop before the first
+    that fails.  lo is often the last pushed entry, which is then held, and
+    otherwise any later entry; hi stays within lo's degree.
+    """
+    tracker_type = draw(st.sampled_from([_Tracker, _CutTracker]))
+    m = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=5))
+    tracker = tracker_type(m, k, n)
+    count = len(tracker.entries)
+    pool = draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=3))
+    pushed = []
+    for i in sorted(draw(st.lists(st.sampled_from(pool), max_size=3 * k))):
+        if not tracker.push(i):
+            tracker.pop(i)
+            break
+        pushed.append(i)
+    last = pushed[-1] if pushed else 0
+    lo = draw(st.one_of(st.just(last), st.integers(last, count - 1)))
+    width = count // n
+    hi = draw(st.integers(lo + 1, (lo // width + 1) * width))
+    return tracker, lo, hi
+
+
+def tracker_snapshot(tracker):
+    """A tracker's state by value; a degree's own zero tables equal the shared zero one."""
+    if isinstance(tracker, _Tracker):
+        return list(tracker.state), list(tracker.mult)
+    return (
+        [e[: tracker.width] for e in tracker.slices],
+        [list(t) for t in tracker.inside],
+        [(list(e), list(t), list(g)) for e, t, g in tracker.grown],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=fitting_cases())
+def test_fitting_matches_pushes(case):
+    tracker, lo, hi = case
+    before = tracker_snapshot(tracker)
+    fits = tracker.fitting(lo, hi)
+    assert tracker_snapshot(tracker) == before
+    expected = []
+    for i in range(lo, hi):
+        if tracker.push(i):
+            expected.append(i)
+        tracker.pop(i)
+    assert fits == expected
+    assert tracker_snapshot(tracker) == before
+
+
+def test_fitting_reads_held_entries_and_degree_one():
+    # rank 1, level 2: X(-1)^2 X(-2) fills X(-2) X(-1)^2, and a third X(-1) is X(-1)^3
+    for tracker_type in (_Tracker, _CutTracker):
+        tracker = tracker_type(1, 2, 3)
+        assert tracker.fitting(0, 1) == [0]
+        assert tracker.push(0)
+        # held at lo: a second X(-1) still fits, and X(-2) does beside one X(-1)
+        assert tracker.fitting(0, 1) == [0] and tracker.fitting(1, 2) == [1]
+        assert tracker.push(0)
+        assert tracker.fitting(0, 1) == [] and tracker.fitting(1, 2) == []
+        assert tracker.fitting(2, 3) == [2]
+
+
+def test_fitting_reads_held_entries_past_their_caps(monkeypatch):
+    # A held entry is asked through its next copy's masks, not its first's.  In
+    # the real families the two give one verdict (a full row with the entry at
+    # its cap is a path at the level, so a further copy breaks a path
+    # inequality); this rank-1 level-1 family has only X(-2) X(-1), so a second
+    # X(-1) is past its cap of 1 in that full row and fits.
+    caches = (basis_module._term_masks, basis_module._tracker_steps)
+    monkeypatch.setattr(basis_module, "rows", lambda m, k: ((((1, 1, 1), 1), ((1, 1, 0), 1)),))
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        tracker = _Tracker(1, 1, 2)
+        assert tracker.push(0)
+        assert tracker.fitting(0, 1) == [0] and tracker.fitting(1, 2) == []
+        assert tracker.push(0)
+        tracker.pop(0)
+        assert not tracker.push(1)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def reference_enumerate_layers(max_degree, tracker):
+    """The walk as it was before leaves were decided in bulk: a push and pop at every entry."""
+    sizes = [v for _, _, v in tracker.entries]
+    count = len(sizes)
+    push, pop = tracker.push, tracker.pop
+    shapes = [{(): [()]}] + [{} for _ in range(max_degree)]
+
+    def rec(start, used, prefix, shape):
+        for idx in range(start, count):
+            v = sizes[idx]
+            total = used + v
+            if total > max_degree:
+                break
+            if push(idx):
+                key, grown = prefix + (idx,), shape + (v,)
+                shapes[total].setdefault(grown, []).append(key)
+                if total + v <= max_degree:
+                    rec(idx, total, key, grown)
+            pop(idx)
+
+    rec(0, 0, (), ())
+    return tuple(
+        tuple(k for s in sorted(layer, key=lambda t: (len(t), t))[::-1] for k in layer[s][::-1])
+        for layer in shapes
+    )
+
+
+@pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker])
+@pytest.mark.parametrize(
+    "m, k, n",
+    [
+        (1, 1, 0), (1, 1, 7), (1, 3, 7), (2, 1, 7), (2, 2, 7), (2, 3, 7),
+        (3, 1, 7), (3, 2, 7), (3, 3, 7), (4, 1, 7), (4, 2, 7), (4, 3, 6),
+        (5, 1, 7), (5, 2, 6), (5, 3, 5), (6, 1, 6), (6, 2, 5), (6, 3, 5),
+    ],
+)
+def test_walk_matches_push_per_entry_walk(tracker_type, m, k, n):
+    tracker = tracker_type(m, k, n)
+    walked = (tracker.entries, _enumerate_layers(n, tracker))
+    reference = tracker_type(m, k, n)
+    assert walked == (reference.entries, reference_enumerate_layers(n, reference))
+    assert tracker_snapshot(tracker) == tracker_snapshot(tracker_type(m, k, n))
 
 
 class TestEnumeration:
