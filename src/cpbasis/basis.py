@@ -46,12 +46,12 @@ cut profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
 from operator import add, index
 
+from ._frozen import Frozen, setfield
 from .leading import fs_leading_terms, rows, std_leading_terms
 from .partitions import (
     Alphabet,
@@ -64,19 +64,33 @@ from .partitions import (
 from .rootdata import RootSystemSpec, weyl_product
 
 
-@dataclass(frozen=True)
-class BasisKind:
-    """Which monomial basis: subspace (`fs`) or standard module (`std`), rank and level."""
+class BasisKind(Frozen):
+    """Which monomial basis: subspace (`fs`) or standard module (`std`), rank and level.
 
+    A frozen slot class, equal and hashed by its fields.
+    """
+
+    __slots__ = ("kind", "rank", "level")
     kind: str
     rank: int
     level: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("fs", "std"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.rank < 1 or self.level < 1:
+    def __init__(self, kind: str, rank: int, level: int) -> None:
+        if kind not in ("fs", "std"):
+            raise ValueError(f"unknown basis kind {kind!r}")
+        if rank < 1 or level < 1:
             raise ValueError("rank and level must be positive")
+        setfield(self, "kind", kind)
+        setfield(self, "rank", rank)
+        setfield(self, "level", level)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.rank, self.level) == (other.kind, other.rank, other.level)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.rank, self.level))
 
     @property
     def alphabet(self) -> Alphabet:
@@ -530,16 +544,27 @@ def enumerate_basis(
     )
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """A truncated power series with exact integer coefficients, graded by degree."""
+class QSeries(Frozen):
+    """A truncated power series with exact integer coefficients, graded by degree.
 
+    A frozen slot class, equal and hashed by its coefficients.
+    """
+
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
+        setfield(self, "coeffs", tuple(map(index, coeffs)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @property
     def truncation(self) -> int:

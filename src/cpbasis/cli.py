@@ -204,16 +204,18 @@ def _cmd_audit_oracle(args) -> int:
     return 0 if report.ok else 1
 
 
+def _coordinate(text: str) -> Fraction:
+    """One ``--weight`` coordinate, an integer or a fraction such as ``1/2``."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in weight coordinate {text!r}") from None
+
+
 def _cmd_weyl_dim(args) -> int:
     spec = RootSystemSpec(args.family, args.rank)
-    try:
-        coords = [Fraction(c) for c in args.weight.split(",")]
-        lam = weight(spec, coords)
-        dim = weyl_dim(spec, lam)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(dim)
+    lam = weight(spec, [_coordinate(c) for c in args.weight.split(",")])
+    print(weyl_dim(spec, lam))
     return 0
 
 

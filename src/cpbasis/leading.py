@@ -30,9 +30,9 @@ read; the partition objects of window d are built from them.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
-from typing import Callable, Sequence
 
 from .partitions import Alphabet, ColoredPartition, full_scheme, upper_scheme
 

@@ -25,9 +25,9 @@ support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
+from ._frozen import Frozen, setfield
 from .leading import fs_leading_terms, window_split
 from .partitions import Color, ColoredPartition, Factor, upper_scheme
 
@@ -66,15 +66,52 @@ def _negative_compositions(n: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RelationSupport:
-    """The support of one coefficient of the relation attached to a multiset."""
+class RelationSupport(Frozen):
+    """The support of one coefficient of the relation attached to a multiset.
 
+    A frozen slot class; its ``repr`` leaves out the partitions.
+    """
+
+    __slots__ = ("multiset", "degree", "level", "rank", "partitions")
     multiset: tuple[int, ...]
     degree: int
     level: int
     rank: int
-    partitions: frozenset[ColoredPartition] = field(repr=False)
+    partitions: frozenset[ColoredPartition]
+
+    def __init__(
+        self,
+        multiset: tuple[int, ...],
+        degree: int,
+        level: int,
+        rank: int,
+        partitions: frozenset[ColoredPartition],
+    ) -> None:
+        setfield(self, "multiset", multiset)
+        setfield(self, "degree", degree)
+        setfield(self, "level", level)
+        setfield(self, "rank", rank)
+        setfield(self, "partitions", partitions)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.multiset, self.degree, self.level, self.rank, self.partitions) == (
+            other.multiset,
+            other.degree,
+            other.level,
+            other.rank,
+            other.partitions,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.multiset, self.degree, self.level, self.rank, self.partitions))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(multiset={self.multiset!r}, "
+            f"degree={self.degree!r}, level={self.level!r}, rank={self.rank!r})"
+        )
 
 
 def _check_arguments(multiset: tuple[int, ...], n: int, k: int, m: int) -> None:
@@ -190,14 +227,38 @@ def brute_leading_term(
     return _partition(upper_scheme(m), best)
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """Outcome of comparing brute-force minima against the closed-form sets."""
+class AuditReport(Frozen):
+    """Outcome of comparing brute-force minima against the closed-form sets.
 
+    A frozen slot class, equal and hashed by its fields.
+    """
+
+    __slots__ = ("rank", "level", "windows", "mismatches")
     rank: int
     level: int
     windows: int
     mismatches: tuple[dict, ...]
+
+    def __init__(
+        self, rank: int, level: int, windows: int, mismatches: tuple[dict, ...]
+    ) -> None:
+        setfield(self, "rank", rank)
+        setfield(self, "level", level)
+        setfield(self, "windows", windows)
+        setfield(self, "mismatches", mismatches)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.level, self.windows, self.mismatches) == (
+            other.rank,
+            other.level,
+            other.windows,
+            other.mismatches,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.level, self.windows, self.mismatches))
 
     @property
     def ok(self) -> bool:

@@ -25,6 +25,10 @@ Each order ascends with the objects' ``sort_key``; the classes define no
 ``<``, so sort with ``key=...sort_key`` or compare with
 `compare_colors`, `compare_factors` and `compare_partitions`.
 
+`Alphabet`, `Color`, `Factor` and `ColoredPartition` are frozen slot
+classes: immutable, without a ``__dict__``, equal and hashed by their
+fields, and equal only to an instance of the same class.
+
 A colored partition is a finite multiset of factors kept in canonical
 ascending factor order.  Partitions over a fixed scheme form a monoid
 under multiset union, with the empty partition as unit.
@@ -33,21 +37,32 @@ under multiset union, with the empty partition as unit.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+
+from ._frozen import Frozen, setfield
 
 
-@dataclass(frozen=True, slots=True)
-class Alphabet:
+class Alphabet(Frozen):
     """A triangular color scheme: the full scheme ``B`` or the upper triangle ``B1``."""
 
+    __slots__ = ("scheme", "rank")
     scheme: str  # "B" or "B1"
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.scheme not in ("B", "B1"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.rank < 1:
+    def __init__(self, scheme: str, rank: int) -> None:
+        if scheme not in ("B", "B1"):
+            raise ValueError(f"unknown scheme {scheme!r}")
+        if rank < 1:
             raise ValueError("rank must be a positive integer")
+        setfield(self, "scheme", scheme)
+        setfield(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scheme, self.rank) == (other.scheme, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.scheme, self.rank))
 
     @property
     def index_bound(self) -> int:
@@ -83,19 +98,28 @@ def upper_scheme(rank: int) -> Alphabet:
     return Alphabet("B1", rank)
 
 
-@dataclass(frozen=True, slots=True)
-class Color:
+class Color(Frozen):
     """A basis symbol X_ab; `a` is the column index, `b` the row index, ``a <= b``."""
 
+    __slots__ = ("alphabet", "a", "b")
     alphabet: Alphabet
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.a <= self.b <= self.alphabet.index_bound:
-            raise ValueError(
-                f"({self.a},{self.b}) is not a valid color of {self.alphabet}"
-            )
+    def __init__(self, alphabet: Alphabet, a: int, b: int) -> None:
+        if not 1 <= a <= b <= alphabet.index_bound:
+            raise ValueError(f"({a},{b}) is not a valid color of {alphabet}")
+        setfield(self, "alphabet", alphabet)
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.a, self.b) == (other.alphabet, other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.a, self.b))
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -110,12 +134,24 @@ class Color:
         return self.alphabet.display_index(self.a) + self.alphabet.display_index(self.b)
 
 
-@dataclass(frozen=True, slots=True)
-class Factor:
+class Factor(Frozen):
     """A degree-graded basis symbol x(n), i.e. a color placed in degree n."""
 
+    __slots__ = ("color", "degree")
     color: Color
     degree: int
+
+    def __init__(self, color: Color, degree: int) -> None:
+        setfield(self, "color", color)
+        setfield(self, "degree", degree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.color, self.degree) == (other.color, other.degree)
+
+    def __hash__(self) -> int:
+        return hash((self.color, self.degree))
 
     @property
     def sort_key(self) -> tuple[int, tuple[int, int]]:
@@ -145,24 +181,28 @@ def compare_factors(f: Factor, g: Factor) -> int:
     return _cmp(f.sort_key, g.sort_key)
 
 
-@dataclass(frozen=True, slots=True)
-class ColoredPartition:
+class ColoredPartition(Frozen):
     """A multiset of factors over one scheme, stored in canonical ascending order."""
 
+    __slots__ = ("alphabet", "factors")
     alphabet: Alphabet
-    factors: tuple[Factor, ...] = field(default=())
+    factors: tuple[Factor, ...]
 
-    def __post_init__(self) -> None:
-        alphabet = self.alphabet
-        for f in self.factors:
+    def __init__(self, alphabet: Alphabet, factors: tuple[Factor, ...] = ()) -> None:
+        for f in factors:
             # identity first: factors usually share their scheme object
             if f.color.alphabet is not alphabet and f.color.alphabet != alphabet:
-                raise ValueError(
-                    f"factor {f} does not belong to scheme {self.alphabet}"
-                )
-        object.__setattr__(
-            self, "factors", tuple(sorted(self.factors, key=lambda f: f.sort_key))
-        )
+                raise ValueError(f"factor {f} does not belong to scheme {alphabet}")
+        setfield(self, "alphabet", alphabet)
+        setfield(self, "factors", tuple(sorted(factors, key=lambda f: f.sort_key)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.factors) == (other.alphabet, other.factors)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.factors))
 
     @classmethod
     def from_pairs(cls, alphabet: Alphabet, *facs: tuple[tuple[int, int], int]):

@@ -14,35 +14,49 @@ tuples, so Weyl products run on integers: a weight is scaled by the lcm
 of its denominators, and the product formula's ratio ignores both that
 scale and the form's, so numerators and denominators are multiplied
 separately and divided once.
+
+`RootSystemSpec`, `Weight` and `MinusculeData` are frozen slot classes,
+equal and hashed by their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+
+from ._frozen import Frozen, setfield
 
 FAMILIES = ("A", "B", "C", "D")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
+class RootSystemSpec(Frozen):
     """A classical family letter plus a rank."""
 
+    __slots__ = ("family", "rank")
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < _MIN_RANK[self.family]:
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if rank < _MIN_RANK[family]:
             raise ValueError(
-                f"rank {self.rank} too small for family {self.family} "
-                f"(minimum {_MIN_RANK[self.family]})"
+                f"rank {rank} too small for family {family} "
+                f"(minimum {_MIN_RANK[family]})"
             )
+        setfield(self, "family", family)
+        setfield(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.rank) == (other.family, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
 
     @property
     def ambient_dim(self) -> int:
@@ -60,14 +74,22 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Frozen):
     """A vector in the epsilon-coordinate basis, with exact rational entries."""
 
+    __slots__ = ("coords",)
     coords: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(map(_exact, self.coords)))
+    def __init__(self, coords: tuple[Fraction, ...]) -> None:
+        setfield(self, "coords", tuple(map(_exact, coords)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __add__(self, other: "Weight") -> "Weight":
         if len(self.coords) != len(other.coords):
@@ -88,12 +110,24 @@ class Weight:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class MinusculeData:
+class MinusculeData(Frozen):
     """A minuscule coweight together with the set of roots it pairs to 1."""
 
+    __slots__ = ("omega", "gamma")
     omega: Weight
     gamma: tuple[Weight, ...]
+
+    def __init__(self, omega: Weight, gamma: tuple[Weight, ...]) -> None:
+        setfield(self, "omega", omega)
+        setfield(self, "gamma", gamma)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.omega, self.gamma) == (other.omega, other.gamma)
+
+    def __hash__(self) -> int:
+        return hash((self.omega, self.gamma))
 
 
 def eps(i: int, dim: int) -> Weight:

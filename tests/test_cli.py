@@ -382,6 +382,14 @@ class TestWeylDim:
         assert "usage:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_zero_denominator_names_the_coordinate(self, capsys):
+        code, out, err = run(
+            capsys, "weyl-dim", "--family", "C", "--rank", "2", "--weight=1/0,1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: zero denominator in weight coordinate '1/0'\n"
+
     def test_non_dominant_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "weyl-dim", "--family", "C", "--rank", "2", "--weight", "1,2"

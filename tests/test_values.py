@@ -1,0 +1,187 @@
+"""The frozen slot classes behave as the frozen dataclasses they replace.
+
+Each value class is compared with a test-local dataclass twin that has
+the same name and fields: ``repr``, equality and hashing must agree with
+the twin's, and construction, validation and immutability must match
+what the dataclass gave.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import pickle
+import re
+from fractions import Fraction
+from functools import cache
+
+import pytest
+
+from cpbasis.basis import BasisKind, QSeries
+from cpbasis.oracle import AuditReport, RelationSupport
+from cpbasis.partitions import (
+    Alphabet,
+    Color,
+    ColoredPartition,
+    Factor,
+    full_scheme,
+    upper_scheme,
+)
+from cpbasis.rootdata import MinusculeData, RootSystemSpec, Weight, minuscule_gamma
+
+B2 = full_scheme(2)
+UP2 = upper_scheme(2)
+X11 = Color(UP2, 1, 1)
+X12 = Color(UP2, 1, 2)
+PI = ColoredPartition.from_pairs(UP2, ((1, 2), -1), ((1, 1), -2))
+
+# per class: instances built positionally, two of them equal but distinct
+SAMPLES = {
+    Alphabet: [("B", 2), ("B", 2), ("B1", 2), ("B1", 3)],
+    Color: [(B2, 1, 3), (B2, 1, 3), (UP2, 1, 2), (full_scheme(1), 2, 2)],
+    Factor: [(X11, -1), (Color(UP2, 1, 1), -1), (X11, -2), (X12, -1)],
+    ColoredPartition: [
+        (UP2, (Factor(X11, -2), Factor(X12, -1))),
+        (UP2, PI.factors),
+        (UP2, ()),
+        (B2, ()),
+    ],
+    BasisKind: [("fs", 2, 1), ("fs", 2, 1), ("std", 2, 1), ("fs", 2, 3)],
+    QSeries: [((1, 1, 2),), ((1, 1, 2),), ((1,),), ((1, 1, 3),)],
+    RootSystemSpec: [("C", 2), ("C", 2), ("A", 2), ("C", 3)],
+    Weight: [
+        ((Fraction(1, 2), 1),),
+        ((Fraction(1, 2), Fraction(1)),),
+        ((0, 0),),
+        ((1, 0, 0),),
+    ],
+    MinusculeData: [
+        (data.omega, data.gamma)
+        for data in (minuscule_gamma(RootSystemSpec("C", rank)) for rank in (2, 2, 1))
+    ],
+    RelationSupport: [
+        ((2, 2), -4, 1, 2, frozenset({PI})),
+        ((2, 2), -4, 1, 2, frozenset({PI})),
+        ((2, 2), -4, 1, 2, frozenset()),
+        ((4, 0), -4, 1, 2, frozenset({PI})),
+    ],
+    AuditReport: [
+        (2, 1, 3, ()),
+        (2, 1, 3, ()),
+        (2, 1, 3, ({"window": 1},)),
+        (3, 1, 3, ()),
+    ],
+}
+CLASSES = list(SAMPLES)
+
+
+@cache
+def twin_of(cls):
+    """A frozen dataclass with the name and fields of `cls`."""
+    fields = [
+        (name, object, dataclasses.field(repr=(cls, name) != (RelationSupport, "partitions")))
+        for name in cls.__slots__
+    ]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
+def twin(value):
+    return twin_of(type(value))(*(getattr(value, name) for name in type(value).__slots__))
+
+
+def outcome(f, *args):
+    """What `f(*args)` returns, or the type of exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def instances(cls):
+    return [cls(*args) for args in SAMPLES[cls]]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+class TestAgainstDataclassTwin:
+    def test_repr(self, cls):
+        for value in instances(cls):
+            assert repr(value) == repr(twin(value))
+
+    def test_equality_and_hash(self, cls):
+        values = instances(cls)
+        assert values[0] is not values[1] and values[0] == values[1]
+        for x in values:
+            assert outcome(hash, x) == outcome(hash, twin(x))
+            for y in values:
+                assert (x == y) == (twin(x) == twin(y))
+                assert (x != y) == (twin(x) != twin(y))
+
+    def test_equal_only_to_its_own_class(self, cls):
+        for value in instances(cls):
+            fields = tuple(getattr(value, name) for name in cls.__slots__)
+            assert value != fields and fields != value
+            assert value != twin(value) and twin(value) != value
+            assert value != object()
+            for other in CLASSES:
+                if other is not cls:
+                    assert value != instances(other)[0]
+
+    def test_positional_and_keyword_construction(self, cls):
+        for args in SAMPLES[cls]:
+            keywords = dict(zip(cls.__slots__, args))
+            assert cls(*args) == cls(**keywords)
+            with pytest.raises(TypeError):
+                cls(*args, None)
+
+    def test_frozen(self, cls):
+        value = instances(cls)[0]
+        for name in (*cls.__slots__, "extra"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        assert value == instances(cls)[0]
+
+    def test_no_instance_dict(self, cls):
+        assert not hasattr(instances(cls)[0], "__dict__")
+
+    def test_copy_and_pickle_round_trip(self, cls):
+        for value in instances(cls):
+            clones = copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+            for clone in clones:
+                assert type(clone) is cls and clone == value
+
+
+def test_partition_default_and_canonical_order():
+    assert ColoredPartition(UP2) == ColoredPartition(UP2, ()) == ColoredPartition(alphabet=UP2)
+    assert ColoredPartition(UP2, (Factor(X12, -1), Factor(X11, -2))).factors == PI.factors
+
+
+def test_series_and_weight_normalise_their_fields():
+    assert QSeries([1, True]).coeffs == (1, 1)
+    assert Weight([1, "1/2"]).coords == (Fraction(1), Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (Alphabet, ("C", 1), "unknown scheme 'C'"),
+        (Alphabet, ("B", 0), "rank must be a positive integer"),
+        (Color, (UP2, 2, 1), "(2,1) is not a valid color of B1(C2)"),
+        (Color, (UP2, 1, 3), "(1,3) is not a valid color of B1(C2)"),
+        (
+            ColoredPartition,
+            (B2, (Factor(X11, -1),)),
+            "factor 11(-1) does not belong to scheme B(C2)",
+        ),
+        (BasisKind, ("sl", 1, 1), "unknown basis kind 'sl'"),
+        (BasisKind, ("fs", 0, 1), "rank and level must be positive"),
+        (BasisKind, ("std", 1, 0), "rank and level must be positive"),
+        (QSeries, ((),), "a series needs at least the constant coefficient"),
+        (RootSystemSpec, ("E", 6), "unknown family 'E'"),
+        (RootSystemSpec, ("D", 2), "rank 2 too small for family D (minimum 3)"),
+    ],
+)
+def test_validation_messages(cls, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(*args)
