@@ -6,20 +6,40 @@ rather than generated by `dataclasses`: importing that module loads
 from generated source; together that cost every command run some 16 ms
 before any work started (CPython 3.11 on a 2-vCPU Xeon).
 
-A subclass lists its fields in ``__slots__`` in constructor order, sets
-each once in ``__init__`` through `setfield`, and writes ``__eq__`` (equal
-only to an instance of the same class) and ``__hash__`` over the field
-tuple, as a frozen dataclass would.
+A subclass lists its fields in ``__slots__`` in constructor order and
+sets each once in ``__init__`` through `setfield`.  `Frozen` gives it
+``__eq__`` (equal only to an instance of the same class) and ``__hash__``
+over the field tuple, as a frozen dataclass would, built once per class
+from its ``__slots__``.
 """
+
+from operator import attrgetter
 
 setfield = object.__setattr__
 """Set a field from ``__init__``, past `Frozen`'s refusal to assign."""
 
 
 class Frozen:
-    """Refuses assignment and deletion; ``repr``, copy and pickle go by ``__slots__``."""
+    """Refuses assignment and deletion; ``==``, hash, ``repr``, copy and pickle go by ``__slots__``."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        fields = (lambda self: (get(self),)) if len(cls.__slots__) == 1 else get
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return fields(self) == fields(other)
+
+        def __hash__(self):
+            return hash(fields(self))
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -76,6 +76,7 @@ class BasisKind(Frozen):
     level: int
 
     def __init__(self, kind: str, rank: int, level: int) -> None:
+        rank, level = index(rank), index(level)
         if kind not in ("fs", "std"):
             raise ValueError(f"unknown basis kind {kind!r}")
         if rank < 1 or level < 1:
@@ -83,14 +84,6 @@ class BasisKind(Frozen):
         setfield(self, "kind", kind)
         setfield(self, "rank", rank)
         setfield(self, "level", level)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.rank, self.level) == (other.kind, other.rank, other.level)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.rank, self.level))
 
     @property
     def alphabet(self) -> Alphabet:
@@ -258,7 +251,9 @@ class _Tracker:
     sum, so its top bit sets exactly when the capped sum reaches k+1.
     ``steps[i][n]`` lists as ``(v, mask)`` pairs the slots that grow when
     entry i goes from multiplicity n to n+1 (see `_tracker_steps`); ``push``
-    adds the masks and tests the top bits, ``pop`` subtracts them.  A
+    adds the masks and tests them against ``high``, the top bit of every
+    slot (one integer, as every window has the same slots); ``pop``
+    subtracts them.  A
     (k+1)-th copy of one color on one degree is itself a term, so it fails
     and no entry is pushed past it.
 
@@ -286,7 +281,7 @@ class _Tracker:
         self.steps = _tracker_steps(m, k, max_degree)
         start, high, _, self.firsts = _term_masks(m, k)
         self.state = [start] * (max_degree + 1)
-        self.high = [high] * (max_degree + 1)
+        self.high = high
         self.mult = [0] * len(self.entries)
 
     def push(self, i: int) -> bool:
@@ -297,7 +292,7 @@ class _Tracker:
         for g, mask in self.steps[i][n]:
             s = state[g] + mask
             state[g] = s
-            if s & high[g]:
+            if s & high:
                 ok = False
         return ok
 
@@ -325,7 +320,7 @@ class _Tracker:
     def _fits(self, i: int) -> bool:
         """True when a push of entry i would succeed; changes nothing."""
         state, high = self.state, self.high
-        return not any((state[g] + mask) & high[g] for g, mask in self.steps[i][self.mult[i]])
+        return not any((state[g] + mask) & high for g, mask in self.steps[i][self.mult[i]])
 
 
 @lru_cache(maxsize=None)
@@ -557,14 +552,6 @@ class QSeries(Frozen):
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         setfield(self, "coeffs", tuple(map(index, coeffs)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
 
     @property
     def truncation(self) -> int:

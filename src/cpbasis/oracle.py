@@ -93,20 +93,6 @@ class RelationSupport(Frozen):
         setfield(self, "rank", rank)
         setfield(self, "partitions", partitions)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.multiset, self.degree, self.level, self.rank, self.partitions) == (
-            other.multiset,
-            other.degree,
-            other.level,
-            other.rank,
-            other.partitions,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.multiset, self.degree, self.level, self.rank, self.partitions))
-
     def __repr__(self) -> str:
         return (
             f"{self.__class__.__qualname__}(multiset={self.multiset!r}, "
@@ -246,19 +232,6 @@ class AuditReport(Frozen):
         setfield(self, "level", level)
         setfield(self, "windows", windows)
         setfield(self, "mismatches", mismatches)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rank, self.level, self.windows, self.mismatches) == (
-            other.rank,
-            other.level,
-            other.windows,
-            other.mismatches,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.level, self.windows, self.mismatches))
 
     @property
     def ok(self) -> bool:

@@ -27,7 +27,8 @@ Each order ascends with the objects' ``sort_key``; the classes define no
 
 `Alphabet`, `Color`, `Factor` and `ColoredPartition` are frozen slot
 classes: immutable, without a ``__dict__``, equal and hashed by their
-fields, and equal only to an instance of the same class.
+fields, and equal only to an instance of the same class.  Their integer
+fields take only exact integers, through `operator.index`.
 
 A colored partition is a finite multiset of factors kept in canonical
 ascending factor order.  Partitions over a fixed scheme form a monoid
@@ -37,6 +38,7 @@ under multiset union, with the empty partition as unit.
 from __future__ import annotations
 
 from collections import Counter
+from operator import index
 
 from ._frozen import Frozen, setfield
 
@@ -49,20 +51,13 @@ class Alphabet(Frozen):
     rank: int
 
     def __init__(self, scheme: str, rank: int) -> None:
+        rank = index(rank)
         if scheme not in ("B", "B1"):
             raise ValueError(f"unknown scheme {scheme!r}")
         if rank < 1:
             raise ValueError("rank must be a positive integer")
         setfield(self, "scheme", scheme)
         setfield(self, "rank", rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.scheme, self.rank) == (other.scheme, other.rank)
-
-    def __hash__(self) -> int:
-        return hash((self.scheme, self.rank))
 
     @property
     def index_bound(self) -> int:
@@ -107,19 +102,12 @@ class Color(Frozen):
     b: int
 
     def __init__(self, alphabet: Alphabet, a: int, b: int) -> None:
+        a, b = index(a), index(b)
         if not 1 <= a <= b <= alphabet.index_bound:
             raise ValueError(f"({a},{b}) is not a valid color of {alphabet}")
         setfield(self, "alphabet", alphabet)
         setfield(self, "a", a)
         setfield(self, "b", b)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alphabet, self.a, self.b) == (other.alphabet, other.a, other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.a, self.b))
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -143,15 +131,7 @@ class Factor(Frozen):
 
     def __init__(self, color: Color, degree: int) -> None:
         setfield(self, "color", color)
-        setfield(self, "degree", degree)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.color, self.degree) == (other.color, other.degree)
-
-    def __hash__(self) -> int:
-        return hash((self.color, self.degree))
+        setfield(self, "degree", index(degree))
 
     @property
     def sort_key(self) -> tuple[int, tuple[int, int]]:
@@ -195,14 +175,6 @@ class ColoredPartition(Frozen):
                 raise ValueError(f"factor {f} does not belong to scheme {alphabet}")
         setfield(self, "alphabet", alphabet)
         setfield(self, "factors", tuple(sorted(factors, key=lambda f: f.sort_key)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alphabet, self.factors) == (other.alphabet, other.factors)
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.factors))
 
     @classmethod
     def from_pairs(cls, alphabet: Alphabet, *facs: tuple[tuple[int, int], int]):

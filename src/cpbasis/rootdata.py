@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import index
 
 from ._frozen import Frozen, setfield
 
@@ -40,6 +41,7 @@ class RootSystemSpec(Frozen):
     rank: int
 
     def __init__(self, family: str, rank: int) -> None:
+        rank = index(rank)
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if rank < _MIN_RANK[family]:
@@ -49,14 +51,6 @@ class RootSystemSpec(Frozen):
             )
         setfield(self, "family", family)
         setfield(self, "rank", rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.family, self.rank) == (other.family, other.rank)
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.rank))
 
     @property
     def ambient_dim(self) -> int:
@@ -82,14 +76,6 @@ class Weight(Frozen):
 
     def __init__(self, coords: tuple[Fraction, ...]) -> None:
         setfield(self, "coords", tuple(map(_exact, coords)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
 
     def __add__(self, other: "Weight") -> "Weight":
         if len(self.coords) != len(other.coords):
@@ -120,14 +106,6 @@ class MinusculeData(Frozen):
     def __init__(self, omega: Weight, gamma: tuple[Weight, ...]) -> None:
         setfield(self, "omega", omega)
         setfield(self, "gamma", gamma)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.omega, self.gamma) == (other.omega, other.gamma)
-
-    def __hash__(self) -> int:
-        return hash((self.omega, self.gamma))
 
 
 def eps(i: int, dim: int) -> Weight:

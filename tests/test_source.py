@@ -52,3 +52,24 @@ def test_cli_import_loads_no_slow_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# `Frozen` builds every value class's __eq__ and __hash__ from its __slots__
+EQUALITY_METHODS = ("__eq__", "__hash__")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "_frozen.py"], ids=lambda p: p.name
+)
+def test_equality_and_hashing_only_in_frozen(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [getattr(t, "id", getattr(t, "attr", None)) for t in node.targets]
+        else:
+            continue
+        defined += [(node.lineno, n) for n in names if n in EQUALITY_METHODS]
+    assert defined == [], f"{path.name} defines {defined}"

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 import re
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
+import cpbasis
+from cpbasis._frozen import Frozen
 from cpbasis.basis import BasisKind, QSeries
 from cpbasis.oracle import AuditReport, RelationSupport
 from cpbasis.partitions import (
@@ -73,6 +77,19 @@ SAMPLES = {
     ],
 }
 CLASSES = list(SAMPLES)
+
+
+def test_samples_cover_every_value_class():
+    # a value class missing here would skip every comparison with its twin
+    for module in pkgutil.iter_modules(cpbasis.__path__):
+        importlib.import_module(f"cpbasis.{module.name}")
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("cpbasis."):
+                found.add(sub)
+    assert found == set(SAMPLES)
 
 
 @cache
@@ -185,3 +202,29 @@ def test_series_and_weight_normalise_their_fields():
 def test_validation_messages(cls, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(*args)
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (Alphabet, ("B1", 2.5)),
+        (Alphabet, ("B1", 2.0)),
+        (Color, (UP2, 1.0, 2)),
+        (Color, (UP2, 1, 2.0)),
+        (Factor, (X12, -1.5)),
+        (BasisKind, ("fs", 2.5, 1)),
+        (BasisKind, ("fs", 2, 1.0)),
+        (RootSystemSpec, ("C", 2.0)),
+    ],
+)
+def test_integer_fields_refuse_floats(cls, args):
+    with pytest.raises(TypeError, match="integer"):
+        cls(*args)
+
+
+def test_integer_fields_store_exact_integers():
+    assert type(Alphabet("B", True).rank) is int
+    assert type(Color(UP2, True, 2).a) is int
+    assert type(Factor(X11, False).degree) is int
+    assert type(BasisKind("fs", True, True).level) is int
+    assert type(RootSystemSpec("C", True).rank) is int
