@@ -36,10 +36,12 @@ Enumeration is one depth-first walk that pushes factors by ascending
 packed in one integer per window) or `_CutTracker` of the cut profiles,
 and skips the subtree of every inadmissible prefix; it decides the leaves,
 the partitions nothing can follow, in one bulk test per degree instead of
-pushing them.  It keeps partitions as factor-index tuples, filed by
-|degree| sequence so that each layer comes out in partition order with
-only its shapes sorted.  The two point
-checkers push into the same two trackers, and graded series are counted
+pushing them.  It files partitions as factor-index tuples in groups, one
+per node and degree: the node's prefix and the tuple of last factors
+that extend it admissibly.  Groups are filed by |degree| sequence so
+that each layer comes out in partition order with only its shapes
+sorted, and the CLI formats each group's shared prefix once.  The two
+point checkers push into the same two trackers, and graded series are counted
 without listing: a transfer matrix runs over slices grouped by size and
 cut profiles.
 """
@@ -269,7 +271,9 @@ class _Tracker:
     holds the capped sum k; such full slots are those whose top bit sets
     when 1 is added to every slot, which no slot carries out of.  So the
     full slots of windows v and v-1 are found once per call, and each
-    entry's first-copy masks (see `_term_masks`) meet them in two ANDs.
+    entry's first-copy masks (see `_term_masks`) meet them in two ANDs;
+    when no slot of the two windows is full and entry lo is not held, every
+    entry fits with no test.  Pushes ascend, so only lo can be held.
     An entry already held goes through ``steps`` as ``push`` does: its first
     copy's masks would give the same verdict only through the coincidence
     with the path inequalities, which this route is checked against and so
@@ -310,6 +314,8 @@ class _Tracker:
         ones, top, firsts = self.firsts
         full = (state[v] + ones) >> top & ones
         fuller = (state[v - 1] + ones) >> top & ones if v > 1 else 0  # window 0 is untracked
+        if not (full or fuller or mult[lo]):
+            return list(range(lo, hi))  # no slot holds k, so every first copy fits
         base = (v - 1) * len(firsts)  # the entries of degree v start here
         return [
             i
@@ -425,29 +431,41 @@ class _CutTracker:
         return fits
 
 
-def _enumerate_layers(max_degree: int, tracker: _Tracker | _CutTracker):
-    """Admissible partitions as the tuples of entry indices the walk pushed, in partition order.
+def _enumerate_groups(max_degree: int, tracker: _Tracker | _CutTracker):
+    """Admissible partitions in partition order, filed as groups of a shared prefix.
 
-    Entries ascend by (|degree|, color position), so a key lists its factors
-    in reverse canonical order and its shape, the |degree| sequence, grows per
-    push.  A deeper degree or later color position makes a smaller factor, so
-    in a layer ``sort_key`` ascends as (length, shape, colors) descends: keys
-    are filed by shape, shapes listed by descending (length, shape), and the
-    keys of a shape, met by ascending colors, in reverse walk order.
+    A partition is the tuple of entry indices the walk pushed.  Entries
+    ascend by (|degree|, color position), so a key lists its factors in
+    reverse canonical order and its shape, the |degree| sequence, grows per
+    push.  A deeper degree or later color position makes a smaller factor,
+    so in a layer ``sort_key`` ascends as (length, shape, colors) descends:
+    keys are filed by shape, shapes listed by descending (length, shape),
+    and the keys of a shape, met by ascending colors, in reverse walk order.
 
     The walk takes one |degree| v at a time, from the prefix's last entry
-    on, and files each degree's keys under one shape.  A partition of total
-    t whose last factor has |degree| v is a leaf when t + v > max_degree:
-    every later entry has |degree| >= v, so nothing can follow it.  Once a
-    node's degree v makes leaves, so does every later degree; their keys are
-    filed from one ``fitting`` call per degree, with no push.  Only the
-    earlier degrees' entries are pushed, and each that fits is filed and
-    recursed into; as a recursive call files only into longer shapes, a
-    shape's keys still arrive in walk order.
+    on, and files each node's keys of one degree as one group ``(prefix,
+    ids)``: the keys ``prefix + (i,)`` for i in ``ids``, a tuple of
+    ascending entry indices, all of |degree| v.  A partition of total t whose last
+    factor has |degree| v is a leaf when t + v > max_degree: every later
+    entry has |degree| >= v, so nothing can follow it.  Once a node's degree
+    v makes leaves, so does every later degree; their groups are the
+    ``fitting`` results, with no push.  The earlier degrees' entries are
+    pushed, and each that fits is recursed into and collected; the group
+    is filed after the loop.  The order survives for two reasons.  The
+    shape fixes whether a key is a leaf, so a shape holds leaf groups only
+    or inner groups only; and a recursive call files only into longer
+    shapes, so a shape's groups arrive in walk order, each in ascending
+    order.  So a layer is its shapes in the order above, each shape's
+    groups in reverse filing order, and each group's ids are read in
+    reverse; no group is copied.  Groups are tuples of ints, which the
+    cyclic garbage collector stops tracking.
+
+    Returns one tuple of groups per |degree| 0..max_degree.  Degree 0 holds
+    the empty partition alone, which no group files, so its tuple is empty.
     """
     width = len(tracker.entries) // max_degree if max_degree else 0
     push, pop, fitting = tracker.push, tracker.pop, tracker.fitting
-    shapes: list[dict] = [{(): [()]}] + [{} for _ in range(max_degree)]
+    shapes: list[dict] = [{} for _ in range(max_degree + 1)]
 
     def rec(v: int, lo: int, used: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> None:
         # entry lo is of |degree| v; each pass takes the entries of one degree,
@@ -455,35 +473,48 @@ def _enumerate_layers(max_degree: int, tracker: _Tracker | _CutTracker):
         while used + v + v <= max_degree:
             hi, total = v * width, used + v
             grown = shape + (v,)
-            keys = shapes[total].setdefault(grown, [])
+            fits = []
             for idx in range(lo, hi):
                 if push(idx):
-                    key = prefix + (idx,)
-                    keys.append(key)
-                    rec(v, idx, total, key, grown)
+                    fits.append(idx)
+                    rec(v, idx, total, prefix + (idx,), grown)
                 pop(idx)
+            if fits:
+                shapes[total].setdefault(grown, []).append((prefix, tuple(fits)))
             v, lo = v + 1, hi
         # every partition filed from here on is a leaf
         while used + v <= max_degree:
             hi = v * width
             fits = fitting(lo, hi)
             if fits:
-                shapes[used + v].setdefault(shape + (v,), []).extend(
-                    [prefix + (i,) for i in fits]
-                )
+                shapes[used + v].setdefault(shape + (v,), []).append((prefix, tuple(fits)))
             v, lo = v + 1, hi
 
     rec(1, 0, 0, (), ())
     return tuple(
-        tuple(k for s in sorted(layer, key=lambda t: (len(t), t))[::-1] for k in layer[s][::-1])
+        tuple(g for s in sorted(layer, key=lambda t: (len(t), t))[::-1] for g in layer[s][::-1])
         for layer in shapes
     )
+
+
+def _flatten(groups) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The layers of keys that `_enumerate_groups` files as groups."""
+    empty = ((),)  # layer 0: the empty partition
+    return (empty,) + tuple(
+        tuple([prefix + (i,) for prefix, ids in layer for i in reversed(ids)])
+        for layer in groups[1:]
+    )
+
+
+def _enumerate_layers(max_degree: int, tracker: _Tracker | _CutTracker):
+    """Admissible partitions as key tuples, in partition order: `_enumerate_groups` flattened."""
+    return _flatten(_enumerate_groups(max_degree, tracker))
 
 
 @lru_cache(maxsize=8)
 def _enumerate_cached(m: int, k: int, max_degree: int, method: str):
     tracker = (_Tracker if method == "divisibility" else _CutTracker)(m, k, max_degree)
-    return tracker.entries, _enumerate_layers(max_degree, tracker)
+    return tracker.entries, _enumerate_groups(max_degree, tracker)
 
 
 def _enumeration_method(basis: BasisKind, max_degree: int, method: str | None) -> str:
@@ -499,6 +530,24 @@ def _enumeration_method(basis: BasisKind, max_degree: int, method: str | None) -
     return method
 
 
+def enumerate_groups(
+    basis: BasisKind, max_degree: int, method: str | None = None
+) -> tuple[
+    tuple[tuple[int, int, int], ...],
+    tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...],
+]:
+    """The enumeration of `enumerate_keys` as the walk files it, in groups of a shared prefix.
+
+    Returns ``(entries, groups)``: ``groups[m]`` lists layer m as pairs
+    ``(prefix, ids)``, which stand for the keys ``prefix + (i,)`` with i
+    running over ``ids`` in reverse (see `_enumerate_groups`).  Layer 0,
+    the empty partition alone, has no group.  The walk is cached; the
+    arguments and errors are those of `enumerate_basis`.
+    """
+    method = _enumeration_method(basis, max_degree, method)
+    return _enumerate_cached(_triangle_rank(basis), basis.level, max_degree, method)
+
+
 def enumerate_keys(
     basis: BasisKind, max_degree: int, method: str | None = None
 ) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
@@ -508,10 +557,11 @@ def enumerate_keys(
     ``(a, b, v)``, color X_ab at degree -v, and each partition is the
     tuple of its entry indices in reverse canonical factor order.  The
     layers and their order are those of `enumerate_basis`; the arguments
-    and errors are the same.
+    and errors are the same.  They are flattened from `enumerate_groups`
+    on every call.
     """
-    method = _enumeration_method(basis, max_degree, method)
-    return _enumerate_cached(_triangle_rank(basis), basis.level, max_degree, method)
+    entries, groups = enumerate_groups(basis, max_degree, method)
+    return entries, _flatten(groups)
 
 
 def enumerate_basis(
@@ -558,6 +608,8 @@ class QSeries(Frozen):
         return len(self.coeffs) - 1
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        if not isinstance(other, QSeries):
+            return NotImplemented
         n = min(self.truncation, other.truncation)
         out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):

@@ -4,9 +4,13 @@ Every run is deterministic for fixed flags.  Exit codes: 0 = success or
 verified, 1 = verification failure, 2 = usage error.  Human-readable
 tables go to stdout; `--format json|csv` switches to structured output;
 diagnostics go to stderr.  `enumerate` formats its rows straight from the
-walk's integer keys and writes them in blocks of 1024 lines, one write
-per block, streaming even its JSON listing; its CSV rows are formatted a
-layer at a time, the degree field once per layer.
+walk's groups of integer keys that share a prefix (see
+`basis.enumerate_groups`) and writes them in blocks of about 1024 lines,
+one write per block, streaming even its JSON listing; a CSV row is its
+layer's degree field and last label, then its group's tail, the prefix's
+labels formatted once per group.  `verify-coincidence` compares the two
+walks' groups and counts rows from the group sizes; no command holds a
+flattened listing.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import sys
 from fractions import Fraction
 from itertools import groupby, islice
 
-from .basis import BasisKind, enumerate_keys, graded_series, rr_counts
+from .basis import BasisKind, enumerate_groups, graded_series, rr_counts
 from .leading import check_window, rows
 from .oracle import audit_windows
 from .partitions import Color, Factor
@@ -85,13 +89,15 @@ def _cmd_leading_terms(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     basis = BasisKind(args.kind, args.rank, args.level)
-    entries, layers = enumerate_keys(basis, args.max_degree)
+    entries, groups = enumerate_groups(basis, args.max_degree)
     alphabet = basis.alphabet
-    # a key lists its factors in reverse canonical order, one label per entry
+    # a group (prefix, ids) holds the keys prefix + (i,), i in ids read in
+    # reverse; a key lists its factors in reverse canonical order, one label
+    # per entry, and degree 0 holds the empty partition alone
     labels = [str(Factor(Color(alphabet, a, b), -v)) for a, b, v in entries]
     if args.format == "json":
         # the envelope as json.dumps writes it, with the elements streamed
-        # into its list; degree 0 always holds the empty partition
+        # into its list
         head = json.dumps(
             {
                 "kind": args.kind,
@@ -101,34 +107,48 @@ def _cmd_enumerate(args) -> int:
                 "elements": [],
             }
         )
-        elements = (
-            json.dumps({"degree": -m, "factors": [labels[i] for i in reversed(key)]})
-            for m, layer in enumerate(layers)
-            for key in layer
-        )
-        sys.stdout.write(head[:-2] + next(elements))
-        _write_lines(", " + element for element in elements)
+
+        def elements():
+            for m, layer in enumerate(groups):
+                for prefix, ids in layer:
+                    tail = [labels[j] for j in reversed(prefix)]
+                    for i in reversed(ids):
+                        yield ", " + json.dumps({"degree": -m, "factors": [labels[i], *tail]})
+
+        sys.stdout.write(head[:-2] + json.dumps({"degree": 0, "factors": []}))
+        _write_lines(elements())
         sys.stdout.write("]}\n")
     elif args.format == "csv":
         # no label holds a comma, a quote or a line break, so csv.writer
-        # would quote no field and these rows are the bytes it writes; a
-        # layer shares one degree field, and its rows go out in blocks of
-        # 1024 as in `_write_lines`
-        sys.stdout.write("degree,factors\r\n")
-        label = labels.__getitem__
-        for m, layer in enumerate(layers):
-            head = f"{-m},"
-            for s in range(0, len(layer), 1024):
-                block = layer[s : s + 1024]
-                sys.stdout.write(
-                    "".join([head + " ".join(map(label, key[::-1])) + "\r\n" for key in block])
-                )
+        # would quote no field and these rows are the bytes it writes: a row
+        # is its layer's degree field and its last label, then its group's
+        # tail, the prefix's labels; blocks of about 1024 rows go out in
+        # one write each, as in `_write_lines`
+        write = sys.stdout.write
+        write("degree,factors\r\n0,\r\n")
+        spaced = [" " + label for label in labels]
+        for m, layer in enumerate(groups[1:], 1):
+            headed = [f"{-m},{label}" for label in labels]
+            block, rows = [], 0
+            for prefix, ids in layer:
+                tail = "".join([spaced[j] for j in reversed(prefix)]) + "\r\n"
+                block += [tail.join(map(headed.__getitem__, reversed(ids))), tail]
+                rows += len(ids)
+                if rows >= 1024:
+                    write("".join(block))
+                    block, rows = [], 0
+            write("".join(block))
     else:
         print(f"admissible partitions: kind={args.kind} rank={args.rank} "
               f"level={args.level} down to degree -{args.max_degree}")
-        for m, layer in enumerate(layers):
-            print(f"degree -{m}: {len(layer)} elements")
-            _write_lines(f"  {_monomial(key, labels)}\n" for key in layer)
+        print("degree -0: 1 elements\n  1")
+        for m, layer in enumerate(groups[1:], 1):
+            print(f"degree -{m}: {_count(m, layer)} elements")
+            _write_lines(
+                f"  {_monomial(prefix + (i,), labels)}\n"
+                for prefix, ids in layer
+                for i in reversed(ids)
+            )
     return 0
 
 
@@ -172,30 +192,39 @@ def _cmd_verify_coincidence(args) -> int:
     ell, k, n = args.ell, args.level, args.max_degree
     # two distinct walks by default: path inequalities for fs(2l), leading
     # terms for std(l); both index the same entries, fixed by 2l and n
-    _, fs_layers = enumerate_keys(BasisKind("fs", 2 * ell, k), n)
-    _, std_layers = enumerate_keys(BasisKind("std", ell, k), n)
+    _, fs_groups = enumerate_groups(BasisKind("fs", 2 * ell, k), n)
+    _, std_groups = enumerate_groups(BasisKind("std", ell, k), n)
     ok = True
+    fs_coeffs, std_coeffs = [], []
     print(f"coincidence check: fs rank {2 * ell} vs std rank {ell}, level {k}")
     print("degree  fs-count  std-count  transported-match")
     for m in range(n + 1):
         # iota is the identity on (a, b) encodings, so a partition and its
         # transport have one key: the transported fs layer equals the std
         # layer exactly when the key sets do.  Both walks list a layer in
-        # partition order, so equal sets come as equal tuples, and sets are
-        # built only when the tuples differ
-        match = fs_layers[m] == std_layers[m] or set(fs_layers[m]) == set(std_layers[m])
+        # partition order and group it by shape alone, so equal sets come as
+        # equal groups, and keys are flattened only when the groups differ
+        fs_layer, std_layer = fs_groups[m], std_groups[m]
+        match = fs_layer == std_layer or set(_keys(fs_layer)) == set(_keys(std_layer))
         ok = ok and match
-        print(
-            f"{-m:6d}  {len(fs_layers[m]):8d}  {len(std_layers[m]):9d}  "
-            f"{'yes' if match else 'NO'}"
-        )
-    fs_coeffs = [len(layer) for layer in fs_layers]
-    std_coeffs = [len(layer) for layer in std_layers]
+        fs_coeffs.append(_count(m, fs_layer))
+        std_coeffs.append(_count(m, std_layer))
+        print(f"{-m:6d}  {fs_coeffs[m]:8d}  {std_coeffs[m]:9d}  {'yes' if match else 'NO'}")
     series_equal = fs_coeffs == std_coeffs
     ok = ok and series_equal
     print(f"graded series equal: {'yes' if series_equal else 'NO'}")
     print("coincidence verified" if ok else "coincidence FAILED")
     return 0 if ok else 1
+
+
+def _keys(layer):
+    """The keys of one layer's groups (see `enumerate_groups`)."""
+    return (prefix + (i,) for prefix, ids in layer for i in ids)
+
+
+def _count(m: int, layer) -> int:
+    """The partitions in layer m's groups; layer 0 holds the empty one alone."""
+    return sum(len(ids) for _, ids in layer) if m else 1
 
 
 def _cmd_audit_oracle(args) -> int:

@@ -206,11 +206,16 @@ class ColoredPartition(Frozen):
         return (-len(self.factors), self.degree, degrees[::-1], colors[::-1])
 
     def multiply(self, other: "ColoredPartition") -> "ColoredPartition":
+        if not isinstance(other, ColoredPartition):
+            raise TypeError(f"cannot multiply a partition by {type(other).__name__}")
         if self.alphabet != other.alphabet:
             raise ValueError("cannot multiply partitions over different schemes")
         return ColoredPartition(self.alphabet, self.factors + other.factors)
 
-    __mul__ = multiply
+    def __mul__(self, other: "ColoredPartition") -> "ColoredPartition":
+        if not isinstance(other, ColoredPartition):
+            return NotImplemented
+        return self.multiply(other)
 
     def divides(self, other: "ColoredPartition") -> bool:
         return divides(self, other)

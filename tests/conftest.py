@@ -23,15 +23,47 @@ from cpbasis.partitions import (
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on `args` with this checkout's sources on the path."""
+def source_env() -> dict[str, str]:
+    """This process's environment with this checkout's sources first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `args` with this checkout's sources on the path."""
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=source_env(), capture_output=True, text=True, timeout=120
     )
+
+
+# run by a fresh interpreter: argv[1] takes the stdout of the command argv[2:]
+_PEAK_OF_CHILD = """
+import os, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    proc = subprocess.Popen(sys.argv[2:], stdout=out)
+    _, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def run_python_peak(out: Path, *args: str) -> tuple[int, int]:
+    """Run `args` as `run_python` does, stdout to the file `out`: its exit code and peak RSS in KiB.
+
+    The peak is the child's own ``ru_maxrss`` from ``os.wait4``
+    (``RUSAGE_CHILDREN`` would give the largest child reaped so far).  Linux
+    carries the high-water mark of the image a process replaces at exec into
+    its ``ru_maxrss``, so a child forked from this large test process would
+    start at its size; the child is started from a small interpreter instead.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_OF_CHILD, str(out), sys.executable, *args],
+        env=source_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, peak = proc.stdout.split()
+    return int(code), int(peak)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +25,7 @@ from cpbasis.basis import (
     _CutTracker,
     _entries,
     _enumerate_cached,
+    _enumerate_groups,
     _enumerate_layers,
     _term_masks,
     _Tracker,
@@ -31,6 +33,7 @@ from cpbasis.basis import (
     admissible_by_inequalities,
     character_oracle,
     enumerate_basis,
+    enumerate_groups,
     enumerate_keys,
     graded_series,
     leading_terms,
@@ -687,21 +690,54 @@ def reference_enumerate_layers(max_degree, tracker):
     )
 
 
+WALK_GRID = [
+    (1, 1, 0), (1, 1, 7), (1, 3, 7), (2, 1, 7), (2, 2, 7), (2, 3, 7),
+    (3, 1, 7), (3, 2, 7), (3, 3, 7), (4, 1, 7), (4, 2, 7), (4, 3, 6),
+    (5, 1, 7), (5, 2, 6), (5, 3, 5), (6, 1, 6), (6, 2, 5), (6, 3, 5),
+]
+
+
 @pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker])
-@pytest.mark.parametrize(
-    "m, k, n",
-    [
-        (1, 1, 0), (1, 1, 7), (1, 3, 7), (2, 1, 7), (2, 2, 7), (2, 3, 7),
-        (3, 1, 7), (3, 2, 7), (3, 3, 7), (4, 1, 7), (4, 2, 7), (4, 3, 6),
-        (5, 1, 7), (5, 2, 6), (5, 3, 5), (6, 1, 6), (6, 2, 5), (6, 3, 5),
-    ],
-)
+@pytest.mark.parametrize("m, k, n", WALK_GRID)
 def test_walk_matches_push_per_entry_walk(tracker_type, m, k, n):
     tracker = tracker_type(m, k, n)
     walked = (tracker.entries, _enumerate_layers(n, tracker))
     reference = tracker_type(m, k, n)
     assert walked == (reference.entries, reference_enumerate_layers(n, reference))
     assert tracker_snapshot(tracker) == tracker_snapshot(tracker_type(m, k, n))
+
+
+def is_int_tuple(value):
+    return type(value) is tuple and all(type(i) is int for i in value)
+
+
+@pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker])
+@pytest.mark.parametrize("m, k, n", WALK_GRID)
+def test_walk_files_ascending_int_groups_of_one_degree(tracker_type, m, k, n):
+    tracker = tracker_type(m, k, n)
+    groups = _enumerate_groups(n, tracker)
+    sizes = [v for _, _, v in tracker.entries]
+    assert len(groups) == n + 1 and groups[0] == ()
+    for degree, layer in enumerate(groups):
+        for prefix, ids in layer:
+            assert ids and is_int_tuple(ids) and is_int_tuple(prefix)
+            assert len({sizes[i] for i in ids}) == 1
+            assert list(ids) == sorted(set(ids))
+            assert sum(sizes[i] for i in prefix) + sizes[ids[0]] == degree
+            assert not prefix or prefix[-1] <= ids[0]
+    reference = tracker_type(m, k, n)
+    assert basis_module._flatten(groups) == reference_enumerate_layers(n, reference)
+
+
+def test_walk_groups_leave_the_cyclic_collector():
+    # the collector untracks a tuple of ints in the first collection that sees
+    # it, and a group pair of such tuples no later than the next; lists would
+    # stay tracked and be scanned by every full collection
+    _, groups = enumerate_groups(BasisKind("std", 2, 2), 6)
+    gc.collect()
+    gc.collect()
+    assert sum(map(len, groups)) > 0
+    assert not any(gc.is_tracked(group) for layer in groups for group in layer)
 
 
 class TestEnumeration:

@@ -6,11 +6,12 @@ import contextlib
 import csv
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import run_python
+from conftest import run_python, run_python_peak
 from cpbasis import cli
 from cpbasis.basis import (
     BasisKind,
@@ -303,15 +304,18 @@ class TestVerifiers:
         assert (info.misses, info.hits) == (2, 0)
 
     def test_coincidence_detects_a_missing_std_partition(self, capsys, monkeypatch):
-        enumerate_keys = cli.enumerate_keys
+        enumerate_groups = cli.enumerate_groups
 
         def std_side_missing_one(basis, max_degree, method=None):
-            entries, layers = enumerate_keys(basis, max_degree, method)
+            entries, groups = enumerate_groups(basis, max_degree, method)
             if basis.kind == "std":
-                layers = layers[:3] + (layers[3][1:],) + layers[4:]
-            return entries, layers
+                # the first partition of a layer is its first group's last key
+                (prefix, ids), *rest = groups[3]
+                layer = ((prefix, ids[:-1]),) if len(ids) > 1 else ()
+                groups = groups[:3] + (layer + tuple(rest),) + groups[4:]
+            return entries, groups
 
-        monkeypatch.setattr(cli, "enumerate_keys", std_side_missing_one)
+        monkeypatch.setattr(cli, "enumerate_groups", std_side_missing_one)
         code, out, _ = run(
             capsys, "verify-coincidence", "--ell", "1",
             "--level", "1", "--max-degree", "5",
@@ -321,6 +325,18 @@ class TestVerifiers:
         assert lines[2 + 3].split() == ["-3", "7", "6", "NO"]
         assert [line.split()[-1] for line in lines[2:2 + 6]].count("NO") == 1
         assert lines[-2:] == ["graded series equal: NO", "coincidence FAILED"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as on Linux")
+    def test_coincidence_memory_is_bounded(self, tmp_path):
+        # both walks stay cached, as groups of a shared prefix; one key tuple
+        # per partition takes about 203 MB here
+        code, peak_kib = run_python_peak(
+            tmp_path / "out", "-m", "cpbasis.cli", "verify-coincidence",
+            "--ell", "2", "--level", "3", "--max-degree", "10",
+        )
+        assert code == 0
+        assert (tmp_path / "out").read_text().endswith("coincidence verified\n")
+        assert peak_kib < 120 * 1024
 
     def test_audit_oracle(self, capsys):
         code, out, _ = run(

@@ -228,3 +228,23 @@ def test_integer_fields_store_exact_integers():
     assert type(Factor(X11, False).degree) is int
     assert type(BasisKind("fs", True, True).level) is int
     assert type(RootSystemSpec("C", True).rank) is int
+
+
+@pytest.mark.parametrize("value", [QSeries((1, 2)), PI])
+@pytest.mark.parametrize("other", [2, 2.0, None])
+def test_product_with_a_foreign_operand_is_a_type_error(value, other):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        value * other
+    with pytest.raises(TypeError):
+        other * value
+
+
+def test_partition_multiply_checks_its_operand():
+    with pytest.raises(TypeError, match="^cannot multiply a partition by int$"):
+        PI.multiply(2)
+    with pytest.raises(ValueError, match="^cannot multiply partitions over different schemes$"):
+        PI.multiply(ColoredPartition(B2))
+    with pytest.raises(ValueError, match="^cannot multiply partitions over different schemes$"):
+        PI * ColoredPartition(B2)
+    assert PI * ColoredPartition(UP2) == PI.multiply(ColoredPartition(UP2)) == PI
+    assert QSeries((1, 2)) * QSeries((1, 1, 5)) == QSeries((1, 3))
