@@ -10,60 +10,71 @@ paths (:mod:`cpbasis.leading`), with a brute-force oracle
 graded series counted by a transfer matrix over cut profiles, the
 Weyl-Kac character that checks them, and partition-counting demos
 (:mod:`cpbasis.basis`).
+
+Every name in ``__all__`` is loaded from its submodule when it is first
+read, so ``import cpbasis`` by itself imports no submodule, and a
+command of :mod:`cpbasis.cli` loads only the modules it runs.
 """
 
-from .basis import (
-    BasisKind,
-    QSeries,
-    admissible_by_divisibility,
-    admissible_by_inequalities,
-    character_oracle,
-    enumerate_basis,
-    graded_series,
-    leading_terms,
-    rr_counts,
-)
-from .ident import iota, transport_partition
-from .leading import (
-    fs_leading_terms,
-    leading_term_for_multiset,
-    std_leading_terms,
-    window_split,
-)
-from .oracle import (
-    AuditReport,
-    RelationSupport,
-    audit_windows,
-    brute_leading_term,
-    relation_support,
-)
-from .partitions import (
-    Alphabet,
-    Color,
-    ColoredPartition,
-    Factor,
-    compare_colors,
-    compare_factors,
-    compare_partitions,
-    divides,
-    full_scheme,
-    multiply,
-    unit,
-    upper_scheme,
-)
-from .rootdata import (
-    MinusculeData,
-    RootSystemSpec,
-    Weight,
-    branching_dimensions,
-    eps,
-    highest_root,
-    minuscule_gamma,
-    positive_roots,
-    verify_branching,
-    weight,
-    weyl_dim,
-)
+# each exported name -> the submodule that defines it (see `__getattr__`)
+_HOMES = {
+    name: home
+    for home, names in {
+        "basis": (
+            "BasisKind",
+            "QSeries",
+            "admissible_by_divisibility",
+            "admissible_by_inequalities",
+            "character_oracle",
+            "enumerate_basis",
+            "graded_series",
+            "leading_terms",
+            "rr_counts",
+        ),
+        "ident": ("iota", "transport_partition"),
+        "leading": (
+            "fs_leading_terms",
+            "leading_term_for_multiset",
+            "std_leading_terms",
+            "window_split",
+        ),
+        "oracle": (
+            "AuditReport",
+            "RelationSupport",
+            "audit_windows",
+            "brute_leading_term",
+            "relation_support",
+        ),
+        "partitions": (
+            "Alphabet",
+            "Color",
+            "ColoredPartition",
+            "Factor",
+            "compare_colors",
+            "compare_factors",
+            "compare_partitions",
+            "divides",
+            "full_scheme",
+            "multiply",
+            "unit",
+            "upper_scheme",
+        ),
+        "rootdata": (
+            "MinusculeData",
+            "RootSystemSpec",
+            "Weight",
+            "branching_dimensions",
+            "eps",
+            "highest_root",
+            "minuscule_gamma",
+            "positive_roots",
+            "verify_branching",
+            "weight",
+            "weyl_dim",
+        ),
+    }.items()
+    for name in names
+}
 
 __all__ = [
     "Alphabet",
@@ -112,3 +123,23 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import an exported name from its home submodule on first use (PEP 562).
+
+    The value is stored in this module's globals, so later reads of the
+    name do not come back here.
+    """
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

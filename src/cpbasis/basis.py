@@ -48,9 +48,7 @@ cut profiles.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
 from operator import add, index
 
 from ._frozen import Frozen, setfield
@@ -63,7 +61,6 @@ from .partitions import (
     full_scheme,
     upper_scheme,
 )
-from .rootdata import RootSystemSpec, weyl_product
 
 
 class BasisKind(Frozen):
@@ -735,6 +732,11 @@ def character_oracle(ell: int, k: int, max_degree: int) -> QSeries:
         raise ValueError("ell and k must be positive")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    from fractions import Fraction
+    from itertools import product
+
+    from .rootdata import RootSystemSpec, weyl_product
+
     spec = RootSystemSpec("C", ell)
     rho = tuple(range(ell, 0, -1))
     big_k = k + ell + 1

@@ -1,32 +1,34 @@
 """Command-line front end with machine-readable output.
 
 Every run is deterministic for fixed flags.  Exit codes: 0 = success or
-verified, 1 = verification failure, 2 = usage error.  Human-readable
-tables go to stdout; `--format json|csv` switches to structured output;
-diagnostics go to stderr.  `enumerate` formats its rows straight from the
-walk's groups of integer keys that share a prefix (see
-`basis.enumerate_groups`) and writes them in blocks of about 1024 lines,
-one write per block, streaming even its JSON listing; a CSV row is its
-layer's degree field and last label, then its group's tail, the prefix's
-labels formatted once per group.  `verify-coincidence` compares the two
-walks' groups and counts rows from the group sizes; no command holds a
-flattened listing.
+verified, 1 = verification failure, 2 = usage error, 141 = stdout closed
+by its reader (128 + SIGPIPE, as in ``cpbasis enumerate ... | head``).
+Human-readable tables go to stdout; `--format json|csv` switches to
+structured output; diagnostics go to stderr.
+
+Each command imports what it runs when it runs: only `basis` and the
+modules it needs are loaded up front, so `series` and `enumerate` load
+neither the oracle, the root data nor `fractions`, and only a CSV
+listing of `leading-terms` loads `csv`.
+
+`enumerate` formats its rows straight from the walk's groups of integer
+keys that share a prefix (see `basis.enumerate_groups`) and writes them
+in blocks of about 1024 lines, one write per block, streaming even its
+JSON listing; a CSV row is its layer's degree field and last label, then
+its group's tail, the prefix's labels formatted once per group.
+`verify-coincidence` compares the two walks' groups and counts rows from
+the group sizes; no command holds a flattened listing.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
-from fractions import Fraction
 from itertools import groupby, islice
 
 from .basis import BasisKind, enumerate_groups, graded_series, rr_counts
-from .leading import check_window, rows
-from .oracle import audit_windows
-from .partitions import Color, Factor
-from .rootdata import RootSystemSpec, branching_dimensions, weight, weyl_dim
 
 
 def _leading_rows(kind: str, rank: int, level: int, window: int):
@@ -37,6 +39,9 @@ def _leading_rows(kind: str, rank: int, level: int, window: int):
     the order compares the (a, b, offset) keys from the last factor down,
     the larger first.
     """
+    from .leading import check_window, rows
+    from .partitions import Factor
+
     basis = BasisKind(kind, rank, level)
     check_window(rank, level, window)
     alphabet = basis.alphabet
@@ -75,6 +80,8 @@ def _cmd_leading_terms(args) -> int:
             )
         )
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["window", "split", "factors"])
         for row in terms:
@@ -88,6 +95,8 @@ def _cmd_leading_terms(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .partitions import Color, Factor
+
     basis = BasisKind(args.kind, args.rank, args.level)
     entries, groups = enumerate_groups(basis, args.max_degree)
     alphabet = basis.alphabet
@@ -228,13 +237,17 @@ def _count(m: int, layer) -> int:
 
 
 def _cmd_audit_oracle(args) -> int:
+    from .oracle import audit_windows
+
     report = audit_windows(args.rank, args.level, args.max_window)
     print(json.dumps(report.to_json()))
     return 0 if report.ok else 1
 
 
-def _coordinate(text: str) -> Fraction:
-    """One ``--weight`` coordinate, an integer or a fraction such as ``1/2``."""
+def _coordinate(text: str):
+    """One ``--weight`` coordinate as a `Fraction`: an integer or one such as ``1/2``."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -242,6 +255,8 @@ def _coordinate(text: str) -> Fraction:
 
 
 def _cmd_weyl_dim(args) -> int:
+    from .rootdata import RootSystemSpec, weight, weyl_dim
+
     spec = RootSystemSpec(args.family, args.rank)
     lam = weight(spec, [_coordinate(c) for c in args.weight.split(",")])
     print(weyl_dim(spec, lam))
@@ -251,6 +266,8 @@ def _cmd_weyl_dim(args) -> int:
 def _cmd_verify_branching(args) -> int:
     if args.ell < 1 or args.max_m < 1:
         raise ValueError("ell and max-m must be positive")
+    from .rootdata import branching_dimensions
+
     ok = True
     print("ell  m  symplectic-dim  special-linear-dim  binomial  match")
     for m in range(1, args.max_m + 1):
@@ -360,7 +377,15 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): exit as SIGPIPE would, 128 + 13,
+        # with stdout on devnull so the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,12 +6,13 @@ import contextlib
 import csv
 import io
 import json
+import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import run_python, run_python_peak
+from conftest import run_python, run_python_peak, source_env
 from cpbasis import cli
 from cpbasis.basis import (
     BasisKind,
@@ -166,6 +167,20 @@ class TestEnumerate:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["elements"]) == 4
+
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_closed_pipe_exits_141_quietly(self, fmt):
+        # as under `| head -1`: the reader leaves after one line of a listing
+        # (about 0.8 MB) far larger than a pipe's buffer, so a later write fails
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cpbasis.cli", "enumerate", "--kind", "std",
+             "--rank", "2", "--level", "2", "--max-degree", "7", "--format", fmt],
+            env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert (proc.returncode, stderr) == (141, b"")
 
 
 def enumerate_from_objects(kind, rank, level, max_degree, fmt) -> str:

@@ -1,8 +1,9 @@
-"""Rules on the library's source text."""
+"""Rules on the library's source text and on the modules that importing it loads."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 
@@ -41,17 +42,98 @@ def test_no_slow_imports(path):
     assert imported == [], f"{path.name} imports {imported}"
 
 
-def test_cli_import_loads_no_slow_modules():
-    # -S: no site hooks, which may load any of these on their own
-    code = (
-        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import cpbasis.cli; "
-        f"print(sorted(set({SLOW_IMPORTS!r}) & set(sys.modules)))"
-    )
+def run_bare(code: str) -> str:
+    """The stdout of `code` run by a fresh ``python -S`` on this checkout's sources.
+
+    ``-S`` skips the site hooks, which may import any module on their own.
+    """
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n" + code
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_slow_modules():
+    out = run_bare(
+        f"import cpbasis.cli; print(sorted(set({SLOW_IMPORTS!r}) & set(sys.modules)))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    out = run_bare(
+        "import cpbasis\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cpbasis.')))\n"
+        "cpbasis.BasisKind\n"
+        "print('BasisKind' in vars(cpbasis), 'cpbasis.basis' in sys.modules)\n"
+    )
+    # a name read through the package is imported from its home and kept
+    assert out.splitlines() == ["[]", "True True"]
+
+
+def test_submodules_still_import_from_the_package():
+    out = run_bare("from cpbasis import basis, cli\nprint(basis.__name__, cli.__name__)")
+    assert out.split() == ["cpbasis.basis", "cpbasis.cli"]
+
+
+def test_exported_names_are_their_home_modules_objects():
+    import cpbasis
+
+    assert set(cpbasis._HOMES) == set(cpbasis.__all__)
+    for name in cpbasis.__all__:
+        home = importlib.import_module(f"cpbasis.{cpbasis._HOMES[name]}")
+        value = getattr(cpbasis, name)
+        assert value is getattr(home, name), name
+        # the module that defines it, not one that imports it
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    assert set(cpbasis.__all__) | {"__all__", "__version__"} <= set(dir(cpbasis))
+
+
+def test_star_import_binds_every_name():
+    import cpbasis
+
+    namespace = {}
+    exec("from cpbasis import *", namespace)
+    assert {name: namespace.get(name) for name in cpbasis.__all__} == {
+        name: getattr(cpbasis, name) for name in cpbasis.__all__
+    }
+
+
+def test_unknown_name_is_attribute_error():
+    import cpbasis
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cpbasis.no_such_name
+    assert not hasattr(cpbasis, "no_such_name")
+
+
+# a command imports what it runs when it runs; these two share the walk and
+# the series and need neither the oracle, the root data nor exact fractions
+COMMAND_MODULES = ["_frozen", "basis", "cli", "leading", "partitions"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--kind", "fs", "--rank", "2", "--level", "3", "--max-degree", "20"],
+        ["enumerate", "--kind", "std", "--rank", "2", "--level", "2", "--max-degree", "4",
+         "--format", "csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_loads_only_what_it_runs(argv):
+    out = run_bare(
+        "import contextlib, io\n"
+        "from cpbasis import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('cpbasis')))\n"
+        "print(sorted({'fractions', 'decimal', 'csv'} & set(sys.modules)))\n"
+    )
+    loaded = ["cpbasis"] + [f"cpbasis.{name}" for name in COMMAND_MODULES]
+    assert out.splitlines() == [f"0 {loaded}", "[]"]
 
 
 # `Frozen` builds every value class's __eq__ and __hash__ from its __slots__
