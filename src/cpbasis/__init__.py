@@ -76,51 +76,7 @@ _HOMES = {
     for name in names
 }
 
-__all__ = [
-    "Alphabet",
-    "AuditReport",
-    "BasisKind",
-    "Color",
-    "ColoredPartition",
-    "Factor",
-    "MinusculeData",
-    "QSeries",
-    "RelationSupport",
-    "RootSystemSpec",
-    "Weight",
-    "admissible_by_divisibility",
-    "admissible_by_inequalities",
-    "audit_windows",
-    "branching_dimensions",
-    "brute_leading_term",
-    "character_oracle",
-    "compare_colors",
-    "compare_factors",
-    "compare_partitions",
-    "divides",
-    "enumerate_basis",
-    "eps",
-    "fs_leading_terms",
-    "full_scheme",
-    "graded_series",
-    "highest_root",
-    "iota",
-    "leading_term_for_multiset",
-    "leading_terms",
-    "minuscule_gamma",
-    "multiply",
-    "positive_roots",
-    "relation_support",
-    "rr_counts",
-    "std_leading_terms",
-    "transport_partition",
-    "unit",
-    "upper_scheme",
-    "verify_branching",
-    "weight",
-    "weyl_dim",
-    "window_split",
-]
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"
 

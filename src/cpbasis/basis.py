@@ -36,14 +36,18 @@ Enumeration is one depth-first walk that pushes factors by ascending
 packed in one integer per window) or `_CutTracker` of the cut profiles,
 and skips the subtree of every inadmissible prefix; it decides the leaves,
 the partitions nothing can follow, in one bulk test per degree instead of
-pushing them.  It files partitions as factor-index tuples in groups, one
-per node and degree: the node's prefix and the tuple of last factors
-that extend it admissibly.  Groups are filed by |degree| sequence so
+pushing them.  It hands partitions over as factor-index tuples in groups,
+one per node and degree: the node's prefix and the last factors that
+extend it admissibly.  An enumeration files them by |degree| sequence so
 that each layer comes out in partition order with only its shapes
-sorted, and the CLI formats each group's shared prefix once.  The two
-point checkers push into the same two trackers, and graded series are counted
-without listing: a transfer matrix runs over slices grouped by size and
-cut profiles.
+sorted, and the CLI formats each group's shared prefix once.  One walk
+that pushes both trackers together (`_Pair`) checks the coincidence
+exactly: each condition's admissible set is closed under dropping the
+last-walked factor, so at the least degree where the sets differ, a
+partition admitted by one only has a parent both admit, which the walk
+reaches.  The two point checkers push into the same two trackers, and
+graded series are counted without listing: a transfer matrix runs over
+slices grouped by size and cut profiles.
 """
 
 from __future__ import annotations
@@ -428,41 +432,57 @@ class _CutTracker:
         return fits
 
 
-def _enumerate_groups(max_degree: int, tracker: _Tracker | _CutTracker):
-    """Admissible partitions in partition order, filed as groups of a shared prefix.
+class _Pair:
+    """A `_CutTracker` and a `_Tracker` of fs(m, k), pushed and popped together.
 
-    A partition is the tuple of entry indices the walk pushed.  Entries
-    ascend by (|degree|, color position), so a key lists its factors in
-    reverse canonical order and its shape, the |degree| sequence, grows per
-    push.  A deeper degree or later color position makes a smaller factor,
-    so in a layer ``sort_key`` ascends as (length, shape, colors) descends:
-    keys are filed by shape, shapes listed by descending (length, shape),
-    and the keys of a shape, met by ascending colors, in reverse walk order.
+    It accepts what both accept, and records each key that only one
+    accepts in ``disagreements`` as ``(key, by_cut)``, by_cut true when the
+    path inequalities are the one; ``path`` holds the pushed entries.  The
+    walk pops a refused push before the next, so neither tracker is pushed
+    from a state it refuses.
+    """
 
-    The walk takes one |degree| v at a time, from the prefix's last entry
-    on, and files each node's keys of one degree as one group ``(prefix,
-    ids)``: the keys ``prefix + (i,)`` for i in ``ids``, a tuple of
-    ascending entry indices, all of |degree| v.  A partition of total t whose last
-    factor has |degree| v is a leaf when t + v > max_degree: every later
-    entry has |degree| >= v, so nothing can follow it.  Once a node's degree
-    v makes leaves, so does every later degree; their groups are the
-    ``fitting`` results, with no push.  The earlier degrees' entries are
-    pushed, and each that fits is recursed into and collected; the group
-    is filed after the loop.  The order survives for two reasons.  The
-    shape fixes whether a key is a leaf, so a shape holds leaf groups only
-    or inner groups only; and a recursive call files only into longer
-    shapes, so a shape's groups arrive in walk order, each in ascending
-    order.  So a layer is its shapes in the order above, each shape's
-    groups in reverse filing order, and each group's ids are read in
-    reverse; no group is copied.  Groups are tuples of ints, which the
-    cyclic garbage collector stops tracking.
+    def __init__(self, m: int, k: int, max_degree: int):
+        self.cut, self.div = _CutTracker(m, k, max_degree), _Tracker(m, k, max_degree)
+        self.entries = self.cut.entries
+        self.path: list[int] = []
+        self.disagreements: list[tuple[tuple[int, ...], bool]] = []
 
-    Returns one tuple of groups per |degree| 0..max_degree.  Degree 0 holds
-    the empty partition alone, which no group files, so its tuple is empty.
+    def push(self, i: int) -> bool:
+        self.path.append(i)
+        cut, div = self.cut.push(i), self.div.push(i)
+        if cut != div:
+            self.disagreements.append((tuple(self.path), cut))
+        return cut and div
+
+    def pop(self, i: int) -> None:
+        self.path.pop()
+        self.cut.pop(i)
+        self.div.pop(i)
+
+    def fitting(self, lo: int, hi: int) -> list[int]:
+        cut, div = self.cut.fitting(lo, hi), self.div.fitting(lo, hi)
+        if cut == div:
+            return cut
+        for i in sorted({*cut} ^ {*div}):
+            self.disagreements.append(((*self.path, i), i in cut))
+        return [i for i in cut if i in div]
+
+
+def _walk(max_degree: int, tracker, file) -> None:
+    """The depth-first walk, handing each group of keys to ``file(total, shape, prefix, ids)``.
+
+    A key is the tuple of entries pushed, ascending by (|degree|, color
+    position); its shape is its |degree| sequence.  A group is one node's
+    keys of one |degree| v: ``prefix + (i,)`` for i in ``ids``, a list of
+    ascending entries, of total |degree| ``total``.  A key of total t
+    ending at |degree| v is a leaf when t + v > max_degree, as nothing can
+    follow it; such groups are the ``fitting`` results, with no push.  The
+    other entries are pushed and recursed into, so a node's group is handed
+    over after the groups below it.
     """
     width = len(tracker.entries) // max_degree if max_degree else 0
     push, pop, fitting = tracker.push, tracker.pop, tracker.fitting
-    shapes: list[dict] = [{} for _ in range(max_degree + 1)]
 
     def rec(v: int, lo: int, used: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> None:
         # entry lo is of |degree| v; each pass takes the entries of one degree,
@@ -477,17 +497,42 @@ def _enumerate_groups(max_degree: int, tracker: _Tracker | _CutTracker):
                     rec(v, idx, total, prefix + (idx,), grown)
                 pop(idx)
             if fits:
-                shapes[total].setdefault(grown, []).append((prefix, tuple(fits)))
+                file(total, grown, prefix, fits)
             v, lo = v + 1, hi
-        # every partition filed from here on is a leaf
+        # every partition handed over from here on is a leaf
         while used + v <= max_degree:
             hi = v * width
             fits = fitting(lo, hi)
             if fits:
-                shapes[used + v].setdefault(shape + (v,), []).append((prefix, tuple(fits)))
+                file(used + v, shape + (v,), prefix, fits)
             v, lo = v + 1, hi
 
     rec(1, 0, 0, (), ())
+
+
+def _enumerate_groups(max_degree: int, tracker: _Tracker | _CutTracker):
+    """Admissible partitions in partition order, filed as groups of a shared prefix.
+
+    Each `_walk` group is filed as ``(prefix, ids)``, ids a tuple.  A key
+    lists its factors in reverse canonical order, and a deeper degree or
+    later color position makes a smaller factor, so in a layer ``sort_key``
+    ascends as (length, shape, colors) descends: shapes are listed by
+    descending (length, shape), and a shape's keys in reverse walk order.
+    That holds as the shape fixes whether a key is a leaf, so a shape holds
+    leaf groups only or inner groups only, and a recursive call files only
+    longer shapes, so a shape's groups arrive in walk order, each
+    ascending.  No group is copied; the cyclic garbage collector stops
+    tracking them, as tuples of ints.
+
+    Returns one tuple of groups per |degree| 0..max_degree; degree 0, the
+    empty partition alone, files no group.
+    """
+    shapes: list[dict] = [{} for _ in range(max_degree + 1)]
+
+    def file(total, shape, prefix, ids):
+        shapes[total].setdefault(shape, []).append((prefix, tuple(ids)))
+
+    _walk(max_degree, tracker, file)
     return tuple(
         tuple(g for s in sorted(layer, key=lambda t: (len(t), t))[::-1] for g in layer[s][::-1])
         for layer in shapes
@@ -501,11 +546,6 @@ def _flatten(groups) -> tuple[tuple[tuple[int, ...], ...], ...]:
         tuple([prefix + (i,) for prefix, ids in layer for i in reversed(ids)])
         for layer in groups[1:]
     )
-
-
-def _enumerate_layers(max_degree: int, tracker: _Tracker | _CutTracker):
-    """Admissible partitions as key tuples, in partition order: `_enumerate_groups` flattened."""
-    return _flatten(_enumerate_groups(max_degree, tracker))
 
 
 @lru_cache(maxsize=8)

@@ -16,8 +16,11 @@ keys that share a prefix (see `basis.enumerate_groups`) and writes them
 in blocks of about 1024 lines, one write per block, streaming even its
 JSON listing; a CSV row is its layer's degree field and last label, then
 its group's tail, the prefix's labels formatted once per group.
-`verify-coincidence` compares the two walks' groups and counts rows from
-the group sizes; no command holds a flattened listing.
+`verify-coincidence` makes one walk that pushes the trackers of both
+conditions together (see `basis._Pair`) and only counts each layer, so it
+holds no listing; it checks the counts against `graded_series`, and on a
+disagreement names a partition of the least degree where the conditions
+differ.  No command holds a flattened listing.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import os
 import sys
 from itertools import groupby, islice
 
-from .basis import BasisKind, enumerate_groups, graded_series, rr_counts
+from .basis import BasisKind, _Pair, _walk, enumerate_groups, graded_series, rr_counts
 
 
 def _leading_rows(kind: str, rank: int, level: int, window: int):
@@ -152,7 +155,7 @@ def _cmd_enumerate(args) -> int:
               f"level={args.level} down to degree -{args.max_degree}")
         print("degree -0: 1 elements\n  1")
         for m, layer in enumerate(groups[1:], 1):
-            print(f"degree -{m}: {_count(m, layer)} elements")
+            print(f"degree -{m}: {sum(len(ids) for _, ids in layer)} elements")
             _write_lines(
                 f"  {_monomial(prefix + (i,), labels)}\n"
                 for prefix, ids in layer
@@ -199,41 +202,39 @@ def _cmd_series(args) -> int:
 
 def _cmd_verify_coincidence(args) -> int:
     ell, k, n = args.ell, args.level, args.max_degree
-    # two distinct walks by default: path inequalities for fs(2l), leading
-    # terms for std(l); both index the same entries, fixed by 2l and n
-    _, fs_groups = enumerate_groups(BasisKind("fs", 2 * ell, k), n)
-    _, std_groups = enumerate_groups(BasisKind("std", ell, k), n)
-    ok = True
-    fs_coeffs, std_coeffs = [], []
+    # iota is the identity on (a, b) encodings, so one walk over fs(2l) keys
+    # tests both conditions: path inequalities for fs(2l), leading terms for std(l)
+    basis = BasisKind("fs", 2 * ell, k)
+    series = graded_series(basis, n).coeffs
+    pair = _Pair(2 * ell, k, n)
+    counts = [1] + [0] * n
+
+    def file(total, shape, prefix, ids):
+        counts[total] += len(ids)
+
+    _walk(n, pair, file)
+    entries = pair.entries
+    # the least degree where the conditions differ, with one partition there
+    failed = min(((sum(entries[i][2] for i in key), key, by_cut)
+                  for key, by_cut in pair.disagreements), default=None)
     print(f"coincidence check: fs rank {2 * ell} vs std rank {ell}, level {k}")
     print("degree  fs-count  std-count  transported-match")
-    for m in range(n + 1):
-        # iota is the identity on (a, b) encodings, so a partition and its
-        # transport have one key: the transported fs layer equals the std
-        # layer exactly when the key sets do.  Both walks list a layer in
-        # partition order and group it by shape alone, so equal sets come as
-        # equal groups, and keys are flattened only when the groups differ
-        fs_layer, std_layer = fs_groups[m], std_groups[m]
-        match = fs_layer == std_layer or set(_keys(fs_layer)) == set(_keys(std_layer))
-        ok = ok and match
-        fs_coeffs.append(_count(m, fs_layer))
-        std_coeffs.append(_count(m, std_layer))
-        print(f"{-m:6d}  {fs_coeffs[m]:8d}  {std_coeffs[m]:9d}  {'yes' if match else 'NO'}")
-    series_equal = fs_coeffs == std_coeffs
-    ok = ok and series_equal
+    for m in range(failed[0] if failed else n + 1):
+        print(f"{-m:6d}  {counts[m]:8d}  {counts[m]:9d}  yes")
+    if failed:
+        from .partitions import Color, Factor
+
+        d, key, by_cut = failed
+        labels = [str(Factor(Color(basis.alphabet, a, b), -v)) for a, b, v in entries]
+        side = "fs path inequalities" if by_cut else "std leading terms"
+        print(f"{-d:6d}  NO  {_monomial(key, labels)} is admitted by the {side} only")
+        print("coincidence FAILED")
+        return 1
+    # the walk's counts against the transfer matrix, an independent route
+    series_equal = counts == list(series)
     print(f"graded series equal: {'yes' if series_equal else 'NO'}")
-    print("coincidence verified" if ok else "coincidence FAILED")
-    return 0 if ok else 1
-
-
-def _keys(layer):
-    """The keys of one layer's groups (see `enumerate_groups`)."""
-    return (prefix + (i,) for prefix, ids in layer for i in ids)
-
-
-def _count(m: int, layer) -> int:
-    """The partitions in layer m's groups; layer 0 holds the empty one alone."""
-    return sum(len(ids) for _, ids in layer) if m else 1
+    print("coincidence verified" if series_equal else "coincidence FAILED")
+    return 0 if series_equal else 1
 
 
 def _cmd_audit_oracle(args) -> int:

@@ -26,7 +26,8 @@ from cpbasis.basis import (
     _entries,
     _enumerate_cached,
     _enumerate_groups,
-    _enumerate_layers,
+    _flatten,
+    _Pair,
     _term_masks,
     _Tracker,
     admissible_by_divisibility,
@@ -605,6 +606,9 @@ def tracker_snapshot(tracker):
     """A tracker's state by value; a degree's own zero tables equal the shared zero one."""
     if isinstance(tracker, _Tracker):
         return list(tracker.state), list(tracker.mult)
+    if isinstance(tracker, _Pair):
+        pair = tracker_snapshot(tracker.cut), tracker_snapshot(tracker.div)
+        return pair, list(tracker.path), list(tracker.disagreements)
     return (
         [e[: tracker.width] for e in tracker.slices],
         [list(t) for t in tracker.inside],
@@ -697,14 +701,25 @@ WALK_GRID = [
 ]
 
 
-@pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker])
+@pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker, _Pair])
 @pytest.mark.parametrize("m, k, n", WALK_GRID)
 def test_walk_matches_push_per_entry_walk(tracker_type, m, k, n):
     tracker = tracker_type(m, k, n)
-    walked = (tracker.entries, _enumerate_layers(n, tracker))
+    walked = (tracker.entries, _flatten(_enumerate_groups(n, tracker)))
     reference = tracker_type(m, k, n)
     assert walked == (reference.entries, reference_enumerate_layers(n, reference))
     assert tracker_snapshot(tracker) == tracker_snapshot(tracker_type(m, k, n))
+
+
+@pytest.mark.parametrize("m, k, n", WALK_GRID)
+def test_paired_walk_is_each_trackers_walk(m, k, n):
+    # the two conditions agree, so the pair accepts what each accepts and
+    # records nothing
+    pair = _Pair(m, k, n)
+    groups = _enumerate_groups(n, pair)
+    assert groups == _enumerate_groups(n, _Tracker(m, k, n))
+    assert groups == _enumerate_groups(n, _CutTracker(m, k, n))
+    assert pair.disagreements == [] and pair.path == []
 
 
 def is_int_tuple(value):
@@ -726,7 +741,7 @@ def test_walk_files_ascending_int_groups_of_one_degree(tracker_type, m, k, n):
             assert sum(sizes[i] for i in prefix) + sizes[ids[0]] == degree
             assert not prefix or prefix[-1] <= ids[0]
     reference = tracker_type(m, k, n)
-    assert basis_module._flatten(groups) == reference_enumerate_layers(n, reference)
+    assert _flatten(groups) == reference_enumerate_layers(n, reference)
 
 
 def test_walk_groups_leave_the_cyclic_collector():

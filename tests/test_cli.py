@@ -13,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_python, run_python_peak, source_env
-from cpbasis import cli
+from cpbasis import basis as basis_module, cli
 from cpbasis.basis import (
     BasisKind,
+    QSeries,
     _entries,
-    _enumerate_cached,
     _triangle_rank,
     enumerate_basis,
     enumerate_keys,
@@ -253,6 +253,51 @@ def test_factor_labels_need_no_csv_quoting(kind, ranks):
             assert not set(label) & set(',"\r\n'), (rank, label)
 
 
+def refusing(tracker_type, key):
+    """`tracker_type` that also refuses the partition `key`, by ``push`` and by ``fitting``."""
+
+    class Refusing(tracker_type):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.pushed = []
+
+        def push(self, i):
+            self.pushed.append(i)
+            return super().push(i) and tuple(self.pushed) != key
+
+        def pop(self, i):
+            self.pushed.pop()
+            super().pop(i)
+
+        def fitting(self, lo, hi):
+            return [i for i in super().fitting(lo, hi) if (*self.pushed, i) != key]
+
+    return Refusing
+
+
+def check_one_refused_partition(capsys, monkeypatch, refused, admitted_by):
+    """verify-coincidence fails at degree -3, naming the partition, when the
+    tracker class `refused` refuses one admissible partition there."""
+    # two admissible degree -3 partitions of fs(2, 1): 22(-2) 12(-1) is
+    # pushed, 22(-3) is a leaf to degree -5 and so decided by `fitting`
+    entries = _entries(2, 5)
+    for factors, label in [([(1, 2, 1), (2, 2, 2)], "22(-2) 12(-1)"), ([(2, 2, 3)], "22(-3)")]:
+        key = tuple(entries.index(entry) for entry in factors)
+        with monkeypatch.context() as patch:
+            patch.setattr(basis_module, refused, refusing(getattr(basis_module, refused), key))
+            code, out, _ = run(
+                capsys, "verify-coincidence", "--ell", "1",
+                "--level", "1", "--max-degree", "5",
+            )
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split()[-1] for line in lines[2:5]] == ["yes"] * 3
+        assert lines[5:] == [
+            f"    -3  NO  {label} is admitted by the {admitted_by} only",
+            "coincidence FAILED",
+        ]
+
+
 def verify_coincidence_from_objects(ell, k, n) -> tuple[int, str]:
     """Exit code and output of verify-coincidence, by transporting partition objects."""
     fs_layers = enumerate_basis(BasisKind("fs", 2 * ell, k), n)
@@ -306,52 +351,65 @@ class TestVerifiers:
         assert code == 0
         assert "coincidence verified" in out
 
-    def test_coincidence_walks_both_sides(self, capsys):
-        # fs(2l) by path inequalities and std(l) by leading terms: two walks,
-        # so the comparison is not one enumeration against itself
-        _enumerate_cached.cache_clear()
+    def test_coincidence_walks_both_sides(self, capsys, monkeypatch):
+        # fs(2l) by path inequalities and std(l) by leading terms: one tracker
+        # of each, pushed together in one walk, and no listing is kept
+        built = []
+
+        def counted(tracker_type):
+            class Counted(tracker_type):
+                def __init__(self, *args):
+                    built.append(tracker_type)
+                    super().__init__(*args)
+
+            return Counted
+
+        def no_listing(*args):
+            raise AssertionError("the coincidence lists a walk")
+
+        for name in ("_CutTracker", "_Tracker"):
+            monkeypatch.setattr(basis_module, name, counted(getattr(basis_module, name)))
+        monkeypatch.setattr(basis_module, "_enumerate_cached", no_listing)
         code, _, _ = run(
             capsys, "verify-coincidence", "--ell", "1",
             "--level", "2", "--max-degree", "5",
         )
         assert code == 0
-        info = _enumerate_cached.cache_info()
-        assert (info.misses, info.hits) == (2, 0)
+        assert sorted(t.__name__ for t in built) == ["_CutTracker", "_Tracker"]
 
     def test_coincidence_detects_a_missing_std_partition(self, capsys, monkeypatch):
-        enumerate_groups = cli.enumerate_groups
+        check_one_refused_partition(capsys, monkeypatch, "_Tracker", "fs path inequalities")
 
-        def std_side_missing_one(basis, max_degree, method=None):
-            entries, groups = enumerate_groups(basis, max_degree, method)
-            if basis.kind == "std":
-                # the first partition of a layer is its first group's last key
-                (prefix, ids), *rest = groups[3]
-                layer = ((prefix, ids[:-1]),) if len(ids) > 1 else ()
-                groups = groups[:3] + (layer + tuple(rest),) + groups[4:]
-            return entries, groups
+    def test_coincidence_detects_a_missing_fs_partition(self, capsys, monkeypatch):
+        check_one_refused_partition(capsys, monkeypatch, "_CutTracker", "std leading terms")
 
-        monkeypatch.setattr(cli, "enumerate_groups", std_side_missing_one)
+    def test_coincidence_checks_the_counts_against_the_series(self, capsys, monkeypatch):
+        graded_series = cli.graded_series
+
+        def off_by_one(basis, max_degree):
+            coeffs = list(graded_series(basis, max_degree).coeffs)
+            coeffs[3] += 1
+            return QSeries(tuple(coeffs))
+
+        monkeypatch.setattr(cli, "graded_series", off_by_one)
         code, out, _ = run(
             capsys, "verify-coincidence", "--ell", "1",
             "--level", "1", "--max-degree", "5",
         )
         assert code == 1
-        lines = out.splitlines()
-        assert lines[2 + 3].split() == ["-3", "7", "6", "NO"]
-        assert [line.split()[-1] for line in lines[2:2 + 6]].count("NO") == 1
-        assert lines[-2:] == ["graded series equal: NO", "coincidence FAILED"]
+        assert out.splitlines()[-2:] == ["graded series equal: NO", "coincidence FAILED"]
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as on Linux")
     def test_coincidence_memory_is_bounded(self, tmp_path):
-        # both walks stay cached, as groups of a shared prefix; one key tuple
-        # per partition takes about 203 MB here
+        # one walk that only counts: no listing is kept, so the peak does not
+        # grow with the layers (keeping both walks' groups took about 79 MB)
         code, peak_kib = run_python_peak(
             tmp_path / "out", "-m", "cpbasis.cli", "verify-coincidence",
             "--ell", "2", "--level", "3", "--max-degree", "10",
         )
         assert code == 0
         assert (tmp_path / "out").read_text().endswith("coincidence verified\n")
-        assert peak_kib < 120 * 1024
+        assert peak_kib < 40 * 1024
 
     def test_audit_oracle(self, capsys):
         code, out, _ = run(
