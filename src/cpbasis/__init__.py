@@ -6,10 +6,10 @@ The package covers: exact root-system data and Weyl dimensions
 term per index multiset and degree split, whose colors lie on diagonal
 paths (:mod:`cpbasis.leading`), with a brute-force oracle
 (:mod:`cpbasis.oracle`); the rank-doubling scheme identification
-(:mod:`cpbasis.ident`); and admissibility checking, basis enumeration,
-graded series counted by a transfer matrix over cut profiles, the
-Weyl-Kac character that checks them, and partition-counting demos
-(:mod:`cpbasis.basis`).
+(:mod:`cpbasis.ident`); admissibility checking and basis enumeration
+(:mod:`cpbasis.basis`); and basis kinds, graded series counted by a
+transfer matrix over cut profiles, the Weyl-Kac character that checks
+them, and partition-counting demos (:mod:`cpbasis.series`).
 
 Every name in ``__all__`` is loaded from its submodule when it is first
 read, so ``import cpbasis`` by itself imports no submodule, and a
@@ -21,15 +21,10 @@ _HOMES = {
     name: home
     for home, names in {
         "basis": (
-            "BasisKind",
-            "QSeries",
             "admissible_by_divisibility",
             "admissible_by_inequalities",
-            "character_oracle",
             "enumerate_basis",
-            "graded_series",
             "leading_terms",
-            "rr_counts",
         ),
         "ident": ("iota", "transport_partition"),
         "leading": (
@@ -71,6 +66,13 @@ _HOMES = {
             "verify_branching",
             "weight",
             "weyl_dim",
+        ),
+        "series": (
+            "BasisKind",
+            "QSeries",
+            "character_oracle",
+            "graded_series",
+            "rr_counts",
         ),
     }.items()
     for name in names

@@ -6,10 +6,12 @@ by its reader (128 + SIGPIPE, as in ``cpbasis enumerate ... | head``).
 Human-readable tables go to stdout; `--format json|csv` switches to
 structured output; diagnostics go to stderr.
 
-Each command imports what it runs when it runs: only `basis` and the
-modules it needs are loaded up front, so `series` and `enumerate` load
-neither the oracle, the root data nor `fractions`, and only a CSV
-listing of `leading-terms` loads `csv`.
+Each command imports what it runs when it runs.  Of the package only
+`series` (with `_frozen`) is loaded up front, so `series` compiles the
+counting code alone; `enumerate` and `verify-coincidence` load `basis`
+(with `leading` and `partitions`), none of them loads the oracle, the
+root data or `fractions`, and only a CSV listing of `leading-terms`
+loads `csv`.
 
 `enumerate` formats its rows straight from the walk's groups of integer
 keys that share a prefix (see `basis.enumerate_groups`) and writes them
@@ -31,7 +33,7 @@ import os
 import sys
 from itertools import groupby, islice
 
-from .basis import BasisKind, _Pair, _walk, enumerate_groups, graded_series, rr_counts
+from .series import BasisKind, graded_series, rr_counts
 
 
 def _leading_rows(kind: str, rank: int, level: int, window: int):
@@ -98,6 +100,7 @@ def _cmd_leading_terms(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .basis import enumerate_groups
     from .partitions import Color, Factor
 
     basis = BasisKind(args.kind, args.rank, args.level)
@@ -201,6 +204,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify_coincidence(args) -> int:
+    from .basis import _Pair, _walk
+
     ell, k, n = args.ell, args.level, args.max_degree
     # iota is the identity on (a, b) encodings, so one walk over fs(2l) keys
     # tests both conditions: path inequalities for fs(2l), leading terms for std(l)

@@ -14,13 +14,7 @@ import pytest
 
 from conftest import golden_rank2_families
 from test_basis import theta_route_character
-from cpbasis.basis import (
-    BasisKind,
-    enumerate_basis,
-    enumerate_keys,
-    graded_series,
-    rr_counts,
-)
+from cpbasis.basis import enumerate_basis, enumerate_keys
 from cpbasis.ident import transport_partition
 from cpbasis.leading import fs_leading_terms, window_split
 from cpbasis.oracle import audit_windows
@@ -31,6 +25,7 @@ from cpbasis.rootdata import (
     verify_branching,
     weyl_dim,
 )
+from cpbasis.series import BasisKind, graded_series, rr_counts
 
 
 def report(name: str, ok: bool, detail: str) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import gc
 from collections import Counter
 from fractions import Fraction
@@ -18,10 +19,8 @@ from conftest import (
     transport_partition_inverse,
 )
 from cpbasis import basis as basis_module, leading
+from cpbasis.ident import transport_partition
 from cpbasis.basis import (
-    BasisKind,
-    QSeries,
-    _cut_profiles,
     _CutTracker,
     _entries,
     _enumerate_cached,
@@ -32,13 +31,10 @@ from cpbasis.basis import (
     _Tracker,
     admissible_by_divisibility,
     admissible_by_inequalities,
-    character_oracle,
     enumerate_basis,
     enumerate_groups,
     enumerate_keys,
-    graded_series,
     leading_terms,
-    rr_counts,
 )
 from cpbasis.partitions import (
     ColoredPartition,
@@ -47,6 +43,14 @@ from cpbasis.partitions import (
     full_scheme,
     unit,
     upper_scheme,
+)
+from cpbasis.series import (
+    BasisKind,
+    QSeries,
+    _cut_profiles,
+    character_oracle,
+    graded_series,
+    rr_counts,
 )
 
 
@@ -200,6 +204,40 @@ class TestAdmissibility:
         assert admissible_by_divisibility(pi, basis) is expected
         assert admissible_by_inequalities(pi, basis) is expected
         assert depths and max(depths) <= 2 * len({f.degree for f in pi.factors})
+
+    def test_point_check_runs_no_import(self, monkeypatch):
+        # an import statement on the check path costs every check some
+        # microseconds, as a function-local import in `BasisKind.alphabet` would
+        fs, std = BasisKind("fs", 4, 2), BasisKind("std", 2, 2)
+        samples = [
+            up_part(4, ((1, 1), -1), ((1, 1), -1), ((1, 1), -1)),
+            up_part(4, ((1, 1), -2), ((2, 3), -2), ((1, 4), -1)),
+            up_part(4, ((1, 2), -3), ((3, 4), -3), ((2, 2), -5), ((1, 4), -7)),
+            up_part(4, ((4, 4), -41), ((1, 1), -40), ((2, 3), -40), ((1, 1), -39)),
+        ]
+
+        def decide():
+            return [
+                (
+                    admissible_by_inequalities(pi, fs),
+                    admissible_by_divisibility(pi, fs),
+                    admissible_by_divisibility(transport_partition(pi, 2), std),
+                )
+                for pi in samples
+            ]
+
+        def refuse(name, *args, **kwargs):
+            raise ImportError(f"a point check imports {name!r}")
+
+        verdicts = decide()  # warms the caches
+        monkeypatch.setattr(builtins, "__import__", refuse)
+        try:
+            again = decide()
+        finally:
+            monkeypatch.undo()
+        assert again == verdicts
+        assert {v for row in verdicts for v in row} == {False, True}
+        assert all(len(set(row)) == 1 for row in verdicts)
 
 
 @st.composite

@@ -14,19 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_python, run_python_peak, source_env
 from cpbasis import basis as basis_module, cli
-from cpbasis.basis import (
-    BasisKind,
-    QSeries,
-    _entries,
-    _triangle_rank,
-    enumerate_basis,
-    enumerate_keys,
-    leading_terms,
-)
+from cpbasis.basis import _entries, enumerate_basis, enumerate_keys, leading_terms
 from cpbasis.cli import main
 from cpbasis.ident import transport_partition
 from cpbasis.leading import window_split
 from cpbasis.partitions import Color, Factor
+from cpbasis.series import BasisKind, QSeries, _triangle_rank
 
 
 def run(capsys, *argv):

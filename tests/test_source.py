@@ -67,10 +67,12 @@ def test_package_import_loads_no_submodule():
         "import cpbasis\n"
         "print(sorted(m for m in sys.modules if m.startswith('cpbasis.')))\n"
         "cpbasis.BasisKind\n"
-        "print('BasisKind' in vars(cpbasis), 'cpbasis.basis' in sys.modules)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('cpbasis.'))\n"
+        "print('BasisKind' in vars(cpbasis), loaded)\n"
     )
-    # a name read through the package is imported from its home and kept
-    assert out.splitlines() == ["[]", "True True"]
+    # a name read through the package is imported from its home and kept,
+    # and its home imports no other module of the package but `_frozen`
+    assert out.splitlines() == ["[]", "True ['cpbasis._frozen', 'cpbasis.series']"]
 
 
 def test_submodules_still_import_from_the_package():
@@ -109,9 +111,15 @@ def test_unknown_name_is_attribute_error():
     assert not hasattr(cpbasis, "no_such_name")
 
 
-# a command imports what it runs when it runs; these two share the walk and
-# the series and need neither the oracle, the root data nor exact fractions
-COMMAND_MODULES = ["_frozen", "basis", "cli", "leading", "partitions"]
+# a command imports what it runs when it runs, and none of these needs the
+# oracle, the root data nor exact fractions: `series` counts without the
+# walk, `enumerate` and `verify-coincidence` walk
+WALK_MODULES = ["_frozen", "basis", "cli", "leading", "partitions", "series"]
+COMMAND_MODULES = {
+    "series": ["_frozen", "cli", "series"],
+    "enumerate": WALK_MODULES,
+    "verify-coincidence": WALK_MODULES,
+}
 
 
 @pytest.mark.parametrize(
@@ -120,6 +128,7 @@ COMMAND_MODULES = ["_frozen", "basis", "cli", "leading", "partitions"]
         ["series", "--kind", "fs", "--rank", "2", "--level", "3", "--max-degree", "20"],
         ["enumerate", "--kind", "std", "--rank", "2", "--level", "2", "--max-degree", "4",
          "--format", "csv"],
+        ["verify-coincidence", "--ell", "1", "--level", "2", "--max-degree", "5"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -132,7 +141,7 @@ def test_command_loads_only_what_it_runs(argv):
         "print(code, sorted(m for m in sys.modules if m.startswith('cpbasis')))\n"
         "print(sorted({'fractions', 'decimal', 'csv'} & set(sys.modules)))\n"
     )
-    loaded = ["cpbasis"] + [f"cpbasis.{name}" for name in COMMAND_MODULES]
+    loaded = ["cpbasis"] + [f"cpbasis.{name}" for name in COMMAND_MODULES[argv[0]]]
     assert out.splitlines() == [f"0 {loaded}", "[]"]
 
 

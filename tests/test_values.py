@@ -21,7 +21,7 @@ import pytest
 
 import cpbasis
 from cpbasis._frozen import Frozen
-from cpbasis.basis import BasisKind, QSeries
+from cpbasis.series import BasisKind, QSeries
 from cpbasis.oracle import AuditReport, RelationSupport
 from cpbasis.partitions import (
     Alphabet,
