@@ -18,7 +18,10 @@ independently and compared exhaustively in the test suite.  Either
 condition couples adjacent degrees only and reads the same on every
 window, so a tracker is window-relative: one slot layout serves every
 window, and a point check closes each gap of more than 2 between the
-degrees its partition holds down to 2 (see `_pushes`).  The path
+degrees its partition holds down to 2 and rounds the depth up to a power
+of two, so that checks share a few compiled tables (see `_pushes`).
+`ident.transport_partition` keeps the factor order without a sort: iota
+keeps (a, b), and the order reads nothing else.  The path
 inequalities are decided by the cut lemma alone, on the inside tables
 of `series` (see its docstring); no path is ever built.
 
@@ -59,9 +62,10 @@ def leading_terms(basis: BasisKind, d: int) -> frozenset[ColoredPartition]:
 def _check_partition(pi: ColoredPartition, basis: BasisKind) -> None:
     # not `basis.alphabet`, which runs an import statement on every check
     alphabet = upper_scheme(basis.rank) if basis.kind == "fs" else full_scheme(basis.rank)
-    if pi.alphabet != alphabet:
+    if pi.alphabet is not alphabet and pi.alphabet != alphabet:
         raise ValueError(f"expected a partition over {alphabet}, got {pi.alphabet}")
-    if any(f.degree >= 0 for f in pi.factors):
+    # degrees ascend in canonical order, so the last factor holds the greatest
+    if pi.factors and pi.factors[-1].degree >= 0:
         raise ValueError("admissibility is defined for strictly negative degrees")
 
 
@@ -102,24 +106,25 @@ def _pushes(tracker_type: type, pi: ColoredPartition, m: int, k: int) -> bool:
     """True when every factor of `pi` pushes into a fresh tracker, shallowest first.
 
     The |degree|s that `pi` holds are moved to a compact range, each gap
-    wider than 2 closed down to 2, and the tracker is only as deep as that
-    range.  Both conditions couple adjacent degrees only and read the same
-    on every window, so closing a gap between degrees that stay apart, and
-    moving the shallowest degree up, changes no verdict.
+    wider than 2 closed down to 2.  Both conditions couple adjacent degrees
+    only and read the same on every window, so closing a gap between
+    degrees that stay apart, and moving the shallowest degree up, changes
+    no verdict.  The tracker is as deep as the least power of two that
+    holds the range, so a few depths share each compiled table; the empty
+    degrees below the range change no verdict either.
     """
-    depth = last = 0
-    depths: dict[int, int] = {}
-    for v in sorted({-f.degree for f in pi.factors}):
-        depth += min(v - last, 2)
-        depths[v], last = depth, v
-    tracker = tracker_type(m, k, depth)
     position = _color_positions(m)
     width = len(position)
-    # canonical factor order is deepest first
-    return all(
-        tracker.push((depths[-f.degree] - 1) * width + position[f.color.a, f.color.b])
-        for f in reversed(pi.factors)
-    )
+    keys = []
+    depth = last = 0
+    for f in reversed(pi.factors):  # by ascending |degree|, as the trackers push
+        v = -f.degree
+        if v != last:
+            depth += min(v - last, 2)
+            base, last = (depth - 1) * width, v
+        keys.append(base + position[f.color.a, f.color.b])
+    push = tracker_type(m, k, 1 << (depth - 1).bit_length() if depth else 0).push
+    return all(map(push, keys))
 
 
 @lru_cache(maxsize=None)

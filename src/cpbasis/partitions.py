@@ -83,14 +83,37 @@ class Alphabet(Frozen):
         return f"{self.scheme}(C{self.rank})"
 
 
+_SCHEMES: dict[tuple[str, int], Alphabet] = {}
+
+
+def _scheme(scheme: str, rank: int) -> Alphabet:
+    """The one shared `Alphabet` of a scheme and rank.
+
+    The key is taken after `operator.index`, so ``2.0`` is refused as
+    ``Alphabet`` refuses it rather than found as the rank-2 object it
+    equals and hashes like.
+    """
+    key = (scheme, index(rank))
+    alphabet = _SCHEMES.get(key)
+    if alphabet is None:
+        alphabet = _SCHEMES[key] = Alphabet(*key)
+    return alphabet
+
+
 def full_scheme(rank: int) -> Alphabet:
-    """The triangular scheme B of the rank-`rank` symplectic algebra (indices ``1..2*rank``)."""
-    return Alphabet("B", rank)
+    """The triangular scheme B of the rank-`rank` symplectic algebra (indices ``1..2*rank``).
+
+    Every call with one rank returns the same object.
+    """
+    return _scheme("B", rank)
 
 
 def upper_scheme(rank: int) -> Alphabet:
-    """The upper triangle B1 of the rank-`rank` scheme (indices ``1..rank``)."""
-    return Alphabet("B1", rank)
+    """The upper triangle B1 of the rank-`rank` scheme (indices ``1..rank``).
+
+    Every call with one rank returns the same object.
+    """
+    return _scheme("B1", rank)
 
 
 class Color(Frozen):
@@ -169,12 +192,7 @@ class ColoredPartition(Frozen):
     factors: tuple[Factor, ...]
 
     def __init__(self, alphabet: Alphabet, factors: tuple[Factor, ...] = ()) -> None:
-        for f in factors:
-            # identity first: factors usually share their scheme object
-            if f.color.alphabet is not alphabet and f.color.alphabet != alphabet:
-                raise ValueError(f"factor {f} does not belong to scheme {alphabet}")
-        setfield(self, "alphabet", alphabet)
-        setfield(self, "factors", tuple(sorted(factors, key=lambda f: f.sort_key)))
+        _fill(self, alphabet, tuple(sorted(factors, key=lambda f: f.sort_key)))
 
     @classmethod
     def from_pairs(cls, alphabet: Alphabet, *facs: tuple[tuple[int, int], int]):
@@ -232,6 +250,27 @@ class ColoredPartition(Frozen):
         ):
             parts.append(str(f) if e == 1 else f"{f}^{e}")
         return " ".join(parts)
+
+
+def _fill(p: ColoredPartition, alphabet: Alphabet, factors: tuple[Factor, ...]) -> None:
+    """Set the fields of `p` once every factor is found over `alphabet`."""
+    for f in factors:
+        # identity first: factors usually share their scheme object
+        if f.color.alphabet is not alphabet and f.color.alphabet != alphabet:
+            raise ValueError(f"factor {f} does not belong to scheme {alphabet}")
+    setfield(p, "alphabet", alphabet)
+    setfield(p, "factors", factors)
+
+
+def _canonical(alphabet: Alphabet, factors: tuple[Factor, ...]) -> ColoredPartition:
+    """The partition of `factors`, a tuple the caller gives in canonical order.
+
+    The constructor without its sort; the scheme check stays.  A caller
+    that breaks the order breaks ``==``, ``hash`` and every comparison.
+    """
+    p = object.__new__(ColoredPartition)
+    _fill(p, alphabet, factors)
+    return p
 
 
 def unit(alphabet: Alphabet) -> ColoredPartition:

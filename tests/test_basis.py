@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import gc
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -16,6 +17,7 @@ from conftest import (
     DiagonalPath,
     diagonal_paths,
     gen_partitions,
+    path_leading_terms,
     transport_partition_inverse,
 )
 from cpbasis import basis as basis_module, leading
@@ -138,11 +140,11 @@ class TestAdmissibility:
 
     def test_nonnegative_degree_rejected(self):
         basis = BasisKind("fs", 1, 1)
-        pi = up_part(1, ((1, 1), 0))
-        with pytest.raises(ValueError):
-            admissible_by_divisibility(pi, basis)
-        with pytest.raises(ValueError):
-            admissible_by_inequalities(pi, basis)
+        for pi in (up_part(1, ((1, 1), 0)), up_part(1, ((1, 1), -3), ((1, 1), 2))):
+            with pytest.raises(ValueError):
+                admissible_by_divisibility(pi, basis)
+            with pytest.raises(ValueError):
+                admissible_by_inequalities(pi, basis)
 
     @pytest.mark.parametrize("rank,k", [(1, 1), (2, 1), (2, 2)])
     def test_checkers_agree_pointwise(self, rank, k):
@@ -190,7 +192,7 @@ class TestAdmissibility:
         ],
     )
     def test_deep_partition_is_checked_at_its_own_size(self, monkeypatch, factors, expected):
-        # a check builds trackers only as deep as twice the degrees the partition holds
+        # a check sizes its trackers by the degrees the partition holds, not by their depth
         depths = []
         entries = basis_module._entries
 
@@ -501,6 +503,79 @@ def test_verdicts_survive_wider_gaps_and_shifts(case):
     expected = reference_divisibility(pi, basis)
     for check in (admissible_by_divisibility, admissible_by_inequalities):
         assert check(pi, basis) == check(moved, basis) == expected
+
+
+def compact_depth(pi):
+    """The depth of `pi` once each gap wider than 2 between its held degrees closes to 2."""
+    depth = last = 0
+    for v in sorted({-f.degree for f in pi.factors}):
+        depth, last = depth + min(v - last, 2), v
+    return depth
+
+
+def compact_depth_partition(rng, depth, per_degree):
+    """A seeded fs(4,2) partition of compact depth `depth`, 1..per_degree factors per held degree.
+
+    Each step of 2 in the compact range is a gap of 2 to 4 degrees, so
+    gaps wider than 2 occur.
+    """
+    colors = [c.pair for c in upper_scheme(4).colors()]
+    factors, v = [], 0
+    while depth:
+        step = 1 if depth == 1 else rng.choice((1, 2))
+        v, depth = v + (1 if step == 1 else rng.randint(2, 4)), depth - step
+        factors += [(rng.choice(colors), -v) for _ in range(rng.randint(1, per_degree))]
+    return up_part(4, *factors)
+
+
+def divided_by_a_window_term(pi, terms):
+    """True when some term of a window that meets the degrees of `pi` divides it."""
+    held = {-f.degree for f in pi.factors}
+    windows = {d for v in held for d in (v - 1, v) if d >= 1}
+    factors = set(pi.factors)  # only a term made of these factors can divide
+    return any(
+        divides(term, pi)
+        for d in sorted(windows)
+        for term in terms(d)
+        if factors.issuperset(term.factors)
+    )
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17])
+def test_verdicts_at_and_past_power_of_two_sizes(depth):
+    # a point check sizes its tracker up to the next power of two; the empty
+    # degrees below the partition must change no verdict
+    fs, std = BasisKind("fs", 4, 2), BasisKind("std", 2, 2)
+    rng = random.Random(depth)
+    cases = [compact_depth_partition(rng, depth, n) for n in (1, 1, 2, 2, 3, 3, 4)]
+    if depth:
+        # k+1 copies of one color on the deepest degree: a term, so refused
+        deepest = cases[-1].factors[0].degree
+        cases.append(cases[-1] * up_part(4, *[((2, 2), deepest)] * 3))
+    verdicts = set()
+    for pi in cases:
+        assert compact_depth(pi) == depth
+        expected = reference_inequalities(pi, fs)
+        q = transport_partition(pi, 2)
+        by_terms = not divided_by_a_window_term(pi, lambda d: path_leading_terms(4, 2, d))
+        by_std_terms = not divided_by_a_window_term(q, lambda d: leading_terms(std, d))
+        assert by_terms == by_std_terms == expected
+        assert admissible_by_inequalities(pi, fs) == expected
+        assert admissible_by_divisibility(pi, fs) == expected
+        assert admissible_by_divisibility(q, std) == expected
+        verdicts.add(expected)
+    assert verdicts == ({False, True} if depth else {True})
+
+
+def test_point_checks_share_tracker_tables():
+    fs = BasisKind("fs", 4, 2)
+    basis_module._tracker_steps.cache_clear()
+    for depth in range(1, 33):
+        # three factors on degree -1 send the check past the size test to the tracker
+        pi = up_part(4, ((1, 1), -1), ((2, 3), -1), *(((1, 4), -v) for v in range(1, depth + 1)))
+        assert compact_depth(pi) == depth
+        assert admissible_by_divisibility(pi, fs) == reference_divisibility(pi, fs)
+    assert basis_module._tracker_steps.cache_info().currsize <= 6
 
 
 def reference_constraints(m, k, max_degree):

@@ -128,3 +128,35 @@ def test_transport_commutes_with_multiply(p, q):
     assert transport_partition(p * q, 2) == transport_partition(
         p, 2
     ) * transport_partition(q, 2)
+
+
+@st.composite
+def doubled_rank_partition(draw):
+    """A rank ell <= 3 and a partition over the rank-2*ell triangle, with repeated factors."""
+    ell = draw(st.integers(min_value=1, max_value=3))
+    factor = st.tuples(
+        st.sampled_from(upper_scheme(2 * ell).colors()),
+        st.integers(min_value=-12, max_value=-1),
+    )
+    drawn = draw(st.lists(factor, max_size=8))
+    # repeat some drawn factors, so that equal factors sit side by side
+    drawn += draw(st.lists(st.sampled_from(drawn), max_size=4)) if drawn else []
+    return ell, ColoredPartition(upper_scheme(2 * ell), tuple(Factor(c, n) for c, n in drawn))
+
+
+@given(doubled_rank_partition())
+def test_transport_without_sort_is_canonical(case):
+    ell, p = case
+    q = transport_partition(p, ell)
+    # the sorting constructor, fed the same colors in reverse order
+    target = full_scheme(ell)
+    colors = [(Color(target, f.color.a, f.color.b), f.degree) for f in p.factors]
+    sorted_q = ColoredPartition(target, tuple(Factor(c, n) for c, n in colors[::-1]))
+    assert q == sorted_q and hash(q) == hash(sorted_q)
+    assert q.factors == sorted_q.factors
+    keys = [f.sort_key for f in q.factors]
+    assert keys == sorted(keys)
+    with pytest.raises(ValueError):
+        transport_partition(p, ell + 1)
+    with pytest.raises(ValueError):
+        transport_partition(q, ell)

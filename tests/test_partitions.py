@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import gen_partitions
 from cpbasis.partitions import (
+    Alphabet,
     Color,
     ColoredPartition,
     Factor,
@@ -47,6 +48,24 @@ class TestSchemes:
             Color(B2, 2, 1)
         with pytest.raises(ValueError):
             Color(UP2, 1, 3)
+
+    def test_schemes_are_shared_values(self):
+        assert upper_scheme(2) is upper_scheme(2) is UP2
+        assert full_scheme(3) is full_scheme(3) is B3
+        assert upper_scheme(2) == Alphabet("B1", 2) and hash(UP2) == hash(Alphabet("B1", 2))
+        assert upper_scheme(2) is not full_scheme(2) and upper_scheme(2) != full_scheme(1)
+
+    def test_shared_schemes_keep_their_argument_checks(self):
+        # rank 2 is cached, and 2.0 equals and hashes like 2
+        assert full_scheme(2) is B2 and upper_scheme(2) is UP2
+        with pytest.raises(TypeError):
+            upper_scheme(2.0)
+        with pytest.raises(TypeError):
+            full_scheme("2")
+        with pytest.raises(ValueError):
+            full_scheme(0)
+        with pytest.raises(ValueError):
+            upper_scheme(-1)
 
     def test_display(self):
         assert str(Color(B3, 2, 4)) == "2_3"  # 2 with barred 3
