@@ -19,7 +19,9 @@ condition couples adjacent degrees only and reads the same on every
 window, so a tracker is window-relative: one slot layout serves every
 window, and a point check closes each gap of more than 2 between the
 degrees its partition holds down to 2 and rounds the depth up to a power
-of two, so that checks share a few compiled tables (see `_pushes`).
+of two, so that checks share a few compiled tables (see `_decide`).  It
+builds no tracker for a partition with at most k factors on any two
+adjacent degrees, which neither condition can refuse.
 `ident.transport_partition` keeps the factor order without a sort: iota
 keeps (a, b), and the order reads nothing else.  The path
 inequalities are decided by the cut lemma alone, on the inside tables
@@ -59,31 +61,13 @@ def leading_terms(basis: BasisKind, d: int) -> frozenset[ColoredPartition]:
     return std_leading_terms(basis.rank, basis.level, d)
 
 
-def _check_partition(pi: ColoredPartition, basis: BasisKind) -> None:
-    # not `basis.alphabet`, which runs an import statement on every check
-    alphabet = upper_scheme(basis.rank) if basis.kind == "fs" else full_scheme(basis.rank)
-    if pi.alphabet is not alphabet and pi.alphabet != alphabet:
-        raise ValueError(f"expected a partition over {alphabet}, got {pi.alphabet}")
-    # degrees ascend in canonical order, so the last factor holds the greatest
-    if pi.factors and pi.factors[-1].degree >= 0:
-        raise ValueError("admissibility is defined for strictly negative degrees")
-
-
 def admissible_by_divisibility(pi: ColoredPartition, basis: BasisKind) -> bool:
     """True when no leading term of any window divides `pi`.
 
-    Every term has k+1 factors on two adjacent degrees, so a partition
-    where no two adjacent degrees hold more than k is admissible before
-    any term is compiled.  Otherwise its factors go into a `_Tracker`
-    (see `_pushes`); std(l, k) and fs(2l, k) share its term family.
+    The factors go into a `_Tracker` (see `_decide`); std(l, k) and
+    fs(2l, k) share its term family.
     """
-    _check_partition(pi, basis)
-    size: dict[int, int] = {}
-    for f in pi.factors:
-        size[-f.degree] = size.get(-f.degree, 0) + 1
-    if all(n + size.get(v + 1, 0) <= basis.level for v, n in size.items()):
-        return True
-    return _pushes(_Tracker, pi, _triangle_rank(basis), basis.level)
+    return _decide(pi, basis, _Tracker)
 
 
 def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
@@ -92,38 +76,57 @@ def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
     For every window d >= 1 and every diagonal path, the sum of the
     multiplicities of the upper-block colors at degree -d-1 and of the
     lower-block colors at degree -d must be at most the level.  The
-    factors go into a `_CutTracker` (see `_pushes`).
+    factors go into a `_CutTracker` (see `_decide`).
     """
     if basis.kind != "fs":
         raise ValueError(
             "path inequalities apply to the fs kind; transport std partitions first"
         )
-    _check_partition(pi, basis)
-    return _pushes(_CutTracker, pi, basis.rank, basis.level)
+    return _decide(pi, basis, _CutTracker)
 
 
-def _pushes(tracker_type: type, pi: ColoredPartition, m: int, k: int) -> bool:
-    """True when every factor of `pi` pushes into a fresh tracker, shallowest first.
+def _decide(pi: ColoredPartition, basis: BasisKind, tracker_type: type) -> bool:
+    """The point check of both conditions, in one pass over the factors of `pi`.
 
-    The |degree|s that `pi` holds are moved to a compact range, each gap
-    wider than 2 closed down to 2.  Both conditions couple adjacent degrees
-    only and read the same on every window, so closing a gap between
-    degrees that stay apart, and moving the shallowest degree up, changes
-    no verdict.  The tracker is as deep as the least power of two that
-    holds the range, so a few depths share each compiled table; the empty
-    degrees below the range change no verdict either.
+    A partition with at most k factors on any two adjacent degrees is
+    admissible under either condition by that condition's own definition:
+    a path sum on window d reads only the factors on degrees -d-1 and -d,
+    and a leading term has k+1 factors on two adjacent degrees.  It is
+    accepted with no tracker.  Any other partition is admissible when its
+    factors push into a fresh `tracker_type`, shallowest first, once its
+    |degree|s are moved to a compact range, each gap wider than 2 closed
+    down to 2.  Both conditions couple adjacent degrees only and read the
+    same on every window, so closing a gap between degrees that stay apart,
+    and moving the shallowest degree up, changes no verdict.  The tracker
+    is as deep as the least power of two that holds the range, so a few
+    depths share each compiled table; the empty degrees below the range
+    change no verdict either.
     """
+    # not `basis.alphabet`, which runs an import statement on every check
+    alphabet = upper_scheme(basis.rank) if basis.kind == "fs" else full_scheme(basis.rank)
+    if pi.alphabet is not alphabet and pi.alphabet != alphabet:
+        raise ValueError(f"expected a partition over {alphabet}, got {pi.alphabet}")
+    # degrees ascend in canonical order, so the last factor holds the greatest
+    if pi.factors and pi.factors[-1].degree >= 0:
+        raise ValueError("admissibility is defined for strictly negative degrees")
+    m, k = _triangle_rank(basis), basis.level
     position = _color_positions(m)
     width = len(position)
     keys = []
-    depth = last = 0
+    depth = last = here = above = 0  # factors on |degree| last and on last-1
+    dense = False
     for f in reversed(pi.factors):  # by ascending |degree|, as the trackers push
         v = -f.degree
         if v != last:
             depth += min(v - last, 2)
-            base, last = (depth - 1) * width, v
+            above = here if v == last + 1 else 0
+            base, last, here = (depth - 1) * width, v, 0
+        here += 1
+        dense = dense or here + above > k
         keys.append(base + position[f.color.a, f.color.b])
-    push = tracker_type(m, k, 1 << (depth - 1).bit_length() if depth else 0).push
+    if not dense:
+        return True
+    push = tracker_type(m, k, 1 << (depth - 1).bit_length()).push
     return all(map(push, keys))
 
 
@@ -491,19 +494,6 @@ def _enumerate_cached(m: int, k: int, max_degree: int, method: str):
     return tracker.entries, _enumerate_groups(max_degree, tracker)
 
 
-def _enumeration_method(basis: BasisKind, max_degree: int, method: str | None) -> str:
-    """Check the arguments of an enumeration and resolve the default engine."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    if method is None:
-        method = "inequalities" if basis.kind == "fs" else "divisibility"
-    if method not in ("divisibility", "inequalities"):
-        raise ValueError(f"unknown enumeration method {method!r}")
-    if method == "inequalities" and basis.kind != "fs":
-        raise ValueError("the inequality engine applies to the fs kind only")
-    return method
-
-
 def enumerate_groups(
     basis: BasisKind, max_degree: int, method: str | None = None
 ) -> tuple[
@@ -518,7 +508,14 @@ def enumerate_groups(
     the empty partition alone, has no group.  The walk is cached; the
     arguments and errors are those of `enumerate_basis`.
     """
-    method = _enumeration_method(basis, max_degree, method)
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    if method is None:
+        method = "inequalities" if basis.kind == "fs" else "divisibility"
+    if method not in ("divisibility", "inequalities"):
+        raise ValueError(f"unknown enumeration method {method!r}")
+    if method == "inequalities" and basis.kind != "fs":
+        raise ValueError("the inequality engine applies to the fs kind only")
     return _enumerate_cached(_triangle_rank(basis), basis.level, max_degree, method)
 
 

@@ -9,9 +9,8 @@ structured output; diagnostics go to stderr.
 Each command imports what it runs when it runs.  Of the package only
 `series` (with `_frozen`) is loaded up front, so `series` compiles the
 counting code alone; `enumerate` and `verify-coincidence` load `basis`
-(with `leading` and `partitions`), none of them loads the oracle, the
-root data or `fractions`, and only a CSV listing of `leading-terms`
-loads `csv`.
+(with `leading` and `partitions`), and none of them loads the oracle, the
+root data or `fractions`.
 
 `enumerate` formats its rows straight from the walk's groups of integer
 keys that share a prefix (see `basis.enumerate_groups`) and writes them
@@ -85,12 +84,11 @@ def _cmd_leading_terms(args) -> int:
             )
         )
     elif args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["window", "split", "factors"])
-        for row in terms:
-            writer.writerow([row["window"], row["split"], " ".join(row["factors"])])
+        # the bytes csv.writer writes, as no label needs quoting (see the enumerate CSV)
+        sys.stdout.write("window,split,factors\r\n")
+        _write_lines(
+            f"{row['window']},{row['split']},{' '.join(row['factors'])}\r\n" for row in terms
+        )
     else:
         print(f"leading terms: kind={args.kind} rank={args.rank} "
               f"level={args.level} window={args.window} ({len(terms)} terms)")
@@ -99,17 +97,22 @@ def _cmd_leading_terms(args) -> int:
     return 0
 
 
+def _labels(alphabet, entries) -> list[str]:
+    """One label per walk entry (a, b, v), the color X_ab at degree -v as `Factor` writes it."""
+    from .partitions import Color, Factor
+
+    return [str(Factor(Color(alphabet, a, b), -v)) for a, b, v in entries]
+
+
 def _cmd_enumerate(args) -> int:
     from .basis import enumerate_groups
-    from .partitions import Color, Factor
 
     basis = BasisKind(args.kind, args.rank, args.level)
     entries, groups = enumerate_groups(basis, args.max_degree)
-    alphabet = basis.alphabet
     # a group (prefix, ids) holds the keys prefix + (i,), i in ids read in
     # reverse; a key lists its factors in reverse canonical order, one label
     # per entry, and degree 0 holds the empty partition alone
-    labels = [str(Factor(Color(alphabet, a, b), -v)) for a, b, v in entries]
+    labels = _labels(basis.alphabet, entries)
     if args.format == "json":
         # the envelope as json.dumps writes it, with the elements streamed
         # into its list
@@ -223,15 +226,14 @@ def _cmd_verify_coincidence(args) -> int:
     failed = min(((sum(entries[i][2] for i in key), key, by_cut)
                   for key, by_cut in pair.disagreements), default=None)
     print(f"coincidence check: fs rank {2 * ell} vs std rank {ell}, level {k}")
-    print("degree  fs-count  std-count  transported-match")
+    # one count per degree: `agree` means no disagreement was recorded there
+    print("degree  count  agree")
     for m in range(failed[0] if failed else n + 1):
-        print(f"{-m:6d}  {counts[m]:8d}  {counts[m]:9d}  yes")
+        print(f"{-m:6d}  {counts[m]:5d}  yes")
     if failed:
-        from .partitions import Color, Factor
-
         d, key, by_cut = failed
-        labels = [str(Factor(Color(basis.alphabet, a, b), -v)) for a, b, v in entries]
         side = "fs path inequalities" if by_cut else "std leading terms"
+        labels = _labels(basis.alphabet, entries)
         print(f"{-d:6d}  NO  {_monomial(key, labels)} is admitted by the {side} only")
         print("coincidence FAILED")
         return 1

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     DiagonalPath,
@@ -187,7 +187,7 @@ class TestAdmissibility:
         "factors, expected",
         [
             ((((1, 4), -100000), ((1, 4), -100000), ((2, 3), -100000)), False),
-            ((((1, 4), -100000), ((1, 4), -99998), ((2, 3), -99998)), True),
+            ((((4, 4), -100000), ((1, 1), -99999), ((1, 1), -99999)), True),
             ((((1, 1), -100001), ((1, 4), -100000), ((1, 4), -100000)), False),
         ],
     )
@@ -505,6 +505,73 @@ def test_verdicts_survive_wider_gaps_and_shifts(case):
         assert check(pi, basis) == check(moved, basis) == expected
 
 
+class ReachedTracker(Exception):
+    """Raised by `Unbuilt`."""
+
+
+class Unbuilt:
+    """A tracker type whose constructor raises `ReachedTracker`."""
+
+    def __init__(self, *args):
+        raise ReachedTracker
+
+
+@st.composite
+def sparse_partitions(draw):
+    """An fs basis (rank <= 4, level <= 3) and a partition down to degree -12.
+
+    No two adjacent degrees hold more than k factors between them.
+    """
+    m = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=3))
+    colors = st.sampled_from([c.pair for c in upper_scheme(m).colors()])
+    factors, above = [], 0
+    for v in range(1, 13):
+        n = draw(st.integers(min_value=0, max_value=k - above))
+        factors += [(draw(colors), -v) for _ in range(n)]
+        above = n
+    return BasisKind("fs", m, k), up_part(m, *factors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sparse_partitions())
+@example(
+    case=(
+        BasisKind("fs", 4, 2),
+        up_part(4, ((1, 4), -100000), ((1, 4), -99998), ((2, 3), -99998)),
+    )
+)
+def test_sparse_partitions_build_no_tracker(case):
+    # each condition holds by its own definition when no two adjacent degrees
+    # hold more than k factors, so no route builds a tracker; one with exactly
+    # k+1 on two adjacent degrees, where a term can divide, still builds one
+    basis, pi = case
+    m, k = basis.rank, basis.level
+    std = BasisKind("std", m // 2, k) if m % 2 == 0 else None
+
+    def routes(p):
+        yield admissible_by_inequalities, p, basis
+        yield admissible_by_divisibility, p, basis
+        if std:
+            yield admissible_by_divisibility, transport_partition(p, m // 2), std
+
+    # k+1 factors on the deepest degree and the one below it
+    deepest = pi.factors[0].degree if pi.factors else -1
+    held = sum(f.degree == deepest for f in pi.factors)
+    dense = pi * up_part(m, *[((1, 1), deepest - 1)] * (k + 1 - held))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(basis_module, "_Tracker", Unbuilt)
+        patch.setattr(basis_module, "_CutTracker", Unbuilt)
+        assert all(route(p, b) for route, p, b in routes(pi))
+        for route, p, b in routes(dense):
+            with pytest.raises(ReachedTracker):
+                route(p, b)
+    assert not divided_by_a_window_term(pi, lambda d: path_leading_terms(m, k, d))
+    if std:
+        q = transport_partition(pi, m // 2)
+        assert not divided_by_a_window_term(q, lambda d: leading_terms(std, d))
+
+
 def compact_depth(pi):
     """The depth of `pi` once each gap wider than 2 between its held degrees closes to 2."""
     depth = last = 0
@@ -526,6 +593,20 @@ def compact_depth_partition(rng, depth, per_degree):
         v, depth = v + (1 if step == 1 else rng.randint(2, 4)), depth - step
         factors += [(rng.choice(colors), -v) for _ in range(rng.randint(1, per_degree))]
     return up_part(4, *factors)
+
+
+def dense_admissible_partition(depth):
+    """An admissible fs(4,2) partition of compact depth `depth` >= 1 with 3 factors on one degree.
+
+    The deepest degree holds 11 22 33, and a path block holds one diagonal
+    color at most; a single 14 sits on every second compact degree above,
+    3 degrees apart, so each gap closes from 3 to 2.
+    """
+    held = [depth % 2 or 2]
+    while len(held) <= (depth - held[0]) // 2:
+        held.append(held[-1] + 3)
+    deepest = [((c, c), -held[-1]) for c in (1, 2, 3)]
+    return up_part(4, *(((1, 4), -v) for v in held[:-1]), *deepest)
 
 
 def divided_by_a_window_term(pi, terms):
@@ -552,6 +633,8 @@ def test_verdicts_at_and_past_power_of_two_sizes(depth):
         # k+1 copies of one color on the deepest degree: a term, so refused
         deepest = cases[-1].factors[0].degree
         cases.append(cases[-1] * up_part(4, *[((2, 2), deepest)] * 3))
+        # more than k = 2 factors on one degree, so both trackers are built
+        cases.append(dense_admissible_partition(depth))
     verdicts = set()
     for pi in cases:
         assert compact_depth(pi) == depth

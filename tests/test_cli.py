@@ -300,18 +300,14 @@ def verify_coincidence_from_objects(ell, k, n) -> tuple[int, str]:
     print(
         f"coincidence check: fs rank {2 * ell} vs std rank {ell}, level {k}", file=out
     )
-    print("degree  fs-count  std-count  transported-match", file=out)
+    print("degree  count  agree", file=out)
     for m in range(n + 1):
         transported = {transport_partition(p, ell) for p in fs_layers[m]}
         match = transported == set(std_layers[m]) and len(transported) == len(
             fs_layers[m]
         )
         ok = ok and match
-        print(
-            f"{-m:6d}  {len(fs_layers[m]):8d}  {len(std_layers[m]):9d}  "
-            f"{'yes' if match else 'NO'}",
-            file=out,
-        )
+        print(f"{-m:6d}  {len(fs_layers[m]):5d}  {'yes' if match else 'NO'}", file=out)
     series_equal = [len(x) for x in fs_layers] == [len(x) for x in std_layers]
     ok = ok and series_equal
     print(f"graded series equal: {'yes' if series_equal else 'NO'}", file=out)

@@ -112,10 +112,12 @@ def test_unknown_name_is_attribute_error():
 
 
 # a command imports what it runs when it runs, and none of these needs the
-# oracle, the root data nor exact fractions: `series` counts without the
-# walk, `enumerate` and `verify-coincidence` walk
+# oracle, the root data, exact fractions nor `csv`: `leading-terms` writes
+# its CSV rows itself, `series` counts without the walk, `enumerate` and
+# `verify-coincidence` walk
 WALK_MODULES = ["_frozen", "basis", "cli", "leading", "partitions", "series"]
 COMMAND_MODULES = {
+    "leading-terms": ["_frozen", "cli", "leading", "partitions", "series"],
     "series": ["_frozen", "cli", "series"],
     "enumerate": WALK_MODULES,
     "verify-coincidence": WALK_MODULES,
@@ -125,6 +127,8 @@ COMMAND_MODULES = {
 @pytest.mark.parametrize(
     "argv",
     [
+        ["leading-terms", "--kind", "fs", "--rank", "3", "--level", "2", "--window", "1",
+         "--format", "csv"],
         ["series", "--kind", "fs", "--rank", "2", "--level", "3", "--max-degree", "20"],
         ["enumerate", "--kind", "std", "--rank", "2", "--level", "2", "--max-degree", "4",
          "--format", "csv"],
