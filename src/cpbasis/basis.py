@@ -32,16 +32,16 @@ Enumeration is one depth-first walk that pushes factors by ascending
 packed in one integer per window) or `_CutTracker` of the cut profiles,
 and skips the subtree of every inadmissible prefix; it decides the leaves,
 the partitions nothing can follow, in one bulk test per degree instead of
-pushing them.  It hands partitions over as factor-index tuples in groups,
+pushing them.  It hands partitions over as factor indices in groups,
 one per node and degree: the node's prefix and the last factors that
 extend it admissibly.  An enumeration files them by |degree| sequence so
 that each layer comes out in partition order with only its shapes
-sorted, and the CLI formats each group's shared prefix once.  One walk
-that pushes both trackers together (`_Pair`) checks the coincidence
-exactly: each condition's admissible set is closed under dropping the
-last-walked factor, so at the least degree where the sets differ, a
-partition admitted by one only has a parent both admit, which the walk
-reaches.  The two point checkers push into the same two trackers.
+sorted, packed into one integer array per layer and shape, and the CLI
+formats each group's shared prefix once.  One walk that pushes both
+trackers together (`_Pair`) checks the coincidence exactly: each
+condition's admissible set is closed under dropping the last-walked
+factor, so at the least degree where the sets differ, a partition
+admitted by one only has a parent both admit, which the walk reaches.  The two point checkers push into the same two trackers.
 Graded series are counted without listing, in `series`.
 """
 
@@ -143,23 +143,20 @@ def _entries(m: int, max_degree: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _term_masks(
-    m: int, k: int
-) -> tuple[int, int, dict[tuple[int, int, int, int], int], tuple[int, int, tuple]]:
-    """The slot layout of one window of fs(m, k) for `_Tracker`: ``(start, high, masks, firsts)``.
+def _term_masks(m: int, k: int) -> tuple[int, int, tuple[int, int, tuple]]:
+    """The slot layout of one window of fs(m, k) for `_Tracker`: ``(start, high, copies)``.
 
     A slot of w = (k+1).bit_length() + 1 bits is kept for every row of
     `leading.rows` with an offset-0 factor; a row with none, all at offset
     1, is the next window's row of the same pairs all at offset 0.  start
-    holds the bias 2^(w-1) - (k+1) in every slot, high the top bit of every
-    slot, and ``masks[a, b, offset, n]`` a one at the lowest bit of each
-    slot whose row caps key (a, b, offset) above n; a missing mask is 0.
-    The masks are set bit by bit in byte arrays, so they cost linear time.
-    ``firsts`` is `_Tracker.fitting`'s table ``(ones, top, pairs)``: ones
-    has a one at the lowest bit of every slot, top = w-1 shifts it to the
-    top bit, and ``pairs[c]`` holds the masks that a first copy of the c-th
-    color (a, b) adds on any degree -v, key (a, b, 0) of window v and key
-    (a, b, 1) of window v-1.
+    holds the bias 2^(w-1) - (k+1) in every slot and high the top bit of
+    every slot.  ``copies`` is `_Tracker.fitting`'s table ``(ones, top,
+    masks)``: ones has a one at the lowest bit of every slot, top = w-1
+    shifts it to the top bit, and ``masks[c][n]``, for n = 0..k, holds the
+    two masks that an n-th copy of the c-th color (a, b) adds on any degree
+    -v, key (a, b, 0) of window v and key (a, b, 1) of window v-1: a one at
+    the lowest bit of each slot whose row caps the key above n, or 0.  The
+    masks are set bit by bit in byte arrays, so they cost linear time.
     """
     width = (k + 1).bit_length() + 1
     slots = [row for row in rows(m, k) if any(offset == 0 for (_, _, offset), _ in row)]
@@ -173,12 +170,16 @@ def _term_masks(
                 if key not in bits:
                     bits[key] = bytearray(size)
                 bits[key][byte] |= 1 << bit
-    masks = {key: int.from_bytes(bits.pop(key), "little") for key in list(bits)}
+
+    def mask(*key: int) -> int:
+        return int.from_bytes(bits[key], "little") if key in bits else 0
+
     ones = ((1 << width * len(slots)) - 1) // ((1 << width) - 1)
-    pairs = tuple(
-        (masks.get((a, b, 0, 0), 0), masks.get((a, b, 1, 0), 0)) for a, b in _color_positions(m)
+    masks = tuple(
+        tuple((mask(a, b, 0, n), mask(a, b, 1, n)) for n in range(k + 1))
+        for a, b in _color_positions(m)
     )
-    return ((1 << width - 1) - (k + 1)) * ones, ones << width - 1, masks, (ones, width - 1, pairs)
+    return ((1 << width - 1) - (k + 1)) * ones, ones << width - 1, (ones, width - 1, masks)
 
 
 @lru_cache(maxsize=None)
@@ -186,19 +187,13 @@ def _tracker_steps(m: int, k: int, max_degree: int) -> tuple[tuple[tuple, ...], 
     """`_Tracker.steps`: per entry (a, b, v) and copy n < k+1, the ``(group, mask)`` pairs it grows.
 
     The copy is key (a, b, 0) of window v and key (a, b, 1) of window
-    v-1; window 0 and empty masks are left out.
+    v-1 (see `_term_masks`); window 0 and empty masks are left out.
     """
-    mask_of = _term_masks(m, k)[2].get
+    masks = _term_masks(m, k)[2][2]
     return tuple(
-        tuple(
-            tuple(
-                (g, mask)
-                for g, mask in ((v, mask_of((a, b, 0, n), 0)), (v - 1, mask_of((a, b, 1, n), 0)))
-                if g and mask
-            )
-            for n in range(k + 1)
-        )
-        for a, b, v in _entries(m, max_degree)
+        tuple(tuple((g, mask) for g, mask in ((v, x), (v - 1, y)) if g and mask) for x, y in copies)
+        for v in range(1, max_degree + 1)
+        for copies in masks
     )
 
 
@@ -228,26 +223,23 @@ class _Tracker:
     reaching past -max_degree never fill, as no factor lies there.
 
     ``fitting(lo, hi)`` answers a push for every entry of one degree at once
-    and changes nothing.  In an admissible state a first copy adds exactly 1
-    to each slot of its masks, so it fails exactly when one of them already
-    holds the capped sum k; such full slots are those whose top bit sets
-    when 1 is added to every slot, which no slot carries out of.  So the
-    full slots of windows v and v-1 are found once per call, and each
-    entry's first-copy masks (see `_term_masks`) meet them in two ANDs;
-    when no slot of the two windows is full and entry lo is not held, every
-    entry fits with no test.  Pushes ascend, so only lo can be held.
-    An entry already held goes through ``steps`` as ``push`` does: its first
-    copy's masks would give the same verdict only through the coincidence
-    with the path inequalities, which this route is checked against and so
-    must not assume.
+    and changes nothing.  In an admissible state an n-th copy of a key adds
+    exactly 1 to each slot whose row caps the key above n, so it fails
+    exactly when one of them already holds the capped sum k; such full
+    slots are those whose top bit sets when 1 is added to every slot, which
+    no slot carries out of.  So the full slots of windows v and v-1 are
+    found once per call, and each entry's masks for its next copy (see
+    `_term_masks`) meet them in two ANDs; when no slot of the two windows
+    is full, every entry fits with no test.  This reads each term as
+    ``push`` does, so it assumes no coincidence with the path inequalities,
+    which this route is checked against.
     """
 
     def __init__(self, m: int, k: int, max_degree: int):
         self.entries = _entries(m, max_degree)
         self.steps = _tracker_steps(m, k, max_degree)
-        start, high, _, self.firsts = _term_masks(m, k)
+        start, self.high, self.copies = _term_masks(m, k)
         self.state = [start] * (max_degree + 1)
-        self.high = high
         self.mult = [0] * len(self.entries)
 
     def push(self, i: int) -> bool:
@@ -273,22 +265,18 @@ class _Tracker:
         """The entries in [lo, hi), all of one |degree| v, that ``push`` would accept."""
         v = self.entries[lo][2]
         state, mult = self.state, self.mult
-        ones, top, firsts = self.firsts
+        ones, top, masks = self.copies
         full = (state[v] + ones) >> top & ones
         fuller = (state[v - 1] + ones) >> top & ones if v > 1 else 0  # window 0 is untracked
-        if not (full or fuller or mult[lo]):
-            return list(range(lo, hi))  # no slot holds k, so every first copy fits
-        base = (v - 1) * len(firsts)  # the entries of degree v start here
+        if not (full or fuller):
+            return list(range(lo, hi))  # no slot holds k, so every copy fits
+        base = (v - 1) * len(masks)  # the entries of degree v start here
         return [
             i
-            for i, (x, y) in zip(range(lo, hi), firsts[lo - base : hi - base])
-            if (self._fits(i) if mult[i] else not (x & full or y & fuller))
+            for i, copies in zip(range(lo, hi), masks[lo - base : hi - base])
+            for x, y in (copies[mult[i]],)
+            if not (x & full or y & fuller)
         ]
-
-    def _fits(self, i: int) -> bool:
-        """True when a push of entry i would succeed; changes nothing."""
-        state, high = self.state, self.high
-        return not any((state[g] + mask) & high for g, mask in self.steps[i][self.mult[i]])
 
 
 @lru_cache(maxsize=None)
@@ -451,39 +439,62 @@ def _walk(max_degree: int, tracker, file) -> None:
 
 
 def _enumerate_groups(max_degree: int, tracker: _Tracker | _CutTracker):
-    """Admissible partitions in partition order, filed as groups of a shared prefix.
+    """Admissible partitions in partition order, filed as packed groups of a shared prefix.
 
-    Each `_walk` group is filed as ``(prefix, ids)``, ids a tuple.  A key
-    lists its factors in reverse canonical order, and a deeper degree or
-    later color position makes a smaller factor, so in a layer ``sort_key``
-    ascends as (length, shape, colors) descends: shapes are listed by
-    descending (length, shape), and a shape's keys in reverse walk order.
-    That holds as the shape fixes whether a key is a leaf, so a shape holds
-    leaf groups only or inner groups only, and a recursive call files only
-    longer shapes, so a shape's groups arrive in walk order, each
-    ascending.  No group is copied; the cyclic garbage collector stops
-    tracking them, as tuples of ints.
+    Each `_walk` group is appended to one ``array("I")`` per layer and
+    shape: the prefix's entries, the ids, then ``len(ids)``, so a group
+    costs one machine integer per entry and is no object the cyclic
+    collector visits.  A key lists its factors in reverse canonical order,
+    and a deeper degree or later color position makes a smaller factor, so
+    in a layer ``sort_key`` ascends as (length, shape, colors) descends:
+    shapes are listed by descending (length, shape), and a shape's keys in
+    reverse walk order.  That holds as the shape fixes whether a key is a
+    leaf, so a shape holds leaf groups only or inner groups only, and a
+    recursive call files only longer shapes, so a shape's groups arrive in
+    walk order, each ascending; `_layer_groups` reads them back from the
+    end.
 
-    Returns one tuple of groups per |degree| 0..max_degree; degree 0, the
-    empty partition alone, files no group.
+    Returns one tuple per |degree| 0..max_degree of ``(prefix length,
+    array)`` pairs, one per shape, in listing order; degree 0, the empty
+    partition alone, files no group.
     """
+    # imported here, not with the module, so that a point check never loads it
+    from array import array
+
     shapes: list[dict] = [{} for _ in range(max_degree + 1)]
 
     def file(total, shape, prefix, ids):
-        shapes[total].setdefault(shape, []).append((prefix, tuple(ids)))
+        store = shapes[total].get(shape)
+        if store is None:
+            store = shapes[total][shape] = array("I")
+        store.fromlist([*prefix, *ids, len(ids)])
 
     _walk(max_degree, tracker, file)
     return tuple(
-        tuple(g for s in sorted(layer, key=lambda t: (len(t), t))[::-1] for g in layer[s][::-1])
+        tuple((len(s) - 1, layer[s]) for s in sorted(layer, key=lambda t: (len(t), t))[::-1])
         for layer in shapes
     )
+
+
+def _layer_groups(layer):
+    """The groups ``(prefix, ids)`` of one `_enumerate_groups` layer, as array slices, in listing order.
+
+    A group stands for the keys ``(*prefix, i)``, i running over ``ids`` in
+    reverse.
+    """
+    for length, store in layer:
+        end = len(store) - 1  # the last group's count
+        while end > 0:
+            start = end - store[end]
+            yield store[start - length : start], store[start:end]
+            end = start - length - 1
 
 
 def _flatten(groups) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The layers of keys that `_enumerate_groups` files as groups."""
     empty = ((),)  # layer 0: the empty partition
     return (empty,) + tuple(
-        tuple([prefix + (i,) for prefix, ids in layer for i in reversed(ids)])
+        tuple([(*prefix, i) for prefix, ids in _layer_groups(layer) for i in reversed(ids)])
         for layer in groups[1:]
     )
 
@@ -498,15 +509,18 @@ def enumerate_groups(
     basis: BasisKind, max_degree: int, method: str | None = None
 ) -> tuple[
     tuple[tuple[int, int, int], ...],
-    tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...],
+    tuple[tuple[tuple[int, array], ...], ...],
 ]:
-    """The enumeration of `enumerate_keys` as the walk files it, in groups of a shared prefix.
+    """The enumeration of `enumerate_keys` as the walk files it, in packed groups of a shared prefix.
 
-    Returns ``(entries, groups)``: ``groups[m]`` lists layer m as pairs
-    ``(prefix, ids)``, which stand for the keys ``prefix + (i,)`` with i
-    running over ``ids`` in reverse (see `_enumerate_groups`).  Layer 0,
-    the empty partition alone, has no group.  The walk is cached; the
-    arguments and errors are those of `enumerate_basis`.
+    Returns ``(entries, groups)``: ``groups[m]`` holds layer m as
+    ``(prefix length, array)`` pairs, one per shape, which `_layer_groups`
+    reads as groups ``(prefix, ids)``; a group stands for the keys
+    ``(*prefix, i)`` with i running over ``ids`` in reverse (see
+    `_enumerate_groups`).  Layer 0, the empty partition alone, has no
+    group.  The walk is cached, and every caller gets the cache's own
+    arrays, which it must not change; the arguments and errors are those
+    of `enumerate_basis`.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")

@@ -12,11 +12,13 @@ counting code alone; `enumerate` and `verify-coincidence` load `basis`
 (with `leading` and `partitions`), and none of them loads the oracle, the
 root data or `fractions`.
 
-`enumerate` formats its rows straight from the walk's groups of integer
-keys that share a prefix (see `basis.enumerate_groups`) and writes them
-in blocks of about 1024 lines, one write per block, streaming even its
-JSON listing; a CSV row is its layer's degree field and last label, then
-its group's tail, the prefix's labels formatted once per group.
+`enumerate` formats its rows straight from the walk's packed groups of
+integer keys that share a prefix, read back one group at a time (see
+`basis.enumerate_groups`), and writes them in blocks of about 1024
+lines, one write per block, streaming even its JSON listing; a CSV row
+is its layer's degree field and last label, then its group's tail, the
+prefix's labels formatted once per group.  `leading-terms` writes its
+CSV and human rows as it formats each sorted term.
 `verify-coincidence` makes one walk that pushes the trackers of both
 conditions together (see `basis._Pair`) and only counts each layer, so it
 holds no listing; it checks the counts against `graded_series`, and on a
@@ -36,12 +38,13 @@ from .series import BasisKind, graded_series, rr_counts
 
 
 def _leading_rows(kind: str, rank: int, level: int, window: int):
-    """The window's leading terms in ascending `sort_key` order, formatted from `rows`.
+    """The window's term count and its terms in ascending `sort_key` order, formatted from `rows`.
 
-    On one window every term has k+1 factors, and its degree falls as its
-    split grows.  Within a split the offsets sit at the same places, so
-    the order compares the (a, b, offset) keys from the last factor down,
-    the larger first.
+    Each term comes out as ``(split, labels)`` as it is sorted out.  On one
+    window every term has k+1 factors, and its degree falls as its split
+    grows.  Within a split the offsets sit at the same places, so the order
+    compares the (a, b, offset) keys from the last factor down, the larger
+    first.
     """
     from .leading import check_window, rows
     from .partitions import Factor
@@ -53,25 +56,23 @@ def _leading_rows(kind: str, rank: int, level: int, window: int):
     for row in rows(alphabet.index_bound, level):
         keys = [key for key, e in row for _ in range(e)]
         split = sum(e for (_, _, offset), e in row if offset)
-        terms.append((split, keys[::-1], keys))
-    terms.sort(key=lambda term: term[:2], reverse=True)
+        terms.append((split, keys[::-1]))
+    terms.sort(reverse=True)
     # one label per (a, b, offset), the color at degree -window-offset
     labels = {
         (color.a, color.b, offset): str(Factor(color, -window - offset))
         for color in alphabet.colors()
         for offset in (0, 1)
     }
-    for split, _, keys in terms:
-        yield {
-            "window": window,
-            "split": split,
-            "factors": [labels[key] for key in keys],
-        }
+    return len(terms), (
+        (split, [labels[key] for key in reversed(keys)]) for split, keys in terms
+    )
 
 
 def _cmd_leading_terms(args) -> int:
-    terms = list(_leading_rows(args.kind, args.rank, args.level, args.window))
+    count, terms = _leading_rows(args.kind, args.rank, args.level, args.window)
     if args.format == "json":
+        rows = [{"window": args.window, "split": split, "factors": f} for split, f in terms]
         print(
             json.dumps(
                 {
@@ -79,21 +80,18 @@ def _cmd_leading_terms(args) -> int:
                     "rank": args.rank,
                     "level": args.level,
                     "window": args.window,
-                    "terms": terms,
+                    "terms": rows,
                 }
             )
         )
     elif args.format == "csv":
         # the bytes csv.writer writes, as no label needs quoting (see the enumerate CSV)
         sys.stdout.write("window,split,factors\r\n")
-        _write_lines(
-            f"{row['window']},{row['split']},{' '.join(row['factors'])}\r\n" for row in terms
-        )
+        _write_lines(f"{args.window},{split},{' '.join(f)}\r\n" for split, f in terms)
     else:
         print(f"leading terms: kind={args.kind} rank={args.rank} "
-              f"level={args.level} window={args.window} ({len(terms)} terms)")
-        for row in terms:
-            print(f"  split={row['split']}  {' '.join(row['factors'])}")
+              f"level={args.level} window={args.window} ({count} terms)")
+        _write_lines(f"  split={split}  {' '.join(f)}\n" for split, f in terms)
     return 0
 
 
@@ -105,11 +103,11 @@ def _labels(alphabet, entries) -> list[str]:
 
 
 def _cmd_enumerate(args) -> int:
-    from .basis import enumerate_groups
+    from .basis import _layer_groups, enumerate_groups
 
     basis = BasisKind(args.kind, args.rank, args.level)
     entries, groups = enumerate_groups(basis, args.max_degree)
-    # a group (prefix, ids) holds the keys prefix + (i,), i in ids read in
+    # a group (prefix, ids) holds the keys (*prefix, i), i in ids read in
     # reverse; a key lists its factors in reverse canonical order, one label
     # per entry, and degree 0 holds the empty partition alone
     labels = _labels(basis.alphabet, entries)
@@ -128,7 +126,7 @@ def _cmd_enumerate(args) -> int:
 
         def elements():
             for m, layer in enumerate(groups):
-                for prefix, ids in layer:
+                for prefix, ids in _layer_groups(layer):
                     tail = [labels[j] for j in reversed(prefix)]
                     for i in reversed(ids):
                         yield ", " + json.dumps({"degree": -m, "factors": [labels[i], *tail]})
@@ -148,7 +146,7 @@ def _cmd_enumerate(args) -> int:
         for m, layer in enumerate(groups[1:], 1):
             headed = [f"{-m},{label}" for label in labels]
             block, rows = [], 0
-            for prefix, ids in layer:
+            for prefix, ids in _layer_groups(layer):
                 tail = "".join([spaced[j] for j in reversed(prefix)]) + "\r\n"
                 block += [tail.join(map(headed.__getitem__, reversed(ids))), tail]
                 rows += len(ids)
@@ -161,10 +159,10 @@ def _cmd_enumerate(args) -> int:
               f"level={args.level} down to degree -{args.max_degree}")
         print("degree -0: 1 elements\n  1")
         for m, layer in enumerate(groups[1:], 1):
-            print(f"degree -{m}: {sum(len(ids) for _, ids in layer)} elements")
+            print(f"degree -{m}: {sum(len(ids) for _, ids in _layer_groups(layer))} elements")
             _write_lines(
-                f"  {_monomial(prefix + (i,), labels)}\n"
-                for prefix, ids in layer
+                f"  {_monomial((*prefix, i), labels)}\n"
+                for prefix, ids in _layer_groups(layer)
                 for i in reversed(ids)
             )
     return 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import builtins
 import gc
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,7 @@ from cpbasis.basis import (
     _enumerate_cached,
     _enumerate_groups,
     _flatten,
+    _layer_groups,
     _Pair,
     _term_masks,
     _Tracker,
@@ -918,10 +920,6 @@ def test_paired_walk_is_each_trackers_walk(m, k, n):
     assert pair.disagreements == [] and pair.path == []
 
 
-def is_int_tuple(value):
-    return type(value) is tuple and all(type(i) is int for i in value)
-
-
 @pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker])
 @pytest.mark.parametrize("m, k, n", WALK_GRID)
 def test_walk_files_ascending_int_groups_of_one_degree(tracker_type, m, k, n):
@@ -930,8 +928,10 @@ def test_walk_files_ascending_int_groups_of_one_degree(tracker_type, m, k, n):
     sizes = [v for _, _, v in tracker.entries]
     assert len(groups) == n + 1 and groups[0] == ()
     for degree, layer in enumerate(groups):
-        for prefix, ids in layer:
-            assert ids and is_int_tuple(ids) and is_int_tuple(prefix)
+        for length, store in layer:
+            assert type(length) is int and type(store) is array and store.typecode == "I"
+        for prefix, ids in _layer_groups(layer):
+            assert ids and type(ids) is array and type(prefix) is array
             assert len({sizes[i] for i in ids}) == 1
             assert list(ids) == sorted(set(ids))
             assert sum(sizes[i] for i in prefix) + sizes[ids[0]] == degree
@@ -941,14 +941,14 @@ def test_walk_files_ascending_int_groups_of_one_degree(tracker_type, m, k, n):
 
 
 def test_walk_groups_leave_the_cyclic_collector():
-    # the collector untracks a tuple of ints in the first collection that sees
-    # it, and a group pair of such tuples no later than the next; lists would
-    # stay tracked and be scanned by every full collection
+    # every store is an array of machine integers, which references no object
+    # but its type (CPython 3.10+ tracks it for that reference alone), so the
+    # collector visits one store per shape and no object per group
     _, groups = enumerate_groups(BasisKind("std", 2, 2), 6)
-    gc.collect()
-    gc.collect()
-    assert sum(map(len, groups)) > 0
-    assert not any(gc.is_tracked(group) for layer in groups for group in layer)
+    stores = [store for layer in groups for _, store in layer]
+    assert stores and all(type(store) is array for store in stores)
+    assert all(set(gc.get_referents(store)) <= {array} for store in stores)
+    assert len(stores) < sum(1 for layer in groups for _ in _layer_groups(layer))
 
 
 class TestEnumeration:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -174,6 +175,26 @@ class TestEnumerate:
         proc.stdout.close()
         _, stderr = proc.communicate(timeout=120)
         assert (proc.returncode, stderr) == (141, b"")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as on Linux")
+    def test_listing_memory_is_bounded(self, tmp_path):
+        # the walk packs its groups one machine integer per entry: these
+        # 2,783,797 rows peaked at about 100 MB when each group was a pair of tuples
+        out = tmp_path / "out"
+        code, peak_kib = run_python_peak(
+            out, "-m", "cpbasis.cli", "enumerate", "--kind", "std", "--rank", "2",
+            "--level", "2", "--max-degree", "13", "--format", "csv",
+        )
+        digest = hashlib.sha256()
+        with open(out, "rb") as listing:
+            for chunk in iter(lambda: listing.read(1 << 20), b""):
+                digest.update(chunk)
+        out.unlink()  # 140 MB
+        assert code == 0
+        assert digest.hexdigest() == (
+            "e19d1b1bdec380c3a6a4f3fd4a522a3487a9154a34f08b4f37598e89e9a4c30d"
+        )
+        assert peak_kib < 40 * 1024
 
 
 def enumerate_from_objects(kind, rank, level, max_degree, fmt) -> str:

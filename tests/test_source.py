@@ -149,6 +149,41 @@ def test_command_loads_only_what_it_runs(argv):
     assert out.splitlines() == [f"0 {loaded}", "[]"]
 
 
+def test_only_a_listing_loads_array():
+    # a listing packs its groups into arrays and imports `array` when it walks;
+    # dense point checks by both checkers, a series count and the coincidence
+    # walk hold no listing, and loading the module costs each run its memory
+    out = run_bare(
+        "import contextlib, io\n"
+        "from cpbasis import cli\n"
+        "from cpbasis.basis import admissible_by_divisibility, admissible_by_inequalities\n"
+        "from cpbasis.partitions import ColoredPartition, upper_scheme\n"
+        "from cpbasis.series import BasisKind\n"
+        "fs = BasisKind('fs', 4, 2)\n"
+        "for facs in [(((1, 1), -1), ((2, 3), -1), ((1, 4), -2)), (((1, 1), -1),) * 3]:\n"
+        "    pi = ColoredPartition.from_pairs(upper_scheme(4), *facs)\n"
+        "    verdicts = admissible_by_divisibility(pi, fs), admissible_by_inequalities(pi, fs)\n"
+        "    print(*verdicts, 'array' in sys.modules)\n"
+        "for argv in (\n"
+        "    ['series', '--kind', 'fs', '--rank', '2', '--level', '3', '--max-degree', '20'],\n"
+        "    ['verify-coincidence', '--ell', '1', '--level', '2', '--max-degree', '5'],\n"
+        "    ['enumerate', '--kind', 'std', '--rank', '1', '--level', '1', '--max-degree', '3'],\n"
+        "):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code, 'array' in sys.modules)\n"
+    )
+    # each partition holds three factors on degrees -1 and -2, more than the
+    # level 2, so each check pushes a tracker; the listing shows the probe works
+    assert out.splitlines() == [
+        "True True False",
+        "False False False",
+        "series 0 False",
+        "verify-coincidence 0 False",
+        "enumerate 0 True",
+    ]
+
+
 # `Frozen` builds every value class's __eq__ and __hash__ from its __slots__
 EQUALITY_METHODS = ("__eq__", "__hash__")
 
