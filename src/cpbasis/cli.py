@@ -18,7 +18,7 @@ integer keys that share a prefix, read back one group at a time (see
 lines, one write per block, streaming even its JSON listing; a CSV row
 is its layer's degree field and last label, then its group's tail, the
 prefix's labels formatted once per group.  `leading-terms` writes its
-CSV and human rows as it formats each sorted term.
+rows, JSON included, as it formats each sorted term.
 `verify-coincidence` makes one walk that pushes the trackers of both
 conditions together (see `basis._Pair`) and only counts each layer, so it
 holds no listing; it checks the counts against `graded_series`, and on a
@@ -72,18 +72,24 @@ def _leading_rows(kind: str, rank: int, level: int, window: int):
 def _cmd_leading_terms(args) -> int:
     count, terms = _leading_rows(args.kind, args.rank, args.level, args.window)
     if args.format == "json":
-        rows = [{"window": args.window, "split": split, "factors": f} for split, f in terms]
-        print(
-            json.dumps(
-                {
-                    "kind": args.kind,
-                    "rank": args.rank,
-                    "level": args.level,
-                    "window": args.window,
-                    "terms": rows,
-                }
-            )
+        # the envelope as json.dumps writes it, with the terms streamed into
+        # its list as `enumerate` streams its elements
+        head = json.dumps(
+            {
+                "kind": args.kind,
+                "rank": args.rank,
+                "level": args.level,
+                "window": args.window,
+                "terms": [],
+            }
         )
+        sys.stdout.write(head[:-2])
+        _write_lines(
+            (", " if i else "")
+            + json.dumps({"window": args.window, "split": split, "factors": f})
+            for i, (split, f) in enumerate(terms)
+        )
+        sys.stdout.write("]}\n")
     elif args.format == "csv":
         # the bytes csv.writer writes, as no label needs quoting (see the enumerate CSV)
         sys.stdout.write("window,split,factors\r\n")

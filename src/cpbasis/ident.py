@@ -9,14 +9,23 @@ encodings it is the identity, so it is automatically a bijection and
 preserves the column-major color order.  Transporting a partition maps
 its colors through iota and leaves degrees untouched.  The factor order
 reads only the degree and (a, b), so the image keeps the canonical order
-of the source and is built without a sort.
+of the source and is built without a sort.  The image colors are the
+target scheme's shared ones (`partitions._color_table`), and each image
+factor keeps its source's degree, an int already, so it is built without
+`Factor`'s `operator.index`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .partitions import Color, ColoredPartition, Factor, _canonical, full_scheme, upper_scheme
+from .partitions import (
+    Color,
+    ColoredPartition,
+    _canonical,
+    _color_table,
+    _factor,
+    full_scheme,
+    upper_scheme,
+)
 
 
 def iota(pair: tuple[int, int], ell: int) -> Color:
@@ -27,18 +36,13 @@ def iota(pair: tuple[int, int], ell: int) -> Color:
     return Color(full_scheme(ell), i, j)
 
 
-@lru_cache(maxsize=None)
-def _images(ell: int) -> dict[tuple[int, int], Color]:
-    """The colors of the full rank-ell scheme by their pairs (a, b), which iota keeps."""
-    return {c.pair: c for c in full_scheme(ell).colors()}
-
-
 def transport_partition(p: ColoredPartition, ell: int) -> ColoredPartition:
     """Color-wise iota image of a partition over the rank-2*ell upper triangle."""
     source, target = upper_scheme(2 * ell), full_scheme(ell)
     if p.alphabet is not source and p.alphabet != source:
         raise ValueError(f"expected a partition over {source}, got {p.alphabet}")
-    image = _images(target.rank)
+    image = _color_table(target)
     return _canonical(
-        target, tuple([Factor(image[f.color.a, f.color.b], f.degree) for f in p.factors])
+        target,
+        tuple([_factor(image[f.color.a, f.color.b], f.degree) for f in p.factors]),
     )

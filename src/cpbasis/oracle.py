@@ -19,8 +19,14 @@ compositions only.  No member outside them can be the minimum.
 Inside, a support member is a plain integer key: its factors in
 canonical ascending order, each the triple ``(degree, -a, -b)`` that
 flattens ``Factor.sort_key``.  `ColoredPartition` objects are built only
-at the boundary: one per minimum, or one per member of a requested
-support.
+at the boundary: one per minimum `brute_leading_term` returns, one per
+member of a requested support, and one per term an audit names in a
+mismatch.
+
+`audit_windows` compares keys only.  Its brute side is `_brute_key`,
+with each multiset's pairings found once per call; its closed side is
+`_closed_keys`, the integer rows of `leading.rows` moved to each window,
+the same terms `fs_leading_terms` builds as partitions.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 
 from ._frozen import Frozen, setfield
-from .leading import fs_leading_terms, window_split
-from .partitions import Color, ColoredPartition, Factor, upper_scheme
+from .leading import rows as leading_rows
+from .partitions import ColoredPartition, upper_scheme
 
 
 def _pairings(elements: tuple[int, ...], _least=None):
@@ -116,18 +122,28 @@ def _check_arguments(multiset: tuple[int, ...], n: int, k: int, m: int) -> None:
         )
 
 
-def _spread_keys(multiset: tuple[int, ...], compositions):
-    """Keys of every pairing of the multiset spread over every given composition.
+def _column_pairings(multiset: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each pairing of the multiset as the ``(columns, rows)`` its keys carry.
 
-    A partition reached by several pairings or compositions is yielded
-    once for each.
+    The columns are the pairs' negated first entries, the rows their
+    negated second entries, in the pairing's order.
     """
     elements: list[int] = []
     for idx, count in enumerate(multiset, start=1):
         elements.extend([idx] * count)
-    for pairing in _pairings(tuple(elements)):
-        columns = tuple(-a for a, _ in pairing)
-        rows = tuple(-b for _, b in pairing)
+    return [
+        (tuple(-a for a, _ in pairing), tuple(-b for _, b in pairing))
+        for pairing in _pairings(tuple(elements))
+    ]
+
+
+def _spread_keys(pairings, compositions):
+    """Keys of every pairing, as `_column_pairings` gives it, spread over every given composition.
+
+    A partition reached by several pairings or compositions is yielded
+    once for each.
+    """
+    for columns, rows in pairings:
         for comp in compositions:
             yield tuple(sorted(zip(comp, columns, rows)))
 
@@ -139,7 +155,7 @@ def _support_keys(multiset: tuple[int, ...], n: int, k: int, m: int):
     every composition of n into k+1 degrees <= -1; a partition reached by
     several pairings or compositions is yielded once for each.
     """
-    return _spread_keys(multiset, _negative_compositions(n, k + 1))
+    return _spread_keys(_column_pairings(multiset), _negative_compositions(n, k + 1))
 
 
 def _least_compositions(n: int, parts: int) -> tuple[tuple[int, ...], ...]:
@@ -168,10 +184,20 @@ def _order_key(key: tuple[tuple[int, int, int], ...]):
     return [f[0] for f in top_down], [f[1:] for f in top_down]
 
 
+def _brute_key(pairings, n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """The key of the least member of a degree-n support, given the multiset's `_column_pairings`.
+
+    Found in two stages, and still over the whole support.  `_order_key`
+    compares the degree sequences before any color, and a key's degree
+    sequence is its sorted composition whatever the pairing; so the
+    minimum spreads some pairing over one of `_least_compositions`, and
+    the colors decide among every pairing spread over those alone.
+    """
+    return min(_spread_keys(pairings, _least_compositions(n, k + 1)), key=_order_key)
+
+
 def _partition(alphabet, key) -> ColoredPartition:
-    return ColoredPartition(
-        alphabet, tuple(Factor(Color(alphabet, -a, -b), d) for d, a, b in key)
-    )
+    return ColoredPartition.from_pairs(alphabet, *(((-a, -b), d) for d, a, b in key))
 
 
 def relation_support(
@@ -198,19 +224,10 @@ def relation_support(
 def brute_leading_term(
     multiset: tuple[int, ...], n: int, k: int, m: int
 ) -> ColoredPartition:
-    """Minimum of the relation support under the well order on partitions.
-
-    Found in two stages, and still over the whole support.  `_order_key`
-    compares the degree sequences before any color, and a key's degree
-    sequence is its sorted composition whatever the pairing; so the
-    minimum spreads some pairing over one of `_least_compositions`, and
-    the colors decide among every pairing spread over those alone.
-    """
+    """Minimum of the relation support under the well order on partitions (see `_brute_key`)."""
     multiset = tuple(multiset)
     _check_arguments(multiset, n, k, m)
-    least = _least_compositions(n, k + 1)
-    best = min(_spread_keys(multiset, least), key=_order_key)
-    return _partition(upper_scheme(m), best)
+    return _partition(upper_scheme(m), _brute_key(_column_pairings(multiset), n, k))
 
 
 class AuditReport(Frozen):
@@ -246,13 +263,31 @@ class AuditReport(Frozen):
         }
 
 
+def _closed_keys(m: int, k: int, d: int) -> dict[int, set[tuple[tuple[int, int, int], ...]]]:
+    """Keys of the closed-form leading terms of rank m, level k on window d, by split.
+
+    Each of `leading.rows` moved to window d: offset 1 to degree -d-1,
+    offset 0 to -d.  A row lists its factors in canonical ascending order,
+    so its key is read off in order; its split is the sum of its offset-1
+    exponents.  These are the keys of `fs_leading_terms(m, k, d)`.
+    """
+    by_split: dict[int, set] = {}
+    for row in leading_rows(m, k):
+        key = tuple((-d - offset, -a, -b) for (a, b, offset), e in row for _ in range(e))
+        split = sum(e for (_, _, offset), e in row if offset)
+        by_split.setdefault(split, set()).add(key)
+    return by_split
+
+
 def audit_windows(m: int, k: int, d_max: int) -> AuditReport:
     """Exhaustively compare brute-force minima with the closed-form generators.
 
     For every index multiset of size 2(k+1), every window d <= d_max and
     every degree split, the brute-force minimum must exist in the closed
     set, the two sets must coincide, and each minimum must be supported on
-    two consecutive degrees.  Mismatches are reported as data.
+    two consecutive degrees.  Both sides are integer keys; a term is built
+    as a partition only to be named in a mismatch, which is reported as
+    data.
     """
     if m < 1 or k < 1 or d_max < 1:
         raise ValueError("rank, level and window bound must be positive")
@@ -260,38 +295,42 @@ def audit_windows(m: int, k: int, d_max: int) -> AuditReport:
         tuple(combo.count(i) for i in range(1, m + 1))
         for combo in combinations_with_replacement(range(1, m + 1), 2 * (k + 1))
     ]
+    # the pairings of a multiset depend on neither the window nor the split
+    pairings = [_column_pairings(ms) for ms in multisets]
+    alphabet = upper_scheme(m)
     mismatches: list[dict] = []
     for d in range(1, d_max + 1):
-        closed = fs_leading_terms(m, k, d)
-        by_split: dict[int, set[ColoredPartition]] = {}
-        for term in closed:
-            by_split.setdefault(window_split(term, d), set()).add(term)
+        closed = _closed_keys(m, k, d)
+        window = {-d - 1, -d}
         for b in range(0, k + 2):
             n = -d * (k + 1) - b
             brute = set()
-            for ms in multisets:
-                term = brute_leading_term(ms, n, k, m)
-                degs = {f.degree for f in term.factors}
-                if not degs <= {-d - 1, -d}:
+            for ms, pairs in zip(multisets, pairings):
+                key = _brute_key(pairs, n, k)
+                if not {f[0] for f in key} <= window:
                     mismatches.append(
                         {
                             "window": d,
                             "split": b,
                             "multiset": list(ms),
                             "error": "not window-concentrated",
-                            "term": str(term),
+                            "term": str(_partition(alphabet, key)),
                         }
                     )
                     continue
-                brute.add(term)
-            expected = by_split.get(b, set())
+                brute.add(key)
+            expected = closed.get(b, set())
             if brute != expected:
                 mismatches.append(
                     {
                         "window": d,
                         "split": b,
-                        "missing": sorted(str(t) for t in expected - brute),
-                        "unexpected": sorted(str(t) for t in brute - expected),
+                        "missing": sorted(
+                            str(_partition(alphabet, key)) for key in expected - brute
+                        ),
+                        "unexpected": sorted(
+                            str(_partition(alphabet, key)) for key in brute - expected
+                        ),
                     }
                 )
     return AuditReport(rank=m, level=k, windows=d_max, mismatches=tuple(mismatches))

@@ -30,6 +30,13 @@ classes: immutable, without a ``__dict__``, equal and hashed by their
 fields, and equal only to an instance of the same class.  Their integer
 fields take only exact integers, through `operator.index`.
 
+Each scheme keeps one table of its colors by pair (a, b), filled as
+pairs are asked for and bounded by the scheme's colors.
+`ColoredPartition.from_pairs` and partition transport (`ident`) take
+their colors from it rather than build one per factor.  Both
+constructors sort factors by the integer triple ``(degree, -a, -b)``,
+the order ``Factor.sort_key`` gives.
+
 A colored partition is a finite multiset of factors kept in canonical
 ascending factor order.  Partitions over a fixed scheme form a monoid
 under multiset union, with the empty partition as unit.
@@ -75,9 +82,8 @@ class Alphabet(Frozen):
     def colors(self) -> tuple["Color", ...]:
         """All colors of the scheme in descending order (column-major, ``X_11`` first)."""
         n = self.index_bound
-        return tuple(
-            Color(self, a, b) for a in range(1, n + 1) for b in range(a, n + 1)
-        )
+        table = _color_table(self)
+        return tuple(table[a, b] for a in range(1, n + 1) for b in range(a, n + 1))
 
     def __str__(self) -> str:
         return f"{self.scheme}(C{self.rank})"
@@ -145,6 +151,42 @@ class Color(Frozen):
         return self.alphabet.display_index(self.a) + self.alphabet.display_index(self.b)
 
 
+class _Colors(dict):
+    """The shared colors of one scheme by their pairs (a, b).
+
+    A pair is looked up as a plain dict key; a missing one is built by
+    `Color`, which checks it, and kept only once it is built, so the table
+    holds at most the scheme's colors.
+    """
+
+    __slots__ = ("alphabet",)
+
+    def __init__(self, alphabet: Alphabet) -> None:
+        self.alphabet = alphabet
+
+    def __missing__(self, pair: tuple[int, int]) -> Color:
+        color = self[pair] = Color(self.alphabet, *pair)
+        return color
+
+
+_COLORS: dict[tuple[str, int], _Colors] = {}
+
+
+def _color_table(alphabet: Alphabet) -> _Colors:
+    """The one color table of a scheme, read by `from_pairs` and by transport.
+
+    Keyed by scheme and rank, so an `Alphabet` equal to a shared one finds
+    its table; the colors in it are over the shared `Alphabet`.
+    """
+    if not isinstance(alphabet, Alphabet):
+        raise TypeError(f"expected an Alphabet, got {type(alphabet).__name__}")
+    key = (alphabet.scheme, alphabet.rank)
+    table = _COLORS.get(key)
+    if table is None:
+        table = _COLORS[key] = _Colors(_scheme(*key))
+    return table
+
+
 class Factor(Frozen):
     """A degree-graded basis symbol x(n), i.e. a color placed in degree n."""
 
@@ -162,6 +204,27 @@ class Factor(Frozen):
 
     def __str__(self) -> str:
         return f"{self.color}({self.degree})"
+
+
+_set_color = Factor.color.__set__
+_set_degree = Factor.degree.__set__
+
+
+def _factor(color: Color, degree: int) -> Factor:
+    """`Factor(color, degree)` without `operator.index`, for a degree that is already an int.
+
+    The fields are set through their slot descriptors, past `__init__`.
+    """
+    f = object.__new__(Factor)
+    _set_color(f, color)
+    _set_degree(f, degree)
+    return f
+
+
+def _factor_order(f: Factor) -> tuple[int, int, int]:
+    """`Factor.sort_key` flattened to the integer triple ``(degree, -a, -b)``."""
+    color = f.color
+    return (f.degree, -color.a, -color.b)
 
 
 def _cmp(x, y) -> int:
@@ -192,15 +255,26 @@ class ColoredPartition(Frozen):
     factors: tuple[Factor, ...]
 
     def __init__(self, alphabet: Alphabet, factors: tuple[Factor, ...] = ()) -> None:
-        _fill(self, alphabet, tuple(sorted(factors, key=lambda f: f.sort_key)))
+        _fill(self, alphabet, tuple(sorted(factors, key=_factor_order)))
 
     @classmethod
     def from_pairs(cls, alphabet: Alphabet, *facs: tuple[tuple[int, int], int]):
-        """Build a partition from ``((a, b), degree)`` entries."""
-        return cls(
-            alphabet,
-            tuple(Factor(Color(alphabet, a, b), n) for (a, b), n in facs),
-        )
+        """Build a partition from ``((a, b), degree)`` entries.
+
+        Each color is the scheme's shared one (`_color_table`).  The a, b
+        and degree go through `operator.index`, so a float or a string is
+        refused, and a pair out of range is refused by `Color`.
+        """
+        table = _color_table(alphabet)
+        factors = []
+        for (a, b), n in facs:
+            color = table[index(a), index(b)]
+            factors.append(_factor(color, index(n)))
+        factors.sort(key=_factor_order)
+        p = object.__new__(cls)
+        setfield(p, "alphabet", alphabet)
+        setfield(p, "factors", tuple(factors))
+        return p
 
     @property
     def length(self) -> int:

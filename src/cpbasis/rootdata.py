@@ -11,9 +11,13 @@ highest root theta satisfies <theta, theta> = 2; only family C needs a
 rescaling (by 1/2).  All arithmetic is exact.  `Weight` keeps Fraction
 coordinates for the API; the roots and 2*rho are built as integer
 tuples, so Weyl products run on integers: a weight is scaled by the lcm
-of its denominators, and the product formula's ratio ignores both that
-scale and the form's, so numerators and denominators are multiplied
-separately and divided once.
+of its denominators (each coordinate's numerator times the lcm's
+cofactor, no Fraction product), and the product formula's ratio ignores
+both that scale and the form's, so numerators and denominators are
+multiplied separately and divided once.  A positive root has at most two
+nonzero coordinates, so the products and the positivity test pair a
+weight with each root's sparse form, ``(i, c, j, e)`` for
+c*eps_i + e*eps_j (0-based, e = 0 for a root on one coordinate).
 
 `RootSystemSpec`, `Weight` and `MinusculeData` are frozen slot classes,
 equal and hashed by their fields.
@@ -166,31 +170,43 @@ def half_sum_positive(spec: RootSystemSpec) -> Weight:
 
 @lru_cache(maxsize=None)
 def _integer_roots(spec: RootSystemSpec):
-    """Positive roots in order, simple roots and 2*rho, as integer coordinate tuples."""
+    """Positive roots in order, simple roots and 2*rho, as integer coordinate tuples.
+
+    Each root is written first in its sparse form ``(i, c, j, e)``, for
+    c*eps_i + e*eps_j with 0-based i and j (e = 0 for a root on one
+    coordinate); a fourth entry holds the positive roots in that form, in
+    the same order.
+    """
     n = spec.ambient_dim
-
-    def root(*terms: tuple[int, int]) -> tuple[int, ...]:
-        # the sum of c*eps_i over the (i, c) terms, 1-based
-        return tuple(sum(c for i, c in terms if i == t) for t in range(1, n + 1))
-
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     last = n if spec.family == "A" else spec.rank
-    simple = [root((i, 1), (i + 1, -1)) for i in range(1, last)]
+    simple = [(i, 1, i + 1, -1) for i in range(last - 1)]
     if spec.family == "A":
-        positive = [root((i, 1), (j, -1)) for i, j in pairs]
+        positive = [(i, 1, j, -1) for i, j in pairs]
     else:
-        positive = [
-            r for i, j in pairs for r in (root((i, 1), (j, -1)), root((i, 1), (j, 1)))
-        ]
+        positive = [r for i, j in pairs for r in ((i, 1, j, -1), (i, 1, j, 1))]
     if spec.family == "B":
-        positive += [root((i, 1)) for i in range(1, n + 1)]
-        simple.append(root((n, 1)))
+        positive += [(i, 1, i, 0) for i in range(n)]
+        simple.append((n - 1, 1, n - 1, 0))
     elif spec.family == "C":
-        positive += [root((i, 2)) for i in range(1, n + 1)]
-        simple.append(root((n, 2)))
+        positive += [(i, 2, i, 0) for i in range(n)]
+        simple.append((n - 1, 2, n - 1, 0))
     elif spec.family == "D":
-        simple.append(root((n - 1, 1), (n, 1)))
-    return tuple(positive), tuple(simple), tuple(map(sum, zip(*positive)))
+        simple.append((n - 2, 1, n - 1, 1))
+
+    def dense(i: int, c: int, j: int, e: int) -> tuple[int, ...]:
+        coords = [0] * n
+        coords[i] += c
+        coords[j] += e
+        return tuple(coords)
+
+    roots = [dense(*alpha) for alpha in positive]
+    return (
+        tuple(roots),
+        tuple(dense(*alpha) for alpha in simple),
+        tuple(map(sum, zip(*roots))),
+        tuple(positive),
+    )
 
 
 def _pairing(x: tuple[int, ...], y: tuple[int, ...]) -> int:
@@ -200,7 +216,7 @@ def _pairing(x: tuple[int, ...], y: tuple[int, ...]) -> int:
 def _scaled(lam: Weight) -> tuple[int, tuple[int, ...]]:
     """The lcm L of the coordinate denominators of `lam`, and L*lam in integers."""
     scale = lcm(*(c.denominator for c in lam.coords))
-    return scale, tuple(int(scale * c) for c in lam.coords)
+    return scale, tuple(c.numerator * (scale // c.denominator) for c in lam.coords)
 
 
 def is_dominant_integral(spec: RootSystemSpec, lam: Weight) -> bool:
@@ -225,13 +241,13 @@ def weyl_product(
 ) -> tuple[int, int]:
     """Numerator and denominator of prod <top, alpha> / <bottom, alpha>.
 
-    The product runs over the positive roots of `spec`, with plain integer
-    coordinate pairings; the caller divides once.
+    The product runs over the positive roots of `spec` in their sparse
+    form, with plain integer coordinate pairings; the caller divides once.
     """
     num = den = 1
-    for alpha in _integer_roots(spec)[0]:
-        num *= _pairing(top, alpha)
-        den *= _pairing(bottom, alpha)
+    for i, c, j, e in _integer_roots(spec)[3]:
+        num *= c * top[i] + e * top[j]
+        den *= c * bottom[i] + e * bottom[j]
     return num, den
 
 
@@ -244,12 +260,12 @@ def weyl_dim(spec: RootSystemSpec, lam: Weight) -> int:
     """
     if not is_dominant_integral(spec, lam):
         raise ValueError(f"{lam} is not dominant integral for {spec}")
-    roots, _, two_rho = _integer_roots(spec)
+    roots, _, two_rho, sparse = _integer_roots(spec)
     scale, scaled = _scaled(lam)
     bottom = tuple(scale * r for r in two_rho)
     top = tuple(2 * x + r for x, r in zip(scaled, bottom))
-    for alpha in roots:
-        if _pairing(top, alpha) <= 0:
+    for alpha, (i, c, j, e) in zip(roots, sparse):
+        if c * top[i] + e * top[j] <= 0:
             rho = half_sum_positive(spec)
             shifted = lam + rho
             alpha = Weight(alpha)

@@ -92,6 +92,21 @@ class TestLeadingTerms:
         payload = json.loads(out1)
         assert payload["kind"] == "std" and len(payload["terms"]) > 0
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as on Linux")
+    def test_json_memory_is_bounded(self, tmp_path):
+        # the terms are streamed into the envelope: one dict per term for a
+        # single json.dumps peaked at about 49 MB on these 32,175 terms
+        out = tmp_path / "out"
+        code, peak_kib = run_python_peak(
+            out, "-m", "cpbasis.cli", "leading-terms", "--kind", "fs", "--rank", "8",
+            "--level", "3", "--window", "1", "--format", "json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "aadb326ba1a87ef4a3cb4ed9d7d7d5f9f38112a78c8cc04d5674b9178944631b"
+        )
+        assert peak_kib < 40 * 1024
+
 
 def leading_terms_from_objects(kind, rank, level, window, fmt) -> str:
     """The leading-terms command's output, formatted from sorted `ColoredPartition` objects."""

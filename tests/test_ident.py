@@ -160,3 +160,18 @@ def test_transport_without_sort_is_canonical(case):
         transport_partition(p, ell + 1)
     with pytest.raises(ValueError):
         transport_partition(q, ell)
+
+
+@given(doubled_rank_partition())
+def test_transported_factors_are_public_factors(case):
+    ell, p = case
+    q = transport_partition(p, ell)
+    target = full_scheme(ell)
+    expected = [Factor(Color(target, f.color.a, f.color.b), f.degree) for f in p.factors]
+    assert list(q.factors) == expected
+    assert [hash(f) for f in q.factors] == [hash(f) for f in expected]
+    assert [f.sort_key for f in q.factors] == [f.sort_key for f in expected]
+    assert all(type(f) is Factor and type(f.degree) is int for f in q.factors)
+    # the image colors are the target scheme's shared ones
+    shared = {c.pair: c for c in target.colors()}
+    assert all(f.color is shared[f.color.pair] for f in q.factors)

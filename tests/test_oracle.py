@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cpbasis import oracle
 from cpbasis.cli import main
-from cpbasis.leading import fs_leading_terms
+from cpbasis.leading import fs_leading_terms, window_split
 from cpbasis.oracle import (
     _least_compositions,
     _negative_compositions,
@@ -339,6 +339,11 @@ def test_minimum_never_lists_compositions(monkeypatch):
     assert audit_windows(2, 3, 3).ok
 
 
+def key_of(p: ColoredPartition) -> tuple[tuple[int, int, int], ...]:
+    """A partition's integer key: its factors in order, each ``(degree, -a, -b)``."""
+    return tuple((f.degree, -f.color.a, -f.color.b) for f in p.factors)
+
+
 class TestAuditFailures:
     """The audit reports what the closed forms and the minima disagree on."""
 
@@ -350,8 +355,14 @@ class TestAuditFailures:
     def test_dropped_closed_term_is_unexpected(self, monkeypatch, capsys):
         dropped = up_part(2, ((1, 2), -1), ((1, 2), -1))
         assert dropped in fs_leading_terms(2, 1, 1)
+        closed_keys = oracle._closed_keys
         monkeypatch.setattr(
-            oracle, "fs_leading_terms", lambda m, k, d: fs_leading_terms(m, k, d) - {dropped}
+            oracle,
+            "_closed_keys",
+            lambda m, k, d: {
+                split: keys - {key_of(dropped)}
+                for split, keys in closed_keys(m, k, d).items()
+            },
         )
         code, mismatches = self.audit(capsys, 2, 1, 1)
         assert code == 1
@@ -363,9 +374,13 @@ class TestAuditFailures:
         # a support member of the multiset {1, 1, 2, 2}, but not its minimum
         added = up_part(2, ((1, 1), -1), ((2, 2), -1))
         assert added not in fs_leading_terms(2, 1, 1)
-        monkeypatch.setattr(
-            oracle, "fs_leading_terms", lambda m, k, d: fs_leading_terms(m, k, d) | {added}
-        )
+        closed_keys = oracle._closed_keys
+
+        def with_added(m, k, d):
+            by_split = closed_keys(m, k, d)
+            return {**by_split, 0: by_split[0] | {key_of(added)}}
+
+        monkeypatch.setattr(oracle, "_closed_keys", with_added)
         code, mismatches = self.audit(capsys, 2, 1, 1)
         assert code == 1
         assert mismatches == [
@@ -374,7 +389,7 @@ class TestAuditFailures:
 
     def test_minimum_off_the_window(self, monkeypatch, capsys):
         spread = up_part(1, ((1, 1), -3), ((1, 1), -2), ((1, 1), -1))
-        monkeypatch.setattr(oracle, "brute_leading_term", lambda ms, n, k, m: spread)
+        monkeypatch.setattr(oracle, "_brute_key", lambda pairings, n, k: key_of(spread))
         code, mismatches = self.audit(capsys, 1, 2, 1)
         assert code == 1
         errors = [x for x in mismatches if "error" in x]
@@ -392,3 +407,14 @@ class TestAuditFailures:
         assert [x["missing"] for x in mismatches if "missing" in x] == [
             [str(t)] for t in sorted(fs_leading_terms(1, 2, 1), key=lambda p: -p.degree)
         ]
+
+
+def test_closed_keys_are_the_keys_of_the_closed_terms():
+    # the audit's closed side is the public object route, split by split
+    for m in range(1, 5):
+        for k in range(1, 4):
+            for d in range(1, 4):
+                by_split = {}
+                for term in fs_leading_terms(m, k, d):
+                    by_split.setdefault(window_split(term, d), set()).add(key_of(term))
+                assert oracle._closed_keys(m, k, d) == by_split

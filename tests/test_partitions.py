@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from cpbasis.partitions import (
     Color,
     ColoredPartition,
     Factor,
+    _color_table,
     compare_colors,
     compare_factors,
     compare_partitions,
@@ -237,3 +239,64 @@ def test_multiply_additive(p, q):
 @given(random_partition(), random_partition())
 def test_divisor_of_product(p, q):
     assert divides(p, p * q)
+
+
+@st.composite
+def pair_entries(draw):
+    """A full or upper scheme of rank <= 4 and ``((a, b), degree)`` entries, some repeated."""
+    alphabet = draw(st.sampled_from([full_scheme, upper_scheme]))(draw(st.integers(1, 4)))
+    entry = st.tuples(
+        st.sampled_from([c.pair for c in alphabet.colors()]), st.integers(-9, -1)
+    )
+    drawn = draw(st.lists(entry, max_size=8))
+    # repeat some drawn entries, so that equal factors sit side by side
+    drawn += draw(st.lists(st.sampled_from(drawn), max_size=4)) if drawn else []
+    return alphabet, draw(st.permutations(drawn))
+
+
+@given(pair_entries())
+def test_from_pairs_is_the_public_constructor(case):
+    alphabet, entries = case
+    p = ColoredPartition.from_pairs(alphabet, *entries)
+    q = ColoredPartition(
+        alphabet, tuple(Factor(Color(alphabet, a, b), n) for (a, b), n in entries)
+    )
+    assert p == q and hash(p) == hash(q)
+    assert p.factors == q.factors
+    # both put the factors in ascending `Factor.sort_key` order
+    order = sorted((n, (-a, -b)) for (a, b), n in entries)
+    assert [f.sort_key for f in p.factors] == order
+    assert [f.sort_key for f in q.factors] == order
+    assert all(type(f) is Factor and type(f.degree) is int for f in p.factors)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and hash(copy) == hash(p) and copy.factors == p.factors
+    # every color is the scheme's shared one
+    table = _color_table(alphabet)
+    assert all(f.color is table[f.color.pair] for f in p.factors)
+
+
+@pytest.mark.parametrize("scheme", [full_scheme, upper_scheme])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("bad", [1.0, 2.5, "1"])
+def test_from_pairs_refuses_inexact_entries(scheme, slot, bad):
+    entry = [1, 2, -1]
+    entry[slot] = bad
+    a, b, n = entry
+    with pytest.raises(TypeError):
+        ColoredPartition.from_pairs(scheme(2), ((1, 1), -2), ((a, b), n))
+
+
+@pytest.mark.parametrize("scheme", [full_scheme, upper_scheme])
+@pytest.mark.parametrize("pair", [(2, 1), (0, 1), (1, 5), (-1, 2)])
+def test_from_pairs_refuses_pairs_out_of_range(scheme, pair):
+    alphabet = scheme(2)
+    with pytest.raises(ValueError, match="is not a valid color"):
+        ColoredPartition.from_pairs(alphabet, ((1, 1), -2), (pair, -1))
+    # a refused pair is not kept: the table holds only the scheme's colors
+    assert pair not in _color_table(alphabet)
+    assert set(_color_table(alphabet)) <= {c.pair for c in alphabet.colors()}
+
+
+def test_from_pairs_refuses_a_scheme_that_is_not_an_alphabet():
+    with pytest.raises(TypeError, match="expected an Alphabet"):
+        ColoredPartition.from_pairs("B1", ((1, 1), -1))

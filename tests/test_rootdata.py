@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from unittest import mock
 
 import pytest
@@ -438,3 +438,82 @@ def test_rejections_keep_type_and_message(family, rank, coords, message):
         weyl_dim(spec, lam)
     assert str(exc.value) == message
     assert outcome(reference_weyl_dim, spec, lam) == (ValueError, message)
+
+
+WIDE_SPECS = (
+    [RootSystemSpec("A", r) for r in range(1, 12)]
+    + [RootSystemSpec("B", r) for r in range(2, 7)]
+    + [RootSystemSpec("C", r) for r in range(1, 7)]
+    + [RootSystemSpec("D", r) for r in range(3, 7)]
+)
+
+
+def dense_weyl_product(spec, top, bottom) -> tuple[int, int]:
+    """The Weyl product over the dense integer roots, one full pairing per root."""
+    num = den = 1
+    for alpha in rootdata._integer_roots(spec)[0]:
+        num *= rootdata._pairing(top, alpha)
+        den *= rootdata._pairing(bottom, alpha)
+    return num, den
+
+
+def shifted_pair(spec, lam):
+    """D*(lam+rho) and D*rho, as `weyl_dim` hands them to `weyl_product`."""
+    scale = lcm(*(c.denominator for c in lam.coords))
+    bottom = tuple(scale * r for r in rootdata._integer_roots(spec)[2])
+    top = tuple(int(2 * scale * x) + r for x, r in zip(lam.coords, bottom))
+    return top, bottom
+
+
+@pytest.mark.parametrize("spec", WIDE_SPECS, ids=str)
+def test_sparse_roots_are_the_dense_roots(spec):
+    positive, _, _, sparse = rootdata._integer_roots(spec)
+    n = spec.ambient_dim
+    rebuilt = []
+    for i, c, j, e in sparse:
+        coords = [0] * n
+        coords[i] += c
+        coords[j] += e
+        rebuilt.append(tuple(coords))
+    assert rebuilt == list(positive)
+    assert all(c != 0 and (e == 0) == (i == j) for i, c, j, e in sparse)
+
+
+@pytest.mark.parametrize("spec", WIDE_SPECS, ids=str)
+def test_sparse_weyl_product_matches_dense_on_fundamental_weights(spec):
+    # each fundamental weight (the B/D spin weights are half-integers), zero and their sum
+    weights = [Weight(w) for w in fundamental_weights(spec)]
+    weights += [zero_weight(spec), Weight(tuple(from_labels(spec, [1] * spec.rank)))]
+    for lam in weights:
+        top, bottom = shifted_pair(spec, lam)
+        assert rootdata.weyl_product(spec, top, bottom) == dense_weyl_product(spec, top, bottom)
+        assert weyl_dim(spec, lam) == reference_weyl_dim(spec, lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from(WIDE_SPECS), data=st.data())
+def test_sparse_weyl_product_matches_dense(spec, data):
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=spec.rank, max_size=spec.rank))
+    lam = Weight(tuple(from_labels(spec, labels)))
+    top, bottom = shifted_pair(spec, lam)
+    num, den = rootdata.weyl_product(spec, top, bottom)
+    assert (num, den) == dense_weyl_product(spec, top, bottom)
+    assert num % den == 0 and weyl_dim(spec, lam) == num // den
+
+
+@pytest.mark.parametrize("spec", WIDE_SPECS, ids=str)
+def test_wide_ranks_keep_their_exceptions_and_messages(spec):
+    # not dominant: -omega_1, and omega_1 halved
+    omega = fundamental_weights(spec)[0]
+    for lam in (Weight(tuple(-c for c in omega)), Weight(tuple(c / 2 for c in omega))):
+        got = outcome(weyl_dim, spec, lam)
+        assert got[0] is ValueError
+        assert got == outcome(reference_weyl_dim, spec, lam)
+    # with dominance waved through: -rho pairs to 0 with every root, and
+    # -rho/2 leaves a Weyl product that is not an integer
+    rho = half_sum_positive(spec).coords
+    with mock.patch.object(rootdata, "is_dominant_integral", lambda spec, lam: True):
+        for lam in (Weight(tuple(-c for c in rho)), Weight(tuple(-c / 2 for c in rho))):
+            got = outcome(weyl_dim, spec, lam)
+            assert got[0] is ArithmeticError
+            assert got == outcome(reference_weyl_dim, spec, lam, lambda spec, lam: True)
