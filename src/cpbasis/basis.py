@@ -16,12 +16,12 @@ path, the path's upper-block multiplicities at degree -d-1 plus its
 lower-block ones at -d are at most the level.  The two are checked
 independently and compared exhaustively in the test suite.  Either
 condition couples adjacent degrees only and reads the same on every
-window, so a tracker is window-relative: one slot layout serves every
-window, and a point check closes each gap of more than 2 between the
-degrees its partition holds down to 2 and rounds the depth up to a power
-of two, so that checks share a few compiled tables (see `_decide`).  It
-builds no tracker for a partition with at most k factors on any two
-adjacent degrees, which neither condition can refuse.
+window, so a tracker is built from tables of (m, k) alone: one slot
+layout serves every window, and a point check closes each gap of more
+than 2 between the degrees its partition holds down to 2 and sizes its
+tracker to the depth that leaves (see `_decide`).  It builds no tracker
+for a partition with at most k factors on any two adjacent degrees,
+which neither condition can refuse.
 `ident.transport_partition` keeps the factor order without a sort: iota
 keeps (a, b), and the order reads nothing else.  The path
 inequalities are decided by the cut lemma alone, on the inside tables
@@ -41,8 +41,9 @@ formats each group's shared prefix once.  One walk that pushes both
 trackers together (`_Pair`) checks the coincidence exactly: each
 condition's admissible set is closed under dropping the last-walked
 factor, so at the least degree where the sets differ, a partition
-admitted by one only has a parent both admit, which the walk reaches.  The two point checkers push into the same two trackers.
-Graded series are counted without listing, in `series`.
+admitted by one only has a parent both admit, which the walk reaches.
+The two point checkers push into the same two trackers.  Graded series
+are counted without listing, in `series`.
 """
 
 from __future__ import annotations
@@ -98,9 +99,7 @@ def _decide(pi: ColoredPartition, basis: BasisKind, tracker_type: type) -> bool:
     down to 2.  Both conditions couple adjacent degrees only and read the
     same on every window, so closing a gap between degrees that stay apart,
     and moving the shallowest degree up, changes no verdict.  The tracker
-    is as deep as the least power of two that holds the range, so a few
-    depths share each compiled table; the empty degrees below the range
-    change no verdict either.
+    is exactly as deep as that range.
     """
     # not `basis.alphabet`, which runs an import statement on every check
     alphabet = upper_scheme(basis.rank) if basis.kind == "fs" else full_scheme(basis.rank)
@@ -126,7 +125,7 @@ def _decide(pi: ColoredPartition, basis: BasisKind, tracker_type: type) -> bool:
         keys.append(base + position[f.color.a, f.color.b])
     if not dense:
         return True
-    push = tracker_type(m, k, 1 << (depth - 1).bit_length()).push
+    push = tracker_type(m, k, depth).push
     return all(map(push, keys))
 
 
@@ -143,20 +142,19 @@ def _entries(m: int, max_degree: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _term_masks(m: int, k: int) -> tuple[int, int, tuple[int, int, tuple]]:
-    """The slot layout of one window of fs(m, k) for `_Tracker`: ``(start, high, copies)``.
+def _term_masks(m: int, k: int) -> tuple[int, int, int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """The slot layout of one window of fs(m, k) for `_Tracker`: ``(start, ones, top, masks)``.
 
     A slot of w = (k+1).bit_length() + 1 bits is kept for every row of
     `leading.rows` with an offset-0 factor; a row with none, all at offset
     1, is the next window's row of the same pairs all at offset 0.  start
-    holds the bias 2^(w-1) - (k+1) in every slot and high the top bit of
-    every slot.  ``copies`` is `_Tracker.fitting`'s table ``(ones, top,
-    masks)``: ones has a one at the lowest bit of every slot, top = w-1
-    shifts it to the top bit, and ``masks[c][n]``, for n = 0..k, holds the
-    two masks that an n-th copy of the c-th color (a, b) adds on any degree
-    -v, key (a, b, 0) of window v and key (a, b, 1) of window v-1: a one at
-    the lowest bit of each slot whose row caps the key above n, or 0.  The
-    masks are set bit by bit in byte arrays, so they cost linear time.
+    holds the bias 2^(w-1) - (k+1) in every slot, ones has a one at the
+    lowest bit of every slot, and top = w-1 shifts it to the top bit.
+    ``masks[c][n]``, for n = 0..k, holds the two masks ``(x, y)`` that an
+    n-th copy of the c-th color (a, b) adds on any degree -v, key (a, b, 0)
+    of window v and key (a, b, 1) of window v-1: a one at the lowest bit of
+    each slot whose row caps the key above n, or 0.  The masks are set bit
+    by bit in byte arrays, so they cost linear time.
     """
     width = (k + 1).bit_length() + 1
     slots = [row for row in rows(m, k) if any(offset == 0 for (_, _, offset), _ in row)]
@@ -179,22 +177,7 @@ def _term_masks(m: int, k: int) -> tuple[int, int, tuple[int, int, tuple]]:
         tuple((mask(a, b, 0, n), mask(a, b, 1, n)) for n in range(k + 1))
         for a, b in _color_positions(m)
     )
-    return ((1 << width - 1) - (k + 1)) * ones, ones << width - 1, (ones, width - 1, masks)
-
-
-@lru_cache(maxsize=None)
-def _tracker_steps(m: int, k: int, max_degree: int) -> tuple[tuple[tuple, ...], ...]:
-    """`_Tracker.steps`: per entry (a, b, v) and copy n < k+1, the ``(group, mask)`` pairs it grows.
-
-    The copy is key (a, b, 0) of window v and key (a, b, 1) of window
-    v-1 (see `_term_masks`); window 0 and empty masks are left out.
-    """
-    masks = _term_masks(m, k)[2][2]
-    return tuple(
-        tuple(tuple((g, mask) for g, mask in ((v, x), (v - 1, y)) if g and mask) for x, y in copies)
-        for v in range(1, max_degree + 1)
-        for copies in masks
-    )
+    return ((1 << width - 1) - (k + 1)) * ones, ones, width - 1, masks
 
 
 class _Tracker:
@@ -202,19 +185,21 @@ class _Tracker:
 
     A term is violated once the sum over its keys of min(multiplicity,
     exponent) reaches k+1, which is when it divides the monomial.  It has
-    the entries, push and pop of `_CutTracker`.  Every window holds the
-    window-1 terms moved deeper, so every window gets the same slots (see
+    the width, push and pop of `_CutTracker`: entry i is color c at degree
+    -(v+1), where v, c = divmod(i, width).  Every window holds the window-1
+    terms moved deeper, so every window gets the same slots (see
     `_term_masks`): window v's integer ``state[v]`` has one slot per term
     with a factor on -v, and a term all on -v-1 is window v+1's.  A slot
     starts at the bias 2^(w-1) - (k+1) and holds the bias plus the capped
-    sum, so its top bit sets exactly when the capped sum reaches k+1.
-    ``steps[i][n]`` lists as ``(v, mask)`` pairs the slots that grow when
-    entry i goes from multiplicity n to n+1 (see `_tracker_steps`); ``push``
-    adds the masks and tests them against ``high``, the top bit of every
-    slot (one integer, as every window has the same slots); ``pop``
-    subtracts them.  A
-    (k+1)-th copy of one color on one degree is itself a term, so it fails
-    and no entry is pushed past it.
+    sum, so its top bit sets exactly when the capped sum reaches k+1.  The
+    n-th copy of entry i adds the masks ``(x, y) = masks[c][n]`` to windows
+    v+1 and v; ``push`` tests them against ``high``, the top bit of every
+    slot (one integer, as every window has the same slots), and ``pop``
+    subtracts them.  Window 0 takes y like any other window, but no slot
+    there can fill: it only ever counts its row's offset-1 exponents, which
+    sum to at most k, as a row all at offset 1 has no slot.  A (k+1)-th copy
+    of one color on one degree is itself a term, so it fails and no entry
+    is pushed past it.
 
     Slots never carry into each other, and that rests on the caller: it
     pushes only from an admissible state, where every capped sum is at most
@@ -228,52 +213,52 @@ class _Tracker:
     exactly when one of them already holds the capped sum k; such full
     slots are those whose top bit sets when 1 is added to every slot, which
     no slot carries out of.  So the full slots of windows v and v-1 are
-    found once per call, and each entry's masks for its next copy (see
-    `_term_masks`) meet them in two ANDs; when no slot of the two windows
-    is full, every entry fits with no test.  This reads each term as
-    ``push`` does, so it assumes no coincidence with the path inequalities,
-    which this route is checked against.
+    found once per call, and each entry's masks for its next copy meet them
+    in two ANDs; when no slot of the two windows is full, every entry fits
+    with no test.  This reads each term as ``push`` does, so it assumes no
+    coincidence with the path inequalities, which this route is checked
+    against.
     """
 
     def __init__(self, m: int, k: int, max_degree: int):
-        self.entries = _entries(m, max_degree)
-        self.steps = _tracker_steps(m, k, max_degree)
-        start, self.high, self.copies = _term_masks(m, k)
+        start, self.ones, self.top, self.masks = _term_masks(m, k)
+        self.high = self.ones << self.top
+        self.width = len(self.masks)
         self.state = [start] * (max_degree + 1)
-        self.mult = [0] * len(self.entries)
+        self.mult = [0] * (self.width * max_degree)
 
     def push(self, i: int) -> bool:
         n = self.mult[i]
         self.mult[i] = n + 1
-        state, high = self.state, self.high
-        ok = True
-        for g, mask in self.steps[i][n]:
-            s = state[g] + mask
-            state[g] = s
-            if s & high:
-                ok = False
-        return ok
+        v, c = divmod(i, self.width)
+        x, y = self.masks[c][n]
+        state = self.state
+        below = state[v + 1] = state[v + 1] + x
+        above = state[v] = state[v] + y
+        return not ((below | above) & self.high)
 
     def pop(self, i: int) -> None:
         n = self.mult[i] - 1
         self.mult[i] = n
+        v, c = divmod(i, self.width)
+        x, y = self.masks[c][n]
         state = self.state
-        for g, mask in self.steps[i][n]:
-            state[g] -= mask
+        state[v + 1] -= x
+        state[v] -= y
 
     def fitting(self, lo: int, hi: int) -> list[int]:
         """The entries in [lo, hi), all of one |degree| v, that ``push`` would accept."""
-        v = self.entries[lo][2]
-        state, mult = self.state, self.mult
-        ones, top, masks = self.copies
+        width = self.width
+        v = lo // width + 1
+        state, mult, ones, top = self.state, self.mult, self.ones, self.top
         full = (state[v] + ones) >> top & ones
-        fuller = (state[v - 1] + ones) >> top & ones if v > 1 else 0  # window 0 is untracked
+        fuller = (state[v - 1] + ones) >> top & ones if v > 1 else 0  # window 0 never fills
         if not (full or fuller):
             return list(range(lo, hi))  # no slot holds k, so every copy fits
-        base = (v - 1) * len(masks)  # the entries of degree v start here
+        base = (v - 1) * width  # the entries of degree v start here
         return [
             i
-            for i, copies in zip(range(lo, hi), masks[lo - base : hi - base])
+            for i, copies in zip(range(lo, hi), self.masks[lo - base : hi - base])
             for x, y in (copies[mult[i]],)
             if not (x & full or y & fuller)
         ]
@@ -299,7 +284,7 @@ def _cut_reads(m: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
 
 
 class _CutTracker:
-    """The path inequalities by the cut lemma, with the entries, push and pop of `_Tracker`.
+    """The path inequalities by the cut lemma, with the width, push and pop of `_Tracker`.
 
     It keeps a slice and an inside table per degree 0..max_degree.  Every
     degree starts on one shared zero table, never written, and gets tables
@@ -317,7 +302,6 @@ class _CutTracker:
     """
 
     def __init__(self, m: int, k: int, max_degree: int):
-        self.entries = _entries(m, max_degree)
         self.k = k
         self.reads = _cut_reads(m)
         self.width = len(self.reads)
@@ -372,7 +356,7 @@ class _Pair:
 
     def __init__(self, m: int, k: int, max_degree: int):
         self.cut, self.div = _CutTracker(m, k, max_degree), _Tracker(m, k, max_degree)
-        self.entries = self.cut.entries
+        self.width = self.cut.width
         self.path: list[int] = []
         self.disagreements: list[tuple[tuple[int, ...], bool]] = []
 
@@ -409,7 +393,7 @@ def _walk(max_degree: int, tracker, file) -> None:
     other entries are pushed and recursed into, so a node's group is handed
     over after the groups below it.
     """
-    width = len(tracker.entries) // max_degree if max_degree else 0
+    width = tracker.width
     push, pop, fitting = tracker.push, tracker.pop, tracker.fitting
 
     def rec(v: int, lo: int, used: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> None:
@@ -502,7 +486,7 @@ def _flatten(groups) -> tuple[tuple[tuple[int, ...], ...], ...]:
 @lru_cache(maxsize=8)
 def _enumerate_cached(m: int, k: int, max_degree: int, method: str):
     tracker = (_Tracker if method == "divisibility" else _CutTracker)(m, k, max_degree)
-    return tracker.entries, _enumerate_groups(max_degree, tracker)
+    return _entries(m, max_degree), _enumerate_groups(max_degree, tracker)
 
 
 def enumerate_groups(

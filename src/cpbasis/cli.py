@@ -211,7 +211,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify_coincidence(args) -> int:
-    from .basis import _Pair, _walk
+    from .basis import _entries, _Pair, _walk
 
     ell, k, n = args.ell, args.level, args.max_degree
     # iota is the identity on (a, b) encodings, so one walk over fs(2l) keys
@@ -225,7 +225,7 @@ def _cmd_verify_coincidence(args) -> int:
         counts[total] += len(ids)
 
     _walk(n, pair, file)
-    entries = pair.entries
+    entries = _entries(2 * ell, n)
     # the least degree where the conditions differ, with one partition there
     failed = min(((sum(entries[i][2] for i in key), key, by_cut)
                   for key, by_cut in pair.disagreements), default=None)

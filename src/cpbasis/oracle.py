@@ -24,7 +24,8 @@ member of a requested support, and one per term an audit names in a
 mismatch.
 
 `audit_windows` compares keys only.  Its brute side is `_brute_key`,
-with each multiset's pairings found once per call; its closed side is
+with each multiset's pairings found once per call and the least
+compositions once per window and split; its closed side is
 `_closed_keys`, the integer rows of `leading.rows` moved to each window,
 the same terms `fs_leading_terms` builds as partitions.
 """
@@ -184,16 +185,17 @@ def _order_key(key: tuple[tuple[int, int, int], ...]):
     return [f[0] for f in top_down], [f[1:] for f in top_down]
 
 
-def _brute_key(pairings, n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+def _brute_key(pairings, least) -> tuple[tuple[int, int, int], ...]:
     """The key of the least member of a degree-n support, given the multiset's `_column_pairings`.
 
-    Found in two stages, and still over the whole support.  `_order_key`
-    compares the degree sequences before any color, and a key's degree
-    sequence is its sorted composition whatever the pairing; so the
-    minimum spreads some pairing over one of `_least_compositions`, and
-    the colors decide among every pairing spread over those alone.
+    `least` is `_least_compositions(n, k+1)`.  Found in two stages, and
+    still over the whole support.  `_order_key` compares the degree
+    sequences before any color, and a key's degree sequence is its sorted
+    composition whatever the pairing; so the minimum spreads some pairing
+    over one of `least`, and the colors decide among every pairing spread
+    over those alone.
     """
-    return min(_spread_keys(pairings, _least_compositions(n, k + 1)), key=_order_key)
+    return min(_spread_keys(pairings, least), key=_order_key)
 
 
 def _partition(alphabet, key) -> ColoredPartition:
@@ -227,7 +229,8 @@ def brute_leading_term(
     """Minimum of the relation support under the well order on partitions (see `_brute_key`)."""
     multiset = tuple(multiset)
     _check_arguments(multiset, n, k, m)
-    return _partition(upper_scheme(m), _brute_key(_column_pairings(multiset), n, k))
+    least = _least_compositions(n, k + 1)
+    return _partition(upper_scheme(m), _brute_key(_column_pairings(multiset), least))
 
 
 class AuditReport(Frozen):
@@ -303,10 +306,10 @@ def audit_windows(m: int, k: int, d_max: int) -> AuditReport:
         closed = _closed_keys(m, k, d)
         window = {-d - 1, -d}
         for b in range(0, k + 2):
-            n = -d * (k + 1) - b
+            least = _least_compositions(-d * (k + 1) - b, k + 1)
             brute = set()
             for ms, pairs in zip(multisets, pairings):
-                key = _brute_key(pairs, n, k)
+                key = _brute_key(pairs, least)
                 if not {f[0] for f in key} <= window:
                     mismatches.append(
                         {

@@ -89,21 +89,21 @@ class Alphabet(Frozen):
         return f"{self.scheme}(C{self.rank})"
 
 
-_SCHEMES: dict[tuple[str, int], Alphabet] = {}
+_SCHEMES: dict[tuple[str, int], _Colors] = {}
 
 
-def _scheme(scheme: str, rank: int) -> Alphabet:
-    """The one shared `Alphabet` of a scheme and rank.
+def _scheme(scheme: str, rank: int) -> _Colors:
+    """The one color table of a scheme and rank; its ``alphabet`` is the shared `Alphabet`.
 
     The key is taken after `operator.index`, so ``2.0`` is refused as
     ``Alphabet`` refuses it rather than found as the rank-2 object it
     equals and hashes like.
     """
     key = (scheme, index(rank))
-    alphabet = _SCHEMES.get(key)
-    if alphabet is None:
-        alphabet = _SCHEMES[key] = Alphabet(*key)
-    return alphabet
+    table = _SCHEMES.get(key)
+    if table is None:
+        table = _SCHEMES[key] = _Colors(Alphabet(*key))
+    return table
 
 
 def full_scheme(rank: int) -> Alphabet:
@@ -111,7 +111,7 @@ def full_scheme(rank: int) -> Alphabet:
 
     Every call with one rank returns the same object.
     """
-    return _scheme("B", rank)
+    return _scheme("B", rank).alphabet
 
 
 def upper_scheme(rank: int) -> Alphabet:
@@ -119,7 +119,7 @@ def upper_scheme(rank: int) -> Alphabet:
 
     Every call with one rank returns the same object.
     """
-    return _scheme("B1", rank)
+    return _scheme("B1", rank).alphabet
 
 
 class Color(Frozen):
@@ -169,9 +169,6 @@ class _Colors(dict):
         return color
 
 
-_COLORS: dict[tuple[str, int], _Colors] = {}
-
-
 def _color_table(alphabet: Alphabet) -> _Colors:
     """The one color table of a scheme, read by `from_pairs` and by transport.
 
@@ -180,11 +177,7 @@ def _color_table(alphabet: Alphabet) -> _Colors:
     """
     if not isinstance(alphabet, Alphabet):
         raise TypeError(f"expected an Alphabet, got {type(alphabet).__name__}")
-    key = (alphabet.scheme, alphabet.rank)
-    table = _COLORS.get(key)
-    if table is None:
-        table = _COLORS[key] = _Colors(_scheme(*key))
-    return table
+    return _scheme(alphabet.scheme, alphabet.rank)
 
 
 class Factor(Frozen):

@@ -67,6 +67,8 @@ class RootSystemSpec(Frozen):
 
 def _exact(value) -> Fraction:
     """`value` as a Fraction; a float is refused, as its binary value is seldom the one meant."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(f"weights are exact: use an integer, Fraction or string, not {value!r}")
     return Fraction(value)

@@ -196,13 +196,16 @@ class TestAdmissibility:
     def test_deep_partition_is_checked_at_its_own_size(self, monkeypatch, factors, expected):
         # a check sizes its trackers by the degrees the partition holds, not by their depth
         depths = []
-        entries = basis_module._entries
 
-        def recorded(m, max_degree):
-            depths.append(max_degree)
-            return entries(m, max_degree)
+        def recorded(tracker_type):
+            def build(m, k, max_degree):
+                depths.append(max_degree)
+                return tracker_type(m, k, max_degree)
 
-        monkeypatch.setattr(basis_module, "_entries", recorded)
+            return build
+
+        for name in ("_Tracker", "_CutTracker"):
+            monkeypatch.setattr(basis_module, name, recorded(getattr(basis_module, name)))
         basis = BasisKind("fs", 4, 2)
         pi = up_part(4, *factors)
         assert admissible_by_divisibility(pi, basis) is expected
@@ -432,7 +435,7 @@ def test_cut_tracker_matches_reference(case):
     m, k, keys = case
     basis = BasisKind("fs", m, k)
     tracker = _CutTracker(m, k, 4)
-    index = {key: i for i, key in enumerate(tracker.entries)}
+    index = {key: i for i, key in enumerate(_entries(m, 4))}
     pushed = []
     for key in keys:
         pushed.append(key)
@@ -453,7 +456,7 @@ def test_tracker_matches_reference(case):
     basis = BasisKind("fs", m, k)
     tracker = _Tracker(m, k, 4)
     initial = list(tracker.state)
-    index = {key: i for i, key in enumerate(tracker.entries)}
+    index = {key: i for i, key in enumerate(_entries(m, 4))}
     pushed = []
     for key in keys:
         pushed.append(key)
@@ -626,8 +629,8 @@ def divided_by_a_window_term(pi, terms):
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17])
 def test_verdicts_at_and_past_power_of_two_sizes(depth):
-    # a point check sizes its tracker up to the next power of two; the empty
-    # degrees below the partition must change no verdict
+    # a point check sizes its tracker to the compact depth of its partition,
+    # and every depth must give the references' verdicts
     fs, std = BasisKind("fs", 4, 2), BasisKind("std", 2, 2)
     rng = random.Random(depth)
     cases = [compact_depth_partition(rng, depth, n) for n in (1, 1, 2, 2, 3, 3, 4)]
@@ -653,14 +656,17 @@ def test_verdicts_at_and_past_power_of_two_sizes(depth):
 
 
 def test_point_checks_share_tracker_tables():
+    # a tracker reads tables of (m, k) alone, so checks at every depth share one
     fs = BasisKind("fs", 4, 2)
-    basis_module._tracker_steps.cache_clear()
-    for depth in range(1, 33):
+    _term_masks.cache_clear()
+    _entries.cache_clear()
+    for depth in range(1, 65):
         # three factors on degree -1 send the check past the size test to the tracker
         pi = up_part(4, ((1, 1), -1), ((2, 3), -1), *(((1, 4), -v) for v in range(1, depth + 1)))
         assert compact_depth(pi) == depth
         assert admissible_by_divisibility(pi, fs) == reference_divisibility(pi, fs)
-    assert basis_module._tracker_steps.cache_info().currsize <= 6
+    assert _term_masks.cache_info().currsize == 1
+    assert _entries.cache_info().currsize == 0
 
 
 def reference_constraints(m, k, max_degree):
@@ -745,7 +751,7 @@ def test_tracker_matches_room_counters(case):
     m, k, n, steps = case
     tracker = _Tracker(m, k, n)
     reference = RoomTracker(m, k, n, reference_constraints(m, k, n))
-    assert tracker.entries == reference.entries
+    entries = _entries(m, n)
     initial = list(tracker.state)
     pushed = []
     for i in steps:
@@ -755,10 +761,12 @@ def test_tracker_matches_room_counters(case):
                 reference.pop(pushed.pop())
             continue
         # an entry of degree v is pushed at most n // v times
-        if tracker.mult[i] == n // tracker.entries[i][2]:
+        if tracker.mult[i] == n // entries[i][2]:
             continue
         verdict = tracker.push(i)
         assert verdict == reference.push(i)
+        # window 0 only counts offset-1 exponents, which never reach k+1
+        assert tracker.state[0] & tracker.high == 0
         if verdict:
             pushed.append(i)
         else:
@@ -785,7 +793,7 @@ def fitting_cases(draw):
     k = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=1, max_value=5))
     tracker = tracker_type(m, k, n)
-    count = len(tracker.entries)
+    count = len(_entries(m, n))
     pool = draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=3))
     pushed = []
     for i in sorted(draw(st.lists(st.sampled_from(pool), max_size=3 * k))):
@@ -849,10 +857,8 @@ def test_fitting_reads_held_entries_past_their_caps(monkeypatch):
     # its cap is a path at the level, so a further copy breaks a path
     # inequality); this rank-1 level-1 family has only X(-2) X(-1), so a second
     # X(-1) is past its cap of 1 in that full row and fits.
-    caches = (basis_module._term_masks, basis_module._tracker_steps)
     monkeypatch.setattr(basis_module, "rows", lambda m, k: ((((1, 1, 1), 1), ((1, 1, 0), 1)),))
-    for cache in caches:
-        cache.cache_clear()
+    _term_masks.cache_clear()
     try:
         tracker = _Tracker(1, 1, 2)
         assert tracker.push(0)
@@ -861,13 +867,12 @@ def test_fitting_reads_held_entries_past_their_caps(monkeypatch):
         tracker.pop(0)
         assert not tracker.push(1)
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        _term_masks.cache_clear()
 
 
-def reference_enumerate_layers(max_degree, tracker):
+def reference_enumerate_layers(m, max_degree, tracker):
     """The walk as it was before leaves were decided in bulk: a push and pop at every entry."""
-    sizes = [v for _, _, v in tracker.entries]
+    sizes = [v for _, _, v in _entries(m, max_degree)]
     count = len(sizes)
     push, pop = tracker.push, tracker.pop
     shapes = [{(): [()]}] + [{} for _ in range(max_degree)]
@@ -903,9 +908,9 @@ WALK_GRID = [
 @pytest.mark.parametrize("m, k, n", WALK_GRID)
 def test_walk_matches_push_per_entry_walk(tracker_type, m, k, n):
     tracker = tracker_type(m, k, n)
-    walked = (tracker.entries, _flatten(_enumerate_groups(n, tracker)))
+    walked = _flatten(_enumerate_groups(n, tracker))
     reference = tracker_type(m, k, n)
-    assert walked == (reference.entries, reference_enumerate_layers(n, reference))
+    assert walked == reference_enumerate_layers(m, n, reference)
     assert tracker_snapshot(tracker) == tracker_snapshot(tracker_type(m, k, n))
 
 
@@ -925,7 +930,7 @@ def test_paired_walk_is_each_trackers_walk(m, k, n):
 def test_walk_files_ascending_int_groups_of_one_degree(tracker_type, m, k, n):
     tracker = tracker_type(m, k, n)
     groups = _enumerate_groups(n, tracker)
-    sizes = [v for _, _, v in tracker.entries]
+    sizes = [v for _, _, v in _entries(m, n)]
     assert len(groups) == n + 1 and groups[0] == ()
     for degree, layer in enumerate(groups):
         for length, store in layer:
@@ -937,7 +942,7 @@ def test_walk_files_ascending_int_groups_of_one_degree(tracker_type, m, k, n):
             assert sum(sizes[i] for i in prefix) + sizes[ids[0]] == degree
             assert not prefix or prefix[-1] <= ids[0]
     reference = tracker_type(m, k, n)
-    assert _flatten(groups) == reference_enumerate_layers(n, reference)
+    assert _flatten(groups) == reference_enumerate_layers(m, n, reference)
 
 
 def test_walk_groups_leave_the_cyclic_collector():
@@ -1027,7 +1032,7 @@ class TestEnumeration:
         # slots 0..2 of 3 bits in state[v], each the bias 1 plus the capped sum;
         # X(-v-1)^3 is window v+1's i = 0 term and gets no slot in window v
         tracker = _Tracker(1, 2, 3)
-        one, two = (tracker.entries.index((1, 1, v)) for v in (1, 2))
+        one, two = (_entries(1, 3).index((1, 1, v)) for v in (1, 2))
 
         def sums(v):
             return [(tracker.state[v] >> 3 * s & 7) - 1 for s in range(3)]

@@ -389,7 +389,7 @@ class TestAuditFailures:
 
     def test_minimum_off_the_window(self, monkeypatch, capsys):
         spread = up_part(1, ((1, 1), -3), ((1, 1), -2), ((1, 1), -1))
-        monkeypatch.setattr(oracle, "_brute_key", lambda pairings, n, k: key_of(spread))
+        monkeypatch.setattr(oracle, "_brute_key", lambda pairings, least: key_of(spread))
         code, mismatches = self.audit(capsys, 1, 2, 1)
         assert code == 1
         errors = [x for x in mismatches if "error" in x]
