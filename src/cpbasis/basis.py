@@ -14,36 +14,44 @@ degrees deeper, so std(l, k) and fs(2l, k) share one compiled family.
 For ``fs`` the same condition reads: for every window d and diagonal
 path, the path's upper-block multiplicities at degree -d-1 plus its
 lower-block ones at -d are at most the level.  The two are checked
-independently and compared exhaustively in the test suite.  Either
-condition couples adjacent degrees only and reads the same on every
-window, so a tracker is built from tables of (m, k) alone: one slot
-layout serves every window, and a point check closes each gap of more
-than 2 between the degrees its partition holds down to 2 and sizes its
-tracker to the depth that leaves (see `_decide`).  It builds no tracker
-for a partition with at most k factors on any two adjacent degrees,
-which neither condition can refuse.
-`ident.transport_partition` keeps the factor order without a sort: iota
-keeps (a, b), and the order reads nothing else.  The path
-inequalities are decided by the cut lemma alone, on the inside tables
-of `series` (see its docstring); no path is ever built.
+independently and compared exhaustively in the test suite.  Call a
+partition's factors on one degree its slice there.  Both conditions obey
+two lemmas, each tested on both point checkers and on the reference
+definitions:
 
-Enumeration is one depth-first walk that pushes factors by ascending
-|degree| into a tracker, `_Tracker` of the terms (capped-sum counters
-packed in one integer per window) or `_CutTracker` of the cut profiles,
-and skips the subtree of every inadmissible prefix; it decides the leaves,
-the partitions nothing can follow, in one bulk test per degree instead of
-pushing them.  It hands partitions over as factor indices in groups,
-one per node and degree: the node's prefix and the last factors that
-extend it admissibly.  An enumeration files them by |degree| sequence so
-that each layer comes out in partition order with only its shapes
-sorted, packed into one integer array per layer and shape, and the CLI
-formats each group's shared prefix once.  One walk that pushes both
-trackers together (`_Pair`) checks the coincidence exactly: each
-condition's admissible set is closed under dropping the last-walked
-factor, so at the least degree where the sets differ, a partition
-admitted by one only has a parent both admit, which the walk reaches.
-The two point checkers push into the same two trackers.  Graded series
-are counted without listing, in `series`.
+* Locality: a partition is admissible exactly when each slice is, moved
+  alone to degree -1, and each two slices on adjacent degrees are, moved
+  to degrees -1 and -2.  A path sum on window d reads only degrees -d-1
+  and -d, and a term of window d lies on those two degrees.
+* Window invariance: moving a partition one degree deeper changes
+  neither verdict.  Window d+1 reads degrees -d-2 and -d-1 as window d
+  reads -d-1 and -d, and degree 0, above the shallowest window, counts as
+  empty.
+
+So a tracker is built from tables of (m, k) alone: one slot layout
+serves every window, and a point check closes each gap of more than 2
+between the degrees its partition holds down to 2 and sizes its tracker
+to the depth that leaves (see `_decide`).  It builds no tracker for a
+partition with at most k factors on any two adjacent degrees, which
+neither condition can refuse.  `ident.transport_partition` keeps the
+factor order without a sort: iota keeps (a, b), and the order reads
+nothing else.  The path inequalities are decided by the cut lemma alone,
+on the inside tables of `series` (see its docstring); no path is ever
+built.
+
+A walk (`_walk`) pushes factors by ascending |degree| into a tracker,
+`_Tracker` of the terms (capped-sum counters packed in one integer per
+window) or `_CutTracker` of the cut profiles, and skips the subtree of
+every inadmissible prefix; it decides the leaves, the partitions nothing
+can follow, in one bulk test per degree instead of pushing them.  An
+enumeration lists, by the two lemmas, paths in the window-1 slice graph
+(see `listing`), whose nodes are the single slices a walk at depth 1
+lists.  One walk that pushes both trackers together (`_Pair`) checks the
+coincidence exactly: each condition's admissible set is closed under
+dropping the last-walked factor, so at the least degree where the sets
+differ, a partition admitted by one only has a parent both admit, which
+the walk reaches.  The two point checkers push into the same two
+trackers.  Graded series are counted without listing, in `series`.
 """
 
 from __future__ import annotations
@@ -381,7 +389,7 @@ class _Pair:
         return [i for i in cut if i in div]
 
 
-def _walk(max_degree: int, tracker, file) -> None:
+def _walk(max_degree: int, tracker, file, depth: int | None = None) -> None:
     """The depth-first walk, handing each group of keys to ``file(total, shape, prefix, ids)``.
 
     A key is the tuple of entries pushed, ascending by (|degree|, color
@@ -391,15 +399,18 @@ def _walk(max_degree: int, tracker, file) -> None:
     ending at |degree| v is a leaf when t + v > max_degree, as nothing can
     follow it; such groups are the ``fitting`` results, with no push.  The
     other entries are pushed and recursed into, so a node's group is handed
-    over after the groups below it.
+    over after the groups below it.  With `depth`, no entry deeper than
+    -depth is pushed: at depth 1 the keys are the slices of degree -1 of at
+    most max_degree factors.
     """
+    last = max_degree if depth is None else depth
     width = tracker.width
     push, pop, fitting = tracker.push, tracker.pop, tracker.fitting
 
     def rec(v: int, lo: int, used: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> None:
         # entry lo is of |degree| v; each pass takes the entries of one degree,
         # which end at index v * width
-        while used + v + v <= max_degree:
+        while v <= last and used + v + v <= max_degree:
             hi, total = v * width, used + v
             grown = shape + (v,)
             fits = []
@@ -412,7 +423,7 @@ def _walk(max_degree: int, tracker, file) -> None:
                 file(total, grown, prefix, fits)
             v, lo = v + 1, hi
         # every partition handed over from here on is a leaf
-        while used + v <= max_degree:
+        while v <= last and used + v <= max_degree:
             hi = v * width
             fits = fitting(lo, hi)
             if fits:
@@ -420,91 +431,23 @@ def _walk(max_degree: int, tracker, file) -> None:
             v, lo = v + 1, hi
 
     rec(1, 0, 0, (), ())
-
-
-def _enumerate_groups(max_degree: int, tracker: _Tracker | _CutTracker):
-    """Admissible partitions in partition order, filed as packed groups of a shared prefix.
-
-    Each `_walk` group is appended to one ``array("I")`` per layer and
-    shape: the prefix's entries, the ids, then ``len(ids)``, so a group
-    costs one machine integer per entry and is no object the cyclic
-    collector visits.  A key lists its factors in reverse canonical order,
-    and a deeper degree or later color position makes a smaller factor, so
-    in a layer ``sort_key`` ascends as (length, shape, colors) descends:
-    shapes are listed by descending (length, shape), and a shape's keys in
-    reverse walk order.  That holds as the shape fixes whether a key is a
-    leaf, so a shape holds leaf groups only or inner groups only, and a
-    recursive call files only longer shapes, so a shape's groups arrive in
-    walk order, each ascending; `_layer_groups` reads them back from the
-    end.
-
-    Returns one tuple per |degree| 0..max_degree of ``(prefix length,
-    array)`` pairs, one per shape, in listing order; degree 0, the empty
-    partition alone, files no group.
-    """
-    # imported here, not with the module, so that a point check never loads it
-    from array import array
-
-    shapes: list[dict] = [{} for _ in range(max_degree + 1)]
-
-    def file(total, shape, prefix, ids):
-        store = shapes[total].get(shape)
-        if store is None:
-            store = shapes[total][shape] = array("I")
-        store.fromlist([*prefix, *ids, len(ids)])
-
-    _walk(max_degree, tracker, file)
-    return tuple(
-        tuple((len(s) - 1, layer[s]) for s in sorted(layer, key=lambda t: (len(t), t))[::-1])
-        for layer in shapes
-    )
-
-
-def _layer_groups(layer):
-    """The groups ``(prefix, ids)`` of one `_enumerate_groups` layer, as array slices, in listing order.
-
-    A group stands for the keys ``(*prefix, i)``, i running over ``ids`` in
-    reverse.
-    """
-    for length, store in layer:
-        end = len(store) - 1  # the last group's count
-        while end > 0:
-            start = end - store[end]
-            yield store[start - length : start], store[start:end]
-            end = start - length - 1
-
-
-def _flatten(groups) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The layers of keys that `_enumerate_groups` files as groups."""
-    empty = ((),)  # layer 0: the empty partition
-    return (empty,) + tuple(
-        tuple([(*prefix, i) for prefix, ids in _layer_groups(layer) for i in reversed(ids)])
-        for layer in groups[1:]
-    )
+    # rec's closure holds rec: unbind it, so that the closures, and what file
+    # holds, go at once rather than when the cyclic collector runs
+    del rec
 
 
 @lru_cache(maxsize=8)
 def _enumerate_cached(m: int, k: int, max_degree: int, method: str):
-    tracker = (_Tracker if method == "divisibility" else _CutTracker)(m, k, max_degree)
-    return _entries(m, max_degree), _enumerate_groups(max_degree, tracker)
+    # imported here, not with the module, so that a point check never loads it
+    from .listing import SliceGraph
+
+    return SliceGraph(m, k, max_degree, method)
 
 
-def enumerate_groups(
-    basis: BasisKind, max_degree: int, method: str | None = None
-) -> tuple[
-    tuple[tuple[int, int, int], ...],
-    tuple[tuple[tuple[int, array], ...], ...],
-]:
-    """The enumeration of `enumerate_keys` as the walk files it, in packed groups of a shared prefix.
+def _slice_graph(basis: BasisKind, max_degree: int, method: str | None = None):
+    """The cached `listing.SliceGraph` that lists `basis` to |degree| max_degree by `method`.
 
-    Returns ``(entries, groups)``: ``groups[m]`` holds layer m as
-    ``(prefix length, array)`` pairs, one per shape, which `_layer_groups`
-    reads as groups ``(prefix, ids)``; a group stands for the keys
-    ``(*prefix, i)`` with i running over ``ids`` in reverse (see
-    `_enumerate_groups`).  Layer 0, the empty partition alone, has no
-    group.  The walk is cached, and every caller gets the cache's own
-    arrays, which it must not change; the arguments and errors are those
-    of `enumerate_basis`.
+    The arguments and errors are those of `enumerate_basis`.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -526,11 +469,11 @@ def enumerate_keys(
     ``(a, b, v)``, color X_ab at degree -v, and each partition is the
     tuple of its entry indices in reverse canonical factor order.  The
     layers and their order are those of `enumerate_basis`; the arguments
-    and errors are the same.  They are flattened from `enumerate_groups`
-    on every call.
+    and errors are the same.  The slice graph is cached, and the keys are
+    listed from it on every call.
     """
-    entries, groups = enumerate_groups(basis, max_degree, method)
-    return entries, _flatten(groups)
+    graph = _slice_graph(basis, max_degree, method)
+    return _entries(graph.m, max_degree), graph.keys()
 
 
 def enumerate_basis(
@@ -542,8 +485,8 @@ def enumerate_basis(
     the partition order.  `method` selects the admissibility engine:
     ``divisibility`` (either kind) or ``inequalities`` (fs only); the
     default is ``inequalities`` for fs and ``divisibility`` for std.  The
-    walk is cached (see `enumerate_keys`); the objects are built on every
-    call.
+    slice graph is cached (see `enumerate_keys`); the objects are built on
+    every call.
     """
     entries, layers = enumerate_keys(basis, max_degree, method)
     alphabet = basis.alphabet

@@ -9,21 +9,23 @@ structured output; diagnostics go to stderr.
 Each command imports what it runs when it runs.  Of the package only
 `series` (with `_frozen`) is loaded up front, so `series` compiles the
 counting code alone; `enumerate` and `verify-coincidence` load `basis`
-(with `leading` and `partitions`), and none of them loads the oracle, the
-root data or `fractions`.
+(with `leading` and `partitions`), `enumerate` also `listing`, and none of
+them loads the oracle, the root data or `fractions`.
 
-`enumerate` formats its rows straight from the walk's packed groups of
-integer keys that share a prefix, read back one group at a time (see
-`basis.enumerate_groups`), and writes them in blocks of about 1024
-lines, one write per block, streaming even its JSON listing; a CSV row
-is its layer's degree field and last label, then its group's tail, the
-prefix's labels formatted once per group.  `leading-terms` writes its
-rows, JSON included, as it formats each sorted term.
+`enumerate` streams its rows as paths in the window-1 slice graph (see
+`listing`): each slice is written once per degree as a piece, a row is
+its layer's head, then the pieces of its slices, deepest first, then its
+end, and the rows that share all but their deepest slice go out in one
+``str.join``.  It writes blocks of about 1024 rows, one write per block,
+streaming even its JSON listing, and counts each layer of the human
+listing with a pass over the same paths before it writes the layer.
+`leading-terms` writes its rows, JSON included, as it formats each
+sorted term.
 `verify-coincidence` makes one walk that pushes the trackers of both
 conditions together (see `basis._Pair`) and only counts each layer, so it
 holds no listing; it checks the counts against `graded_series`, and on a
 disagreement names a partition of the least degree where the conditions
-differ.  No command holds a flattened listing.
+differ.  No command holds a listing.
 """
 
 from __future__ import annotations
@@ -109,14 +111,12 @@ def _labels(alphabet, entries) -> list[str]:
 
 
 def _cmd_enumerate(args) -> int:
-    from .basis import _layer_groups, enumerate_groups
+    from .basis import _slice_graph
 
     basis = BasisKind(args.kind, args.rank, args.level)
-    entries, groups = enumerate_groups(basis, args.max_degree)
-    # a group (prefix, ids) holds the keys (*prefix, i), i in ids read in
-    # reverse; a key lists its factors in reverse canonical order, one label
-    # per entry, and degree 0 holds the empty partition alone
-    labels = _labels(basis.alphabet, entries)
+    graph = _slice_graph(basis, args.max_degree)
+    # a row is its head, then its factor labels in canonical order, deepest
+    # degree first, then its end; degree 0 holds the empty partition alone
     if args.format == "json":
         # the envelope as json.dumps writes it, with the elements streamed
         # into its list
@@ -129,49 +129,70 @@ def _cmd_enumerate(args) -> int:
                 "elements": [],
             }
         )
-
-        def elements():
-            for m, layer in enumerate(groups):
-                for prefix, ids in _layer_groups(layer):
-                    tail = [labels[j] for j in reversed(prefix)]
-                    for i in reversed(ids):
-                        yield ", " + json.dumps({"degree": -m, "factors": [labels[i], *tail]})
-
         sys.stdout.write(head[:-2] + json.dumps({"degree": 0, "factors": []}))
-        _write_lines(elements())
+        quoted = _piece(basis.alphabet, lambda labels: ", ".join(map(json.dumps, labels)))
+        _write_rows(graph, quoted, ", ", ', {{"degree": {}, "factors": [', "]}")
         sys.stdout.write("]}\n")
     elif args.format == "csv":
         # no label holds a comma, a quote or a line break, so csv.writer
-        # would quote no field and these rows are the bytes it writes: a row
-        # is its layer's degree field and its last label, then its group's
-        # tail, the prefix's labels; blocks of about 1024 rows go out in
-        # one write each, as in `_write_lines`
-        write = sys.stdout.write
-        write("degree,factors\r\n0,\r\n")
-        spaced = [" " + label for label in labels]
-        for m, layer in enumerate(groups[1:], 1):
-            headed = [f"{-m},{label}" for label in labels]
-            block, rows = [], 0
-            for prefix, ids in _layer_groups(layer):
-                tail = "".join([spaced[j] for j in reversed(prefix)]) + "\r\n"
-                block += [tail.join(map(headed.__getitem__, reversed(ids))), tail]
-                rows += len(ids)
-                if rows >= 1024:
-                    write("".join(block))
-                    block, rows = [], 0
-            write("".join(block))
+        # would quote no field and these rows are the bytes it writes
+        sys.stdout.write("degree,factors\r\n0,\r\n")
+        _write_rows(graph, _piece(basis.alphabet, " ".join), " ", "{},", "\r\n")
     else:
         print(f"admissible partitions: kind={args.kind} rank={args.rank} "
               f"level={args.level} down to degree -{args.max_degree}")
         print("degree -0: 1 elements\n  1")
-        for m, layer in enumerate(groups[1:], 1):
-            print(f"degree -{m}: {sum(len(ids) for _, ids in _layer_groups(layer))} elements")
-            _write_lines(
-                f"  {_monomial((*prefix, i), labels)}\n"
-                for prefix, ids in _layer_groups(layer)
-                for i in reversed(ids)
-            )
+        _write_rows(graph, _piece(basis.alphabet, _powers), " ", "  ", "\n", graph.counts())
     return 0
+
+
+def _piece(alphabet, write):
+    """``piece(colors, d)`` of a `listing.SliceGraph`: ``write`` of the slice's labels in canonical order.
+
+    A slice lists its color positions ascending, so canonical order, by
+    descending color within a degree, reads them in reverse.
+    """
+    from .partitions import Factor
+
+    colors = alphabet.colors()
+    labels: dict[int, list[str]] = {}
+
+    def piece(slice, d):
+        found = labels.get(d)
+        if found is None:
+            found = labels[d] = [str(Factor(color, -d)) for color in colors]
+        return write([found[x] for x in reversed(slice)])
+
+    return piece
+
+
+def _powers(labels: list[str]) -> str:
+    """Labels as ``ColoredPartition.__str__`` writes them: a run of one label as a power."""
+    runs = [(label, len([*run])) for label, run in groupby(labels)]
+    return " ".join([label if e == 1 else f"{label}^{e}" for label, e in runs])
+
+
+def _write_rows(graph, piece, sep, head, end, counts=None):
+    """Write layers 1..N of `graph` as rows ``head, pieces joined by sep, end``.
+
+    ``head`` is formatted with the layer's degree.  A group of rows goes
+    out in one ``str.join``, and groups are written in blocks of about 1024
+    rows, one write per block, as in `_write_lines`.  With `counts`, the
+    human listing's per-layer counts, each layer starts with its count line.
+    """
+    write = sys.stdout.write
+    for n, layer in enumerate(graph.layers(piece, lambda acc, p: sep + p + acc, end), 1):
+        if counts is not None:
+            write(f"degree -{n}: {next(counts)} elements\n")
+        lead = head.format(-n)
+        block, rows = [], 0
+        for acc, pieces, count in layer:
+            block.append(lead + (acc + lead).join(pieces) + acc)
+            rows += count
+            if rows >= 1024:
+                write("".join(block))
+                block, rows = [], 0
+        write("".join(block))
 
 
 def _write_lines(lines) -> None:
@@ -186,11 +207,7 @@ def _write_lines(lines) -> None:
 
 def _monomial(key: tuple[int, ...], labels: list[str]) -> str:
     """A partition as ``ColoredPartition.__str__`` writes it: canonical order, powers."""
-    parts = []
-    for i, run in groupby(reversed(key)):
-        e = len([*run])
-        parts.append(labels[i] if e == 1 else f"{labels[i]}^{e}")
-    return " ".join(parts) or "1"
+    return _powers([labels[i] for i in reversed(key)]) or "1"
 
 
 def _cmd_series(args) -> int:

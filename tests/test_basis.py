@@ -27,19 +27,18 @@ from cpbasis.basis import (
     _CutTracker,
     _entries,
     _enumerate_cached,
-    _enumerate_groups,
-    _flatten,
-    _layer_groups,
     _Pair,
+    _slice_graph,
     _term_masks,
     _Tracker,
+    _walk,
     admissible_by_divisibility,
     admissible_by_inequalities,
     enumerate_basis,
-    enumerate_groups,
     enumerate_keys,
     leading_terms,
 )
+from cpbasis.listing import SliceGraph
 from cpbasis.partitions import (
     ColoredPartition,
     Factor,
@@ -510,6 +509,69 @@ def test_verdicts_survive_wider_gaps_and_shifts(case):
         assert check(pi, basis) == check(moved, basis) == expected
 
 
+def lemma_checks(basis):
+    """Both point checkers and the reference definitions that apply to `basis`."""
+    checks = [admissible_by_divisibility, reference_divisibility]
+    if basis.kind == "fs":
+        m, k = basis.rank, basis.level
+        checks += [
+            admissible_by_inequalities,
+            reference_inequalities,
+            lambda pi, _: not divided_by_a_window_term(pi, lambda d: path_leading_terms(m, k, d)),
+        ]
+    return checks
+
+
+@st.composite
+def lemma_cases(draw):
+    """A basis (fs rank <= 4 or std rank <= 2, level <= 3) and a partition down to degree -8.
+
+    Each degree holds 0..k+1 factors of a few colors, none most often, so
+    that single slices, adjacent pairs and both verdicts all occur.
+    """
+    kind = draw(st.sampled_from(["fs", "std"]))
+    rank = draw(st.integers(min_value=1, max_value=4 if kind == "fs" else 2))
+    k = draw(st.integers(min_value=1, max_value=3))
+    basis = BasisKind(kind, rank, k)
+    colors = st.sampled_from(basis.alphabet.colors()[:4])
+    count = st.sampled_from([0, *range(k + 2)])
+    factors = [
+        Factor(draw(colors), -v) for v in range(1, draw(st.integers(2, 8)) + 1) for _ in range(draw(count))
+    ]
+    return basis, ColoredPartition(basis.alphabet, tuple(factors))
+
+
+def moved_to(pi, degrees):
+    """The factors of `pi` on the |degrees| listed, the i-th moved to degree -i-1."""
+    return ColoredPartition(
+        pi.alphabet,
+        tuple(Factor(f.color, -1 - degrees.index(-f.degree)) for f in pi.factors if -f.degree in degrees),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lemma_cases())
+def test_locality_lemma(case):
+    # a verdict is the AND of the verdicts of each slice and each adjacent
+    # pair of slices, moved to degrees -1 and -2
+    basis, pi = case
+    held = sorted({-f.degree for f in pi.factors})
+    parts = [moved_to(pi, [v]) for v in held]
+    parts += [moved_to(pi, [v, v + 1]) for v in held if v + 1 in held]
+    for check in lemma_checks(basis):
+        assert check(pi, basis) == all(check(part, basis) for part in parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lemma_cases())
+def test_window_invariance_lemma(case):
+    # a verdict is unchanged when the partition moves one degree deeper
+    basis, pi = case
+    deeper = ColoredPartition(pi.alphabet, tuple(Factor(f.color, f.degree - 1) for f in pi.factors))
+    for check in lemma_checks(basis):
+        assert check(pi, basis) == check(deeper, basis)
+
+
 class ReachedTracker(Exception):
     """Raised by `Unbuilt`."""
 
@@ -904,11 +966,40 @@ WALK_GRID = [
 ]
 
 
+def walk_layers(max_degree, tracker):
+    """Every layer of keys as the listing filed the factor walk before it listed slice paths.
+
+    Each `_walk` group is filed by layer and shape.  A key lists its factors
+    in reverse canonical order, and a deeper degree or later color position
+    makes a smaller factor, so in a layer ``sort_key`` ascends as (length,
+    shape, colors) descends: shapes by descending (length, shape), and a
+    shape's keys in reverse walk order.  That holds as the shape fixes
+    whether a key is a leaf, so a shape holds leaf groups only or inner
+    groups only, and a recursive call files only longer shapes, so a
+    shape's groups arrive in walk order, each ascending.
+    """
+    shapes = [{} for _ in range(max_degree + 1)]
+
+    def file(total, shape, prefix, ids):
+        shapes[total].setdefault(shape, []).append((prefix, ids))
+
+    _walk(max_degree, tracker, file)
+    return (((),),) + tuple(
+        tuple(
+            (*prefix, i)
+            for s in sorted(layer, key=lambda t: (len(t), t))[::-1]
+            for prefix, ids in layer[s][::-1]
+            for i in reversed(ids)
+        )
+        for layer in shapes[1:]
+    )
+
+
 @pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker, _Pair])
 @pytest.mark.parametrize("m, k, n", WALK_GRID)
 def test_walk_matches_push_per_entry_walk(tracker_type, m, k, n):
     tracker = tracker_type(m, k, n)
-    walked = _flatten(_enumerate_groups(n, tracker))
+    walked = walk_layers(n, tracker)
     reference = tracker_type(m, k, n)
     assert walked == reference_enumerate_layers(m, n, reference)
     assert tracker_snapshot(tracker) == tracker_snapshot(tracker_type(m, k, n))
@@ -919,41 +1010,84 @@ def test_paired_walk_is_each_trackers_walk(m, k, n):
     # the two conditions agree, so the pair accepts what each accepts and
     # records nothing
     pair = _Pair(m, k, n)
-    groups = _enumerate_groups(n, pair)
-    assert groups == _enumerate_groups(n, _Tracker(m, k, n))
-    assert groups == _enumerate_groups(n, _CutTracker(m, k, n))
+    layers = walk_layers(n, pair)
+    assert layers == walk_layers(n, _Tracker(m, k, n))
+    assert layers == walk_layers(n, _CutTracker(m, k, n))
     assert pair.disagreements == [] and pair.path == []
 
 
 @pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker])
 @pytest.mark.parametrize("m, k, n", WALK_GRID)
+def test_slice_paths_match_the_factor_walk(tracker_type, m, k, n):
+    # both kinds and both methods list the keys of the factor walk of either tracker
+    reference = walk_layers(n, tracker_type(m, k, n))
+    listings = [(BasisKind("fs", m, k), method) for method in ("divisibility", "inequalities")]
+    if m % 2 == 0:
+        listings.append((BasisKind("std", m // 2, k), "divisibility"))
+    for basis, method in listings:
+        entries, layers = enumerate_keys(basis, n, method)
+        assert entries == _entries(m, n)
+        assert layers == reference
+
+
+@pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker])
+@pytest.mark.parametrize("m, k, n", WALK_GRID)
 def test_walk_files_ascending_int_groups_of_one_degree(tracker_type, m, k, n):
-    tracker = tracker_type(m, k, n)
-    groups = _enumerate_groups(n, tracker)
-    sizes = [v for _, _, v in _entries(m, n)]
-    assert len(groups) == n + 1 and groups[0] == ()
-    for degree, layer in enumerate(groups):
-        for length, store in layer:
-            assert type(length) is int and type(store) is array and store.typecode == "I"
-        for prefix, ids in _layer_groups(layer):
-            assert ids and type(ids) is array and type(prefix) is array
-            assert len({sizes[i] for i in ids}) == 1
+    # the slice graph holds the slices of the depth-1 walk of at most n - 2
+    # factors, one degree each, numbered by ascending size and each size
+    # descending; its successor lists are integer arrays of one size each
+    method = "divisibility" if tracker_type is _Tracker else "inequalities"
+    graph = SliceGraph(m, k, n, method)
+    width = len(_entries(m, 1))
+    walked = []
+    _walk(graph.held, tracker_type(m, k, 1), lambda t, s, p, ids: walked.extend(
+        (*p, i) for i in ids), depth=1)
+    assert sorted(graph.slices) == sorted(walked)
+    assert all(0 <= x < width for s in walked for x in s)
+    for size in range(1, graph.held + 1):
+        held = graph.slices[graph.starts[size] : graph.starts[size + 1]]
+        assert all(len(s) == size and list(s) == sorted(s) for s in held)
+        assert held == sorted(held, reverse=True)
+        if size <= graph.top:
+            # a slice of `size` factors streamed as one past the held ones would be
+            assert [(*p, x) for p, last in graph.stream(size) for x in last] == held
+        for lower in range(len(graph.classes)):
+            ids = graph.successors(lower, size)
+            assert type(ids) is array and ids.typecode == "I"
             assert list(ids) == sorted(set(ids))
-            assert sum(sizes[i] for i in prefix) + sizes[ids[0]] == degree
-            assert not prefix or prefix[-1] <= ids[0]
-    reference = tracker_type(m, k, n)
-    assert _flatten(groups) == reference_enumerate_layers(m, n, reference)
+            assert all(graph.starts[size] <= t < graph.starts[size + 1] for t in ids)
+        assert list(graph.successors(0, size)) == list(range(graph.starts[size], graph.starts[size + 1]))
+
+
+@pytest.mark.parametrize("method", ["divisibility", "inequalities"])
+@pytest.mark.parametrize("m, k", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_successors_are_the_admissible_pairs(method, m, k):
+    # t follows s exactly when s at degree -1 and t at degree -2 push into
+    # the condition's tracker: the class keys decide each pair as the tracker does
+    graph = SliceGraph(m, k, 6, method)
+    tracker_type = _Tracker if method == "divisibility" else _CutTracker
+    width = graph.width
+    for s, lower in zip(graph.slices, graph.lower):
+        for size in range(1, graph.held + 1):
+            follows = {graph.slices[t] for t in graph.successors(lower, size)}
+            for t in graph.slices[graph.starts[size] : graph.starts[size + 1]]:
+                tracker = tracker_type(m, k, 2)
+                pair = [*s, *(width + x for x in t)]
+                assert (t in follows) == all(map(tracker.push, pair)), (s, t)
 
 
 def test_walk_groups_leave_the_cyclic_collector():
-    # every store is an array of machine integers, which references no object
-    # but its type (CPython 3.10+ tracks it for that reference alone), so the
-    # collector visits one store per shape and no object per group
-    _, groups = enumerate_groups(BasisKind("std", 2, 2), 6)
-    stores = [store for layer in groups for _, store in layer]
+    # every successor list and class table is an array of machine integers,
+    # which references no object but its type (CPython 3.10+ tracks it for
+    # that reference alone), so the collector visits one store per (class,
+    # size) and no object per path
+    graph = _slice_graph(BasisKind("std", 2, 2), 6)
+    groups = sum(1 for layer in graph.layers(lambda s, d: None, lambda a, p: None, None)
+                 for _ in layer)
+    stores = [*graph.successor_lists.values(), graph.lower, graph.upper]
     assert stores and all(type(store) is array for store in stores)
     assert all(set(gc.get_referents(store)) <= {array} for store in stores)
-    assert len(stores) < sum(1 for layer in groups for _ in _layer_groups(layer))
+    assert len(stores) < groups
 
 
 class TestEnumeration:

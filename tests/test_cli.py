@@ -7,8 +7,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -269,6 +271,19 @@ def test_enumerate_output_matches_partition_objects(
         # a layer longer than one block of the writer, so a seam is crossed
         _, layers = enumerate_keys(BasisKind(kind, rank, level), max_degree)
         assert max(len(layer) for layer in layers) > 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as on Linux")
+def test_listing_memory_is_bounded():
+    # the listing streams slice paths and holds no layer, so std(2,2) to
+    # degree 13 (2,783,797 rows) peaks at about 16 MB, where the packed
+    # layers took 36 MB
+    code, peak_kib = run_python_peak(
+        Path(os.devnull), "-m", "cpbasis.cli", "enumerate", "--kind", "std",
+        "--rank", "2", "--level", "2", "--max-degree", "13", "--format", "csv",
+    )
+    assert code == 0
+    assert peak_kib < 25 * 1024
 
 
 @pytest.mark.parametrize("kind, ranks", [("fs", range(1, 9)), ("std", range(1, 5))])

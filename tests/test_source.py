@@ -113,13 +113,13 @@ def test_unknown_name_is_attribute_error():
 
 # a command imports what it runs when it runs, and none of these needs the
 # oracle, the root data, exact fractions nor `csv`: `leading-terms` writes
-# its CSV rows itself, `series` counts without the walk, `enumerate` and
-# `verify-coincidence` walk
+# its CSV rows itself, `series` counts without the walk, `verify-coincidence`
+# walks, and `enumerate` lists slice paths from a walk over single slices
 WALK_MODULES = ["_frozen", "basis", "cli", "leading", "partitions", "series"]
 COMMAND_MODULES = {
     "leading-terms": ["_frozen", "cli", "leading", "partitions", "series"],
     "series": ["_frozen", "cli", "series"],
-    "enumerate": WALK_MODULES,
+    "enumerate": sorted(WALK_MODULES + ["listing"]),
     "verify-coincidence": WALK_MODULES,
 }
 
@@ -150,7 +150,7 @@ def test_command_loads_only_what_it_runs(argv):
 
 
 def test_only_a_listing_loads_array():
-    # a listing packs its groups into arrays and imports `array` when it walks;
+    # a listing keeps its successor lists in arrays and imports `array` with `listing`;
     # dense point checks by both checkers, a series count and the coincidence
     # walk hold no listing, and loading the module costs each run its memory
     out = run_bare(
