@@ -15,10 +15,13 @@ them loads the oracle, the root data or `fractions`.
 `enumerate` streams its rows as paths in the window-1 slice graph (see
 `listing`): each slice is written once per degree as a piece, a row is
 its layer's head, then the pieces of its slices, deepest first, then its
-end, and the rows that share all but their deepest slice go out in one
-``str.join``.  It writes blocks of about 1024 rows, one write per block,
-streaming even its JSON listing, and counts each layer of the human
-listing with a pass over the same paths before it writes the layer.
+end, and the rows that share all but their two deepest slices go out in
+one ``str.join`` over a tail of their last two pieces, cached while a
+shape lasts if it holds at most one block of rows.  It writes blocks of
+about 1024 rows, one write per block, streaming even its JSON listing,
+and counts each layer of the human listing with a pass over the same
+paths before it writes the layer.  Only the commands that write JSON
+import `json`.
 `leading-terms` writes its rows, JSON included, as it formats each
 sorted term.
 `verify-coincidence` makes one walk that pushes the trackers of both
@@ -31,10 +34,10 @@ differ.  No command holds a listing.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import groupby, islice
+from operator import add
 
 from .series import BasisKind, graded_series, rr_counts
 
@@ -74,6 +77,8 @@ def _leading_rows(kind: str, rank: int, level: int, window: int):
 def _cmd_leading_terms(args) -> int:
     count, terms = _leading_rows(args.kind, args.rank, args.level, args.window)
     if args.format == "json":
+        import json
+
         # the envelope as json.dumps writes it, with the terms streamed into
         # its list as `enumerate` streams its elements
         head = json.dumps(
@@ -118,6 +123,8 @@ def _cmd_enumerate(args) -> int:
     # a row is its head, then its factor labels in canonical order, deepest
     # degree first, then its end; degree 0 holds the empty partition alone
     if args.format == "json":
+        import json
+
         # the envelope as json.dumps writes it, with the elements streamed
         # into its list
         head = json.dumps(
@@ -175,21 +182,26 @@ def _powers(labels: list[str]) -> str:
 def _write_rows(graph, piece, sep, head, end, counts=None):
     """Write layers 1..N of `graph` as rows ``head, pieces joined by sep, end``.
 
-    ``head`` is formatted with the layer's degree.  A group of rows goes
-    out in one ``str.join``, and groups are written in blocks of about 1024
-    rows, one write per block, as in `_write_lines`.  With `counts`, the
-    human listing's per-layer counts, each layer starts with its count line.
+    ``head`` is formatted with the layer's degree.  A group of rows, those
+    that share all but their two deepest slices, goes out in one
+    ``str.join`` over its cached tail, and groups are written in blocks of
+    about `listing.BLOCK` rows, one write per block, as in `_write_lines`.
+    With `counts`, the human listing's per-layer counts, each layer starts
+    with its count line.
     """
+    from .listing import BLOCK
+
     write = sys.stdout.write
-    for n, layer in enumerate(graph.layers(piece, lambda acc, p: sep + p + acc, end), 1):
+    for n, layer in enumerate(graph.layers(piece, lambda acc, p: sep + p + acc, add, ""), 1):
         if counts is not None:
             write(f"degree -{n}: {next(counts)} elements\n")
         lead = head.format(-n)
         block, rows = [], 0
-        for acc, pieces, count in layer:
-            block.append(lead + (acc + lead).join(pieces) + acc)
-            rows += count
-            if rows >= 1024:
+        for acc, tail in layer:
+            acc += end
+            block.append(lead + (acc + lead).join(tail) + acc)
+            rows += len(tail)
+            if rows >= BLOCK:
                 write("".join(block))
                 block, rows = [], 0
         write("".join(block))
@@ -211,6 +223,8 @@ def _monomial(key: tuple[int, ...], labels: list[str]) -> str:
 
 
 def _cmd_series(args) -> int:
+    import json
+
     basis = BasisKind(args.kind, args.rank, args.level)
     series = graded_series(basis, args.max_degree)
     print(
@@ -266,6 +280,8 @@ def _cmd_verify_coincidence(args) -> int:
 
 
 def _cmd_audit_oracle(args) -> int:
+    import json
+
     from .oracle import audit_windows
 
     report = audit_windows(args.rank, args.level, args.max_window)

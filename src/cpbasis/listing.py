@@ -41,25 +41,37 @@ factors only fills a shape of one degree.  Only slices of at most
 max_degree - 2 factors are held; such a one-degree shape is streamed by a
 walk of its own that tries colors in descending order.
 
-Rows.  A listing is read through three arguments: ``piece(colors, d)``
+Rows.  A listing is read through four arguments: ``piece(colors, d)``
 writes a slice at |degree| d, ``extend(acc, piece)`` adds the piece of the
-next deeper slice to the part of a row built so far, and ``start`` is the
+next deeper slice to the part of a row built so far, ``join(part, acc)``
+puts the part of a row's deepest slices below ``acc``, and ``start`` is the
 part built from no slice.  Pieces of held slices are made once per degree.
-Each path through all but the deepest held degree of a shape is one group
-``(acc, pieces, count)``: the pieces of its last slices run over a
-successor list, and a text listing writes the whole group in one
-``str.join``.
+A group ``(acc, tail)`` is the rows ``join(x, acc)`` for x in the list
+``tail``, and a text listing writes it in one ``str.join``.  Within a
+shape, the rows below a path through all but the two deepest held degrees
+depend only on the class that feeds the second-deepest one, so such a
+path's group takes the tail of that class: its rows' parts
+``join(deepest piece, extend(start, second-deepest piece))``, built once
+on the tail's second request in the shape and reused until the shape
+ends.  A tail of more than `BLOCK` rows, one write block, is never built,
+so the tails of a shape hold at most one block per class.  Until its tail
+is built, a path makes one group per second-deepest slice, whose tail is
+the list of deepest pieces that may follow that slice's class, also kept
+per class until the shape ends.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, combinations, compress, repeat
 from operator import add, not_
 
 from .basis import _color_positions, _CutTracker, _Tracker, _walk
 from .leading import rows
 from .series import _cells, _cuts
+
+# rows per write of a listing (see `cli._write_rows`), and the most rows a cached tail holds
+BLOCK = 1024
 
 
 def _division_keys(m: int, k: int):
@@ -234,14 +246,14 @@ class SliceGraph:
                 if prefix:
                     pop(prefix.pop())
 
-    def layers(self, piece, extend, start):
-        """Layers 1..max_degree in partition order, each a generator of groups ``(acc, pieces, count)``.
+    def layers(self, piece, extend, join, start):
+        """Layers 1..max_degree in partition order, each a generator of groups ``(acc, tail)``.
 
-        A group is `count` rows that share all but their deepest slice:
-        ``acc`` is `start` extended by the pieces of the shared slices,
-        shallowest first, and ``pieces`` runs over the deepest slice's piece
-        of each row, in order (see the module docstring).  The layers are
-        read one after the other, each to its end.
+        A group is the rows that share all but their two deepest slices, or
+        all but their deepest one: ``acc`` is `start` extended by the pieces
+        of the shared slices, shallowest first, and ``tail`` is a list of
+        the parts of the rows below it, in order (see the module docstring).
+        The layers are read one after the other, each to its end.
         """
         tables: dict[int, list] = {}
 
@@ -253,47 +265,93 @@ class SliceGraph:
             return found
 
         for n in range(1, self.max_degree + 1):
-            yield self._layer(n, piece, extend, start, table)
+            yield self._layer(n, piece, (extend, join, start), table)
 
-    def _layer(self, n, piece, extend, start, table):
+    def _layer(self, n, piece, parts, table):
+        start = parts[2]
         for shape in _shapes(n, self.top, self.held):
             if len(shape) == 1 and shape[0][1] > self.held:
                 ((d, size),) = shape
                 for prefix, last in self.stream(size):
-                    yield start, [piece((*prefix, x), d) for x in last], len(last)
+                    yield start, [piece((*prefix, x), d) for x in last]
                 continue
             # per held degree: its count, its pieces and whether the one above is held
             levels = [
                 (c, table(d), i > 0 and shape[i - 1][0] == d - 1) for i, (d, c) in enumerate(shape)
             ]
-            yield from self._paths(levels, 0, 0, start, extend)
+            yield from self._paths(levels, 0, 0, start, parts, ({}, {}))
 
-    def _paths(self, levels, level, above, acc, extend):
+    def _paths(self, levels, level, above, acc, parts, shape_tails):
         """The groups of one shape that extend a path through its first `level` held degrees.
 
         ``levels`` holds per held degree its count, its pieces and whether
         the degree above it is held; the next slice follows one of class
-        ``above``, and the path's row part is ``acc``.  The last two held
-        degrees are one loop, so a group is yielded through one generator
-        per held degree but the last.
+        ``above``, and the path's row part is ``acc``.  ``shape_tails``
+        holds the shape's tails by class: of one slice, the deepest pieces
+        that may follow a class, and of two slices, built on their second
+        request if they hold at most `BLOCK` rows, by the class that feeds
+        the second-deepest held degree.  Until a path's tail of two slices
+        is built, each of its second-deepest slices makes a group of its own.
         """
         successors, lower = self.successors, self.lower
         size, pieces, _ = levels[level]
         ids = successors(above, size)
         if level + 1 == len(levels):
             if ids:
-                yield acc, map(pieces.__getitem__, ids), len(ids)
+                yield acc, [*map(pieces.__getitem__, ids)]
             return
+        extend, join, start = parts
         size, deeper, adjacent = levels[level + 1]
         if level + 2 < len(levels):
             for t in ids:
-                below = lower[t] if adjacent else 0
-                yield from self._paths(levels, level + 1, below, extend(acc, pieces[t]), extend)
+                follows = lower[t] if adjacent else 0
+                path = extend(acc, pieces[t])
+                yield from self._paths(levels, level + 1, follows, path, parts, shape_tails)
             return
+        lasts, tails = shape_tails
+        tail = tails.get(above, False)
+        if isinstance(tail, list):
+            if tail:
+                yield acc, tail
+            return
+        # per second-deepest slice, the pieces of the deepest slices that may follow it
+        below = []
         for t in ids:
-            last = successors(lower[t] if adjacent else 0, size)
+            c = lower[t] if adjacent else 0
+            last = lasts.get(c)
+            if last is None:
+                last = lasts[c] = [*map(deeper.__getitem__, successors(c, size))]
+            below.append(last)
+        if tail is False:
+            # the first request marks the tail, the second builds it, as None
+            # when it would hold more than BLOCK rows
+            if above in tails:
+                tail = tails[above] = self._tail(ids, pieces, below, parts)
+                if tail is not None:
+                    if tail:
+                        yield acc, tail
+                    return
+            else:
+                tails[above] = False
+        for t, last in zip(ids, below):
             if last:
-                yield extend(acc, pieces[t]), map(deeper.__getitem__, last), len(last)
+                yield extend(acc, pieces[t]), last
+
+    @staticmethod
+    def _tail(ids, pieces, below, parts):
+        """The rows below the second-deepest held slices `ids` as ``join(deepest piece, part)``.
+
+        ``part`` is `start` extended by the piece of the second-deepest
+        slice and ``below`` gives the deepest pieces that may follow each;
+        None when there are more than `BLOCK` rows.
+        """
+        if sum(map(len, below)) > BLOCK:
+            return None
+        extend, join, start = parts
+        tail = []
+        for t, last in zip(ids, below):
+            tail += map(join, last, repeat(extend(start, pieces[t])))
+        return tail
 
     def keys(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Every layer 0..max_degree as keys, the tuples of `basis._entries` indices."""
@@ -303,9 +361,12 @@ class SliceGraph:
             base = (d - 1) * width
             return tuple([base + x for x in colors])
 
+        def join(p, acc):
+            return acc + p
+
         return ((),), *(
-            tuple([acc + p for acc, pieces, _ in layer for p in pieces])
-            for layer in self.layers(piece, add, ())
+            tuple([acc + p for acc, tail in layer for p in tail])
+            for layer in self.layers(piece, add, join, ())
         )
 
     def counts(self):
@@ -314,5 +375,5 @@ class SliceGraph:
         def none(*args):
             return None
 
-        for layer in self.layers(none, none, None):
-            yield sum(count for _, _, count in layer)
+        for layer in self.layers(none, none, none, None):
+            yield sum(len(tail) for _, tail in layer)

@@ -39,6 +39,15 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+# (triangle rank m, level k, max degree n) of the walk and listing comparisons:
+# every rank to 6 and level to 3, each at the deepest degree that stays quick
+WALK_GRID = [
+    (1, 1, 0), (1, 1, 7), (1, 3, 7), (2, 1, 7), (2, 2, 7), (2, 3, 7),
+    (3, 1, 7), (3, 2, 7), (3, 3, 7), (4, 1, 7), (4, 2, 7), (4, 3, 6),
+    (5, 1, 7), (5, 2, 6), (5, 3, 5), (6, 1, 6), (6, 2, 5), (6, 3, 5),
+]
+
+
 # run by a fresh interpreter: argv[1] takes the stdout of the command argv[2:]
 _PEAK_OF_CHILD = """
 import os, subprocess, sys

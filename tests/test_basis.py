@@ -15,13 +15,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
+    WALK_GRID,
     DiagonalPath,
     diagonal_paths,
     gen_partitions,
     path_leading_terms,
     transport_partition_inverse,
 )
-from cpbasis import basis as basis_module, leading
+from cpbasis import basis as basis_module, leading, listing as listing_module
 from cpbasis.ident import transport_partition
 from cpbasis.basis import (
     _CutTracker,
@@ -959,13 +960,6 @@ def reference_enumerate_layers(m, max_degree, tracker):
     )
 
 
-WALK_GRID = [
-    (1, 1, 0), (1, 1, 7), (1, 3, 7), (2, 1, 7), (2, 2, 7), (2, 3, 7),
-    (3, 1, 7), (3, 2, 7), (3, 3, 7), (4, 1, 7), (4, 2, 7), (4, 3, 6),
-    (5, 1, 7), (5, 2, 6), (5, 3, 5), (6, 1, 6), (6, 2, 5), (6, 3, 5),
-]
-
-
 def walk_layers(max_degree, tracker):
     """Every layer of keys as the listing filed the factor walk before it listed slice paths.
 
@@ -1076,18 +1070,55 @@ def test_successors_are_the_admissible_pairs(method, m, k):
                 assert (t in follows) == all(map(tracker.push, pair)), (s, t)
 
 
+def group_count(graph: SliceGraph) -> int:
+    """The number of groups of every layer of `graph`, listed with no row part made."""
+
+    def none(*args):
+        return None
+
+    return sum(1 for layer in graph.layers(none, none, none, None) for _ in layer)
+
+
 def test_walk_groups_leave_the_cyclic_collector():
     # every successor list and class table is an array of machine integers,
     # which references no object but its type (CPython 3.10+ tracks it for
     # that reference alone), so the collector visits one store per (class,
     # size) and no object per path
     graph = _slice_graph(BasisKind("std", 2, 2), 6)
-    groups = sum(1 for layer in graph.layers(lambda s, d: None, lambda a, p: None, None)
-                 for _ in layer)
+    groups = group_count(graph)
     stores = [*graph.successor_lists.values(), graph.lower, graph.upper]
     assert stores and all(type(store) is array for store in stores)
     assert all(set(gc.get_referents(store)) <= {array} for store in stores)
     assert len(stores) < groups
+
+
+# most classes with successor lists of one length have the same lists; at
+# fs(3,2) to degree 9 two that differ feed the second-deepest degree of one shape
+@pytest.mark.parametrize("m, k, n", [*WALK_GRID, (3, 2, 9)])
+def test_tails_list_what_the_slice_groups_list(monkeypatch, m, k, n):
+    # with no tail built (only an empty one fits a block of 0 rows) every
+    # group is one second-deepest slice's successor list.  From degree 6 on a
+    # shape may hold three degrees (1 + 2 + 3), a tail is asked for twice and
+    # the groups are fewer, except at rank 1, where a size has one slice
+    for method in ("divisibility", "inequalities"):
+        graph = SliceGraph(m, k, n, method)
+        keys, groups = graph.keys(), group_count(graph)
+        with monkeypatch.context() as patch:
+            patch.setattr(listing_module, "BLOCK", 0)
+            assert graph.keys() == keys
+            single = group_count(graph)
+        assert (groups < single) == (m > 1 and n >= 6)
+
+
+@pytest.mark.parametrize(
+    "kind, rank, level, max_degree", [("std", 2, 2, 16), ("fs", 2, 3, 20), ("fs", 1, 2, 30)]
+)
+def test_path_counts_are_the_series(kind, rank, level, max_degree):
+    # counting the rows of every group, cached tails included, is a second
+    # route to the transfer-matrix coefficients at sizes no listing test reaches
+    graph = _slice_graph(BasisKind(kind, rank, level), max_degree)
+    counts = (1, *graph.counts())
+    assert counts == graded_series(BasisKind(kind, rank, level), max_degree).coeffs
 
 
 class TestEnumeration:

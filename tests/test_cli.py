@@ -7,16 +7,14 @@ import csv
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import run_python, run_python_peak, source_env
-from cpbasis import basis as basis_module, cli
+from conftest import WALK_GRID, run_python, run_python_peak, source_env
+from cpbasis import basis as basis_module, cli, listing
 from cpbasis.basis import _entries, enumerate_basis, enumerate_keys, leading_terms
 from cpbasis.cli import main
 from cpbasis.ident import transport_partition
@@ -195,8 +193,10 @@ class TestEnumerate:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as on Linux")
     def test_listing_memory_is_bounded(self, tmp_path):
-        # the walk packs its groups one machine integer per entry: these
-        # 2,783,797 rows peaked at about 100 MB when each group was a pair of tuples
+        # the listing streams slice paths and holds no layer, and a shape's
+        # cached tails hold at most one write block each, so std(2,2) to
+        # degree 13 (2,783,797 rows, 140 MB) peaks at about 17 MB, where the
+        # packed layers took 36 MB and groups held as tuples about 100 MB
         out = tmp_path / "out"
         code, peak_kib = run_python_peak(
             out, "-m", "cpbasis.cli", "enumerate", "--kind", "std", "--rank", "2",
@@ -211,7 +211,7 @@ class TestEnumerate:
         assert digest.hexdigest() == (
             "e19d1b1bdec380c3a6a4f3fd4a522a3487a9154a34f08b4f37598e89e9a4c30d"
         )
-        assert peak_kib < 40 * 1024
+        assert peak_kib < 25 * 1024
 
 
 def enumerate_from_objects(kind, rank, level, max_degree, fmt) -> str:
@@ -273,17 +273,39 @@ def test_enumerate_output_matches_partition_objects(
         assert max(len(layer) for layer in layers) > 1024
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as on Linux")
-def test_listing_memory_is_bounded():
-    # the listing streams slice paths and holds no layer, so std(2,2) to
-    # degree 13 (2,783,797 rows) peaks at about 16 MB, where the packed
-    # layers took 36 MB
-    code, peak_kib = run_python_peak(
-        Path(os.devnull), "-m", "cpbasis.cli", "enumerate", "--kind", "std",
-        "--rank", "2", "--level", "2", "--max-degree", "13", "--format", "csv",
-    )
-    assert code == 0
-    assert peak_kib < 25 * 1024
+class Digest:
+    """A stdout that keeps only the sha256 of the text written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+
+def output_digest(*argv) -> str:
+    out = Digest()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.sha.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind, rank, level, max_degree",
+    [("fs", m, k, n) for m, k, n in WALK_GRID]
+    + [("std", m // 2, k, n) for m, k, n in WALK_GRID if m % 2 == 0]
+    + [("std", 2, 2, 12)],
+)
+def test_listing_is_the_same_with_no_tail_built(monkeypatch, kind, rank, level, max_degree):
+    # a block of 0 rows builds no tail (and writes each group on its own),
+    # so every format is then written from one group per second-deepest slice
+    argv = ["enumerate", "--kind", kind, "--rank", str(rank), "--level", str(level),
+            "--max-degree", str(max_degree), "--format"]
+    for fmt in ("csv", "json", "human"):
+        tailed = output_digest(*argv, fmt)
+        with monkeypatch.context() as patch:
+            patch.setattr(listing, "BLOCK", 0)
+            assert output_digest(*argv, fmt) == tailed, fmt
 
 
 @pytest.mark.parametrize("kind, ranks", [("fs", range(1, 9)), ("std", range(1, 5))])
