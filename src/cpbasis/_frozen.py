@@ -10,7 +10,15 @@ A subclass lists its fields in ``__slots__`` in constructor order and
 sets each once in ``__init__`` through `setfield`.  `Frozen` gives it
 ``__eq__`` (equal only to an instance of the same class) and ``__hash__``
 over the field tuple, as a frozen dataclass would, built once per class
-from its ``__slots__``.
+from its fields.
+
+A slot whose name starts with ``_`` is a cache, not a field: a value
+derived from the fields, filled on first use through the slot's
+descriptor (``cls._name.__set__``) and set to None by every constructor.
+It takes no part in ``==``, hash, ``repr``, copy or pickle, so a filled
+cache changes nothing a caller sees, and a copy or an unpickled value
+starts with an empty one.  The class's field names are kept in
+``_fields``.
 """
 
 from operator import attrgetter
@@ -20,15 +28,16 @@ setfield = object.__setattr__
 
 
 class Frozen:
-    """Refuses assignment and deletion; ``==``, hash, ``repr``, copy and pickle go by ``__slots__``."""
+    """Refuses assignment and deletion; ``==``, hash, ``repr``, copy and pickle go by the fields."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        get = attrgetter(*cls.__slots__)
+        cls._fields = names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        get = attrgetter(*names)
         # attrgetter of one name returns the bare value, not a 1-tuple
-        fields = (lambda self: (get(self),)) if len(cls.__slots__) == 1 else get
+        fields = (lambda self: (get(self),)) if len(names) == 1 else get
 
         def __eq__(self, other):
             if other.__class__ is not self.__class__:
@@ -48,9 +57,9 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        # rebuild through __init__: the default slot state is restored by setattr
-        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+        # rebuild through __init__, which sets the fields and empties the caches
+        return self.__class__, tuple([getattr(self, name) for name in self._fields])

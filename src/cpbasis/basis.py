@@ -33,20 +33,22 @@ serves every window, and a point check closes each gap of more than 2
 between the degrees its partition holds down to 2 and sizes its tracker
 to the depth that leaves (see `_decide`).  It builds no tracker for a
 partition with at most k factors on any two adjacent degrees, which
-neither condition can refuse.  `ident.transport_partition` keeps the
-factor order without a sort: iota keeps (a, b), and the order reads
-nothing else.  The path inequalities are decided by the cut lemma alone,
-on the inside tables of `series` (see its docstring); no path is ever
-built.
+neither condition can refuse.  The keys, the depth and that count depend
+on the partition alone, so they are found once per partition and kept in
+its cache slot.  `ident.transport_partition` keeps the factor order
+without a sort: iota keeps (a, b), and the order reads nothing else.  The
+path inequalities are decided by the cut lemma alone, on the inside tables
+of `series` (see its docstring); no path is ever built.
 
 A walk (`_walk`) pushes factors by ascending |degree| into a tracker,
 `_Tracker` of the terms (capped-sum counters packed in one integer per
 window) or `_CutTracker` of the cut profiles, and skips the subtree of
 every inadmissible prefix; it decides the leaves, the partitions nothing
-can follow, in one bulk test per degree instead of pushing them.  An
-enumeration lists, by the two lemmas, paths in the window-1 slice graph
-(see `listing`), whose nodes are the single slices a walk at depth 1
-lists.  One walk that pushes both trackers together (`_Pair`) checks the
+can follow, in one bulk test per degree instead of pushing them (a slot
+test for `_Tracker`, a reach table for `_CutTracker`).  An enumeration
+lists, by the two lemmas, paths in the window-1 slice graph (see
+`listing`), whose nodes are the single slices a walk at depth 1 lists.
+One walk that pushes both trackers together (`_Pair`) checks the
 coincidence exactly: each condition's admissible set is closed under
 dropping the last-walked factor, so at the least degree where the sets
 differ, a partition admitted by one only has a parent both admit, which
@@ -59,7 +61,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .leading import fs_leading_terms, rows, std_leading_terms
-from .partitions import Color, ColoredPartition, Factor, full_scheme, upper_scheme
+from .partitions import (
+    Alphabet,
+    ColoredPartition,
+    _canonical,
+    _color_table,
+    full_scheme,
+    upper_scheme,
+)
 from .series import BasisKind, _cells, _cuts, _triangle_rank
 
 
@@ -95,7 +104,7 @@ def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
 
 
 def _decide(pi: ColoredPartition, basis: BasisKind, tracker_type: type) -> bool:
-    """The point check of both conditions, in one pass over the factors of `pi`.
+    """The point check of both conditions, from the encoding of `pi`.
 
     A partition with at most k factors on any two adjacent degrees is
     admissible under either condition by that condition's own definition:
@@ -108,33 +117,53 @@ def _decide(pi: ColoredPartition, basis: BasisKind, tracker_type: type) -> bool:
     same on every window, so closing a gap between degrees that stay apart,
     and moving the shallowest degree up, changes no verdict.  The tracker
     is exactly as deep as that range.
+
+    The encoding is ``(keys, depth, densest)``: the tracker entries of the
+    factors in push order, the depth of the compact range and the most
+    factors on any two adjacent degrees.  It depends on `pi` alone, not on
+    the level or the condition, so one pass over the factors makes it on
+    the first check of `pi` and stores it in the cache slot ``_code``;
+    every later check, by another route or at another level, only pushes.
+    (alphabet, m, k) come from `_SETUPS` by (kind, rank, level).
     """
-    # not `basis.alphabet`, which runs an import statement on every check
-    alphabet = upper_scheme(basis.rank) if basis.kind == "fs" else full_scheme(basis.rank)
+    key = (basis.kind, basis.rank, basis.level)
+    setup = _SETUPS.get(key)
+    if setup is None:
+        # not `basis.alphabet`, which runs an import statement
+        alphabet = upper_scheme(basis.rank) if basis.kind == "fs" else full_scheme(basis.rank)
+        setup = _SETUPS[key] = (alphabet, alphabet.index_bound, basis.level)
+    alphabet, m, k = setup
     if pi.alphabet is not alphabet and pi.alphabet != alphabet:
         raise ValueError(f"expected a partition over {alphabet}, got {pi.alphabet}")
-    # degrees ascend in canonical order, so the last factor holds the greatest
-    if pi.factors and pi.factors[-1].degree >= 0:
-        raise ValueError("admissibility is defined for strictly negative degrees")
-    m, k = _triangle_rank(basis), basis.level
-    position = _color_positions(m)
-    width = len(position)
-    keys = []
-    depth = last = here = above = 0  # factors on |degree| last and on last-1
-    dense = False
-    for f in reversed(pi.factors):  # by ascending |degree|, as the trackers push
-        v = -f.degree
-        if v != last:
-            depth += min(v - last, 2)
-            above = here if v == last + 1 else 0
-            base, last, here = (depth - 1) * width, v, 0
-        here += 1
-        dense = dense or here + above > k
-        keys.append(base + position[f.color.a, f.color.b])
-    if not dense:
+    code = pi._code
+    if code is None:
+        # degrees ascend in canonical order, so the last factor holds the greatest
+        if pi.factors and pi.factors[-1].degree >= 0:
+            raise ValueError("admissibility is defined for strictly negative degrees")
+        position = _color_positions(m)
+        width = len(position)
+        keys = []
+        depth = last = here = above = densest = 0  # factors on |degree| last and on last-1
+        for f in reversed(pi.factors):  # by ascending |degree|, as the trackers push
+            v = -f.degree
+            if v != last:
+                densest = max(densest, here + above)  # of |degree| last, now complete
+                depth += min(v - last, 2)
+                above = here if v == last + 1 else 0
+                base, last, here = (depth - 1) * width, v, 0
+            here += 1
+            color = f.color
+            keys.append(base + position[color.a, color.b])
+        code = (tuple(keys), depth, max(densest, here + above))
+        _set_code(pi, code)
+    keys, depth, densest = code
+    if densest <= k:
         return True
-    push = tracker_type(m, k, depth).push
-    return all(map(push, keys))
+    return all(map(tracker_type(m, k, depth).push, keys))
+
+
+_SETUPS: dict[tuple[str, int, int], tuple[Alphabet, int, int]] = {}
+_set_code = ColoredPartition._code.__set__
 
 
 @lru_cache(maxsize=None)
@@ -304,13 +333,26 @@ class _CutTracker:
     inside(i, c) <= A(c), that decides A_v(c) + B_{v-1}(c) <= k.  It is exact
     only because the walk pushes by ascending |degree|, so no degree below
     -v holds a factor, and the state before each push is admissible, so
-    only a grown cell can break a condition.  ``pop`` undoes the latest push,
-    and ``fitting(lo, hi)``, as in `_Tracker`, lists the entries in [lo, hi)
-    that ``push`` would accept, by pushing and popping each in turn.
+    only a grown cell can break a condition.  ``pop`` undoes the latest push.
+
+    ``fitting(lo, hi)``, as in `_Tracker`, lists the entries in [lo, hi), all
+    of one degree -v, that ``push`` would accept, from one reach table G
+    filled in O(m^2) per call and read in O(1) per color.  A push of (a, b)
+    raises inside(a, b) by exactly 1, and raises A(c) only along a path from
+    (1, c) through (a, b), so for c >= b the new A(c) is the larger of the
+    old one and inside(a, b) + 1 plus the best path weight from (1, c) to
+    (a, b), (a, b) itself excluded.  G(a, b) is the largest, over c >= b, of
+    B_{v-1}(c) plus that weight: the largest of B(b) if a = 1,
+    G(a-1, b) + e(a-1, b) if a > 1, and G(a, b+1) + e(a, b+1) if b < m.
+    So G runs along the edges of inside, reversed: it starts at B(c) on each
+    (1, c), and each cell, taken by decreasing j - i, passes its G + e on to
+    the two cells its inside reads.  From an admissible state, (a, b) fits
+    exactly when inside(a, b) + 1 + G(a, b) <= k.  Like ``push``, this
+    reads the cut lemma alone.
     """
 
     def __init__(self, m: int, k: int, max_degree: int):
-        self.k = k
+        self.m, self.k = m, k
         self.reads = _cut_reads(m)
         self.width = len(self.reads)
         self.zero = [0] * (self.width + 1)
@@ -344,12 +386,23 @@ class _CutTracker:
             inside[p] -= 1
 
     def fitting(self, lo: int, hi: int) -> list[int]:
-        fits = []
-        for i in range(lo, hi):
-            if self.push(i):
-                fits.append(i)
-            self.pop(i)
-        return fits
+        width, reads = self.width, self.reads
+        v = lo // width
+        e, inside, above = self.slices[v + 1], self.inside[v + 1], self.inside[v]
+        g = [0] * (width + 1)  # G per cell, and the zero cell that the diagonal reads
+        for c in range(self.m):  # the colors (1, c+1) come first
+            p, _, _, cut = reads[c][0]
+            g[p] = above[cut]
+        cells = _cells(self.m)
+        for p in range(width - 1, -1, -1):  # by decreasing j - i
+            _, _, x, y = cells[p]
+            reach = g[p] + e[p]
+            if reach > g[x]:
+                g[x] = reach
+            if reach > g[y]:
+                g[y] = reach
+        k, base = self.k, v * width
+        return [i for i in range(lo, hi) if inside[p := reads[i - base][0][0]] + g[p] < k]
 
 
 class _Pair:
@@ -490,11 +543,14 @@ def enumerate_basis(
     """
     entries, layers = enumerate_keys(basis, max_degree, method)
     alphabet = basis.alphabet
-    # one factor object per entry: partitions only hold references
-    factors = [Factor(Color(alphabet, a, b), -v) for a, b, v in entries]
+    # the scheme's shared factors; a key reversed is in canonical order
+    table = _color_table(alphabet).factors
     return tuple(
         tuple(
-            ColoredPartition(alphabet, tuple([factors[i] for i in reversed(key)]))
+            _canonical(
+                alphabet,
+                tuple([table[a, b, -v] for a, b, v in map(entries.__getitem__, reversed(key))]),
+            )
             for key in layer
         )
         for layer in layers

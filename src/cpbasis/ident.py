@@ -9,10 +9,12 @@ encodings it is the identity, so it is automatically a bijection and
 preserves the column-major color order.  Transporting a partition maps
 its colors through iota and leaves degrees untouched.  The factor order
 reads only the degree and (a, b), so the image keeps the canonical order
-of the source and is built without a sort.  The image colors are the
-target scheme's shared ones (`partitions._color_table`), and each image
-factor keeps its source's degree, an int already, so it is built without
-`Factor`'s `operator.index`.
+of the source and is built without a sort.  The image factors are the
+target scheme's shared ones (the ``factors`` of its color table,
+`partitions._scheme`), looked up by ``(a, b, degree)``: each keeps
+its source's degree, an int already, and no factor is built per call
+once the table holds it.  The image starts with an empty cache, as every
+new partition does, so a point check encodes it from its own factors.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from .partitions import (
     Color,
     ColoredPartition,
     _canonical,
-    _color_table,
-    _factor,
+    _scheme,
     full_scheme,
     upper_scheme,
 )
@@ -38,11 +39,10 @@ def iota(pair: tuple[int, int], ell: int) -> Color:
 
 def transport_partition(p: ColoredPartition, ell: int) -> ColoredPartition:
     """Color-wise iota image of a partition over the rank-2*ell upper triangle."""
-    source, target = upper_scheme(2 * ell), full_scheme(ell)
+    source, target = upper_scheme(2 * ell), _scheme("B", ell)  # the target's color table
     if p.alphabet is not source and p.alphabet != source:
         raise ValueError(f"expected a partition over {source}, got {p.alphabet}")
-    image = _color_table(target)
+    image = target.factors
     return _canonical(
-        target,
-        tuple([_factor(image[f.color.a, f.color.b], f.degree) for f in p.factors]),
+        target.alphabet, tuple([image[f.color.a, f.color.b, f.degree] for f in p.factors])
     )

@@ -31,11 +31,17 @@ fields, and equal only to an instance of the same class.  Their integer
 fields take only exact integers, through `operator.index`.
 
 Each scheme keeps one table of its colors by pair (a, b), filled as
-pairs are asked for and bounded by the scheme's colors.
-`ColoredPartition.from_pairs` and partition transport (`ident`) take
-their colors from it rather than build one per factor.  Both
-constructors sort factors by the integer triple ``(degree, -a, -b)``,
-the order ``Factor.sort_key`` gives.
+pairs are asked for and bounded by the scheme's colors, and beside it one
+table of its factors by ``(a, b, degree)``, whose colors are the color
+table's; it holds at most the scheme's colors times the distinct degrees
+asked for.  `ColoredPartition.from_pairs`, partition transport (`ident`)
+and `basis.enumerate_basis` take their factors from it rather than build
+one per factor.  `from_pairs` and the constructor sort factors by the
+integer triple ``(degree, -a, -b)``, the order ``Factor.sort_key`` gives.
+
+A partition has one cache slot, ``_code``, which every constructor
+empties and the point checks of `basis` fill with its encoding (see
+`_frozen` for the cache-slot rule).
 
 A colored partition is a finite multiset of factors kept in canonical
 ascending factor order.  Partitions over a fixed scheme form a monoid
@@ -152,25 +158,44 @@ class Color(Frozen):
 
 
 class _Colors(dict):
-    """The shared colors of one scheme by their pairs (a, b).
+    """The shared colors of one scheme by their pairs (a, b), and its `_Factors` as ``factors``.
 
     A pair is looked up as a plain dict key; a missing one is built by
     `Color`, which checks it, and kept only once it is built, so the table
     holds at most the scheme's colors.
     """
 
-    __slots__ = ("alphabet",)
+    __slots__ = ("alphabet", "factors")
 
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
+        self.factors = _Factors(self)
 
     def __missing__(self, pair: tuple[int, int]) -> Color:
         color = self[pair] = Color(self.alphabet, *pair)
         return color
 
 
+class _Factors(dict):
+    """The shared factors of one scheme by ``(a, b, degree)``, each degree an int.
+
+    A missing key is built from the scheme's shared color, so a pair out
+    of range is refused by `Color` and nothing is kept.
+    """
+
+    __slots__ = ("colors",)
+
+    def __init__(self, colors: _Colors) -> None:
+        self.colors = colors
+
+    def __missing__(self, key: tuple[int, int, int]) -> Factor:
+        a, b, degree = key
+        factor = self[key] = Factor(self.colors[a, b], degree)
+        return factor
+
+
 def _color_table(alphabet: Alphabet) -> _Colors:
-    """The one color table of a scheme, read by `from_pairs` and by transport.
+    """The one color table of a scheme; its ``factors`` are read by `from_pairs` and by transport.
 
     Keyed by scheme and rank, so an `Alphabet` equal to a shared one finds
     its table; the colors in it are over the shared `Alphabet`.
@@ -197,21 +222,6 @@ class Factor(Frozen):
 
     def __str__(self) -> str:
         return f"{self.color}({self.degree})"
-
-
-_set_color = Factor.color.__set__
-_set_degree = Factor.degree.__set__
-
-
-def _factor(color: Color, degree: int) -> Factor:
-    """`Factor(color, degree)` without `operator.index`, for a degree that is already an int.
-
-    The fields are set through their slot descriptors, past `__init__`.
-    """
-    f = object.__new__(Factor)
-    _set_color(f, color)
-    _set_degree(f, degree)
-    return f
 
 
 def _factor_order(f: Factor) -> tuple[int, int, int]:
@@ -241,32 +251,38 @@ def compare_factors(f: Factor, g: Factor) -> int:
 
 
 class ColoredPartition(Frozen):
-    """A multiset of factors over one scheme, stored in canonical ascending order."""
+    """A multiset of factors over one scheme, stored in canonical ascending order.
 
-    __slots__ = ("alphabet", "factors")
+    ``_code`` is a cache, not a field: None until a point check stores
+    the partition's encoding there.
+    """
+
+    __slots__ = ("alphabet", "factors", "_code")
     alphabet: Alphabet
     factors: tuple[Factor, ...]
 
     def __init__(self, alphabet: Alphabet, factors: tuple[Factor, ...] = ()) -> None:
-        _fill(self, alphabet, tuple(sorted(factors, key=_factor_order)))
+        factors = tuple(sorted(factors, key=_factor_order))
+        for f in factors:
+            # identity first: factors usually share their scheme object
+            if f.color.alphabet is not alphabet and f.color.alphabet != alphabet:
+                raise ValueError(f"factor {f} does not belong to scheme {alphabet}")
+        _fill(self, alphabet, factors)
 
     @classmethod
     def from_pairs(cls, alphabet: Alphabet, *facs: tuple[tuple[int, int], int]):
         """Build a partition from ``((a, b), degree)`` entries.
 
-        Each color is the scheme's shared one (`_color_table`).  The a, b
-        and degree go through `operator.index`, so a float or a string is
-        refused, and a pair out of range is refused by `Color`.
+        Each factor is the scheme's shared one (`_color_table`'s
+        ``factors``).  The a, b and degree go through `operator.index`, so
+        a float or a string is refused, and a pair out of range is refused
+        by `Color`.
         """
-        table = _color_table(alphabet)
-        factors = []
-        for (a, b), n in facs:
-            color = table[index(a), index(b)]
-            factors.append(_factor(color, index(n)))
+        table = _color_table(alphabet).factors
+        factors = [table[index(a), index(b), index(n)] for (a, b), n in facs]
         factors.sort(key=_factor_order)
         p = object.__new__(cls)
-        setfield(p, "alphabet", alphabet)
-        setfield(p, "factors", tuple(factors))
+        _fill(p, alphabet, tuple(factors))
         return p
 
     @property
@@ -320,20 +336,19 @@ class ColoredPartition(Frozen):
 
 
 def _fill(p: ColoredPartition, alphabet: Alphabet, factors: tuple[Factor, ...]) -> None:
-    """Set the fields of `p` once every factor is found over `alphabet`."""
-    for f in factors:
-        # identity first: factors usually share their scheme object
-        if f.color.alphabet is not alphabet and f.color.alphabet != alphabet:
-            raise ValueError(f"factor {f} does not belong to scheme {alphabet}")
+    """Set the fields of `p`, and empty its cache; every constructor ends here."""
     setfield(p, "alphabet", alphabet)
     setfield(p, "factors", factors)
+    setfield(p, "_code", None)
 
 
 def _canonical(alphabet: Alphabet, factors: tuple[Factor, ...]) -> ColoredPartition:
     """The partition of `factors`, a tuple the caller gives in canonical order.
 
-    The constructor without its sort; the scheme check stays.  A caller
-    that breaks the order breaks ``==``, ``hash`` and every comparison.
+    The constructor without its sort or its scheme check, for factors
+    taken from the factor table of `alphabet`'s scheme, which are over it
+    by construction.  A caller that breaks the order breaks ``==``,
+    ``hash`` and every comparison.
     """
     p = object.__new__(ColoredPartition)
     _fill(p, alphabet, factors)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import builtins
 import gc
+import hashlib
+import json
 import random
 from array import array
 from collections import Counter
@@ -223,28 +225,146 @@ class TestAdmissibility:
             up_part(4, ((4, 4), -41), ((1, 1), -40), ((2, 3), -40), ((1, 1), -39)),
         ]
 
-        def decide():
+        def decide(partitions):
             return [
                 (
                     admissible_by_inequalities(pi, fs),
                     admissible_by_divisibility(pi, fs),
                     admissible_by_divisibility(transport_partition(pi, 2), std),
                 )
-                for pi in samples
+                for pi in partitions
             ]
 
         def refuse(name, *args, **kwargs):
             raise ImportError(f"a point check imports {name!r}")
 
-        verdicts = decide()  # warms the caches
+        verdicts = decide(samples)  # warms the caches
+        # built before the patch, never checked and never transported: their
+        # first checks encode them, and their transports build new images.
+        # Moved 100 degrees deeper, which changes no verdict (window
+        # invariance), so the images' factors are new to the std table too.
+        fresh = [
+            up_part(4, *((f.color.pair, f.degree - 100) for f in pi.factors)) for pi in samples
+        ]
+        assert all(pi._code is None for pi in fresh)
         monkeypatch.setattr(builtins, "__import__", refuse)
         try:
-            again = decide()
+            again = decide(samples)
+            first = decide(fresh)
         finally:
             monkeypatch.undo()
-        assert again == verdicts
+        assert again == first == verdicts
         assert {v for row in verdicts for v in row} == {False, True}
         assert all(len(set(row)) == 1 for row in verdicts)
+
+
+VERDICT_SCHEMES = [("fs", 1), ("fs", 2), ("fs", 3), ("fs", 4), ("std", 1), ("std", 2)]
+# the sha256 of `verdict_rows()` before point checks kept their encoding
+VERDICT_DIGEST = "c676918922579561e35afde4ae066d5284ecc85ff4cfe5eb1b238be70ad067cc"
+
+
+def verdict_samples(per_scheme=1000, seed=2033):
+    """Seeded ``(kind, rank, pairs)``, `per_scheme` for each of `VERDICT_SCHEMES`.
+
+    Up to 9 factors, all within a depth drawn from 1, 2, 3, 5, 8 and 40,
+    so both verdicts occur at every level 1..3, and deep ones hold gaps.
+    """
+    rng = random.Random(seed)
+    for kind, rank in VERDICT_SCHEMES:
+        alphabet = BasisKind(kind, rank, 1).alphabet
+        pairs = [c.pair for c in alphabet.colors()]
+        for _ in range(per_scheme):
+            depth = rng.choice((1, 2, 3, 5, 8, 40))
+            size = rng.randint(0, 9)
+            yield kind, rank, tuple(
+                (rng.choice(pairs), -rng.randint(1, depth)) for _ in range(size)
+            )
+
+
+def verdict_routes(kind, rank, k, p, image):
+    """The routes that decide `p` at level k, each a call; `image()` is p in the other scheme.
+
+    An fs partition is decided by both conditions, and by divisibility
+    after transport when its rank is even; a std partition by divisibility,
+    and by both conditions over the rank-2*rank triangle.
+    """
+    if kind == "fs":
+        fs = BasisKind("fs", rank, k)
+        yield lambda: admissible_by_inequalities(p, fs)
+        yield lambda: admissible_by_divisibility(p, fs)
+        if rank % 2 == 0:
+            yield lambda: admissible_by_divisibility(image(), BasisKind("std", rank // 2, k))
+    else:
+        fs = BasisKind("fs", 2 * rank, k)
+        yield lambda: admissible_by_divisibility(p, BasisKind("std", rank, k))
+        yield lambda: admissible_by_inequalities(image(), fs)
+        yield lambda: admissible_by_divisibility(image(), fs)
+
+
+def verdict_rows(per_scheme=1000, seed=2033):
+    """Per sample of `verdict_samples`, the verdicts of its routes at levels 1, 2 and 3.
+
+    Each sample is built twice.  At every level, in a seeded shuffled order
+    of the levels, one copy is decided by its routes in order, each with a
+    new image, and the other in reverse order, with one image kept across
+    the levels; the two must agree.
+    """
+    rng = random.Random(seed + 1)
+    rows = []
+    for kind, rank, pairs in verdict_samples(per_scheme, seed):
+        alphabet = BasisKind(kind, rank, 1).alphabet
+        forward, backward = (ColoredPartition.from_pairs(alphabet, *pairs) for _ in "fb")
+        kept = []
+
+        def image(p=forward):
+            if kind == "fs":
+                return transport_partition(p, rank // 2)
+            return up_part(2 * rank, *pairs)
+
+        def kept_image():
+            if not kept:
+                kept.append(image(backward))
+            return kept[0]
+
+        levels = [1, 2, 3]
+        rng.shuffle(levels)
+        row = {}
+        for k in levels:
+            ahead = [route() for route in verdict_routes(kind, rank, k, forward, image)]
+            behind = [
+                route()
+                for route in reversed(list(verdict_routes(kind, rank, k, backward, kept_image)))
+            ]
+            assert ahead == behind[::-1], (kind, rank, k, pairs)
+            row[k] = ahead
+        rows.append([row[k] for k in (1, 2, 3)])
+    return rows
+
+
+def test_verdicts_match_the_recorded_digest():
+    # an encoding kept per partition must serve every route and every level
+    # exactly as a fresh one did; the digest was taken before it was kept
+    rows = verdict_rows()
+    assert len(rows) == 6000
+    assert all(len(set(verdicts)) == 1 for row in rows for verdicts in row)
+    flat = [verdicts[0] for row in rows for verdicts in row]
+    assert 0.3 < sum(flat) / len(flat) < 0.7
+    assert sum(len({verdicts[0] for verdicts in row}) > 1 for row in rows) > 500
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == VERDICT_DIGEST
+
+
+def test_transported_image_starts_without_an_encoding():
+    fs, std = BasisKind("fs", 4, 2), BasisKind("std", 2, 2)
+    pi = up_part(4, ((1, 1), -2), ((2, 3), -2), ((1, 4), -1), ((1, 1), -1))
+    assert pi._code is None
+    assert not admissible_by_inequalities(pi, fs)
+    assert pi._code is not None
+    image = transport_partition(pi, 2)
+    assert image._code is None
+    assert not admissible_by_divisibility(image, std)
+    # iota is the identity on encodings, so the image encodes as its source
+    assert image._code == pi._code
+    assert transport_partition(pi, 2)._code is None
 
 
 @st.composite
@@ -912,6 +1032,33 @@ def test_fitting_reads_held_entries_and_degree_one():
         assert tracker.push(0)
         assert tracker.fitting(0, 1) == [] and tracker.fitting(1, 2) == []
         assert tracker.fitting(2, 3) == [2]
+
+
+@pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker])
+def test_fitting_reads_any_push_order_within_a_degree(tracker_type):
+    # the walk pushes colors by position, so a degree's later colors are
+    # never held when `fitting` runs; here they are, and every color of the
+    # degree is asked, so a path through a later color (a, b+1) counts
+    rng = random.Random(31)
+    for _ in range(300):
+        m, k, n = rng.randint(2, 5), rng.randint(1, 3), rng.randint(1, 3)
+        tracker = tracker_type(m, k, n)
+        width = tracker.width
+        drawn = [rng.randrange(width * n) for _ in range(rng.randint(1, 4 * k))]
+        deepest = 0
+        for i in sorted(drawn, key=lambda i: i // width):  # by degree, colors in drawn order
+            if not tracker.push(i):
+                tracker.pop(i)
+                break
+            deepest = i // width
+        # as in the walk, no degree below the one asked holds a factor
+        for lo in range(deepest * width, width * n, width):
+            expected = []
+            for i in range(lo, lo + width):
+                if tracker.push(i):
+                    expected.append(i)
+                tracker.pop(i)
+            assert tracker.fitting(lo, lo + width) == expected
 
 
 def test_fitting_reads_held_entries_past_their_caps(monkeypatch):

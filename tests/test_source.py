@@ -187,7 +187,7 @@ def test_only_a_listing_loads_array():
     ]
 
 
-# `Frozen` builds every value class's __eq__ and __hash__ from its __slots__
+# `Frozen` builds every value class's __eq__ and __hash__ from its fields
 EQUALITY_METHODS = ("__eq__", "__hash__")
 
 

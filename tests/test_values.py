@@ -21,6 +21,7 @@ import pytest
 
 import cpbasis
 from cpbasis._frozen import Frozen
+from cpbasis.basis import admissible_by_divisibility
 from cpbasis.series import BasisKind, QSeries
 from cpbasis.oracle import AuditReport, RelationSupport
 from cpbasis.partitions import (
@@ -92,18 +93,23 @@ def test_samples_cover_every_value_class():
     assert found == set(SAMPLES)
 
 
+def fields_of(cls):
+    """The fields of `cls`: its slots without a leading ``_``, which are caches."""
+    return tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+
 @cache
 def twin_of(cls):
     """A frozen dataclass with the name and fields of `cls`."""
     fields = [
         (name, object, dataclasses.field(repr=(cls, name) != (RelationSupport, "partitions")))
-        for name in cls.__slots__
+        for name in fields_of(cls)
     ]
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
 
 
 def twin(value):
-    return twin_of(type(value))(*(getattr(value, name) for name in type(value).__slots__))
+    return twin_of(type(value))(*(getattr(value, name) for name in fields_of(type(value))))
 
 
 def outcome(f, *args):
@@ -135,7 +141,7 @@ class TestAgainstDataclassTwin:
 
     def test_equal_only_to_its_own_class(self, cls):
         for value in instances(cls):
-            fields = tuple(getattr(value, name) for name in cls.__slots__)
+            fields = tuple(getattr(value, name) for name in fields_of(cls))
             assert value != fields and fields != value
             assert value != twin(value) and twin(value) != value
             assert value != object()
@@ -167,6 +173,23 @@ class TestAgainstDataclassTwin:
             clones = copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
             for clone in clones:
                 assert type(clone) is cls and clone == value
+
+
+def test_partition_cache_is_not_a_field():
+    # a point check fills the cache slot; the filled partition stays equal to
+    # a fresh one in every way a caller sees, and its copies start empty
+    fs = BasisKind("fs", 2, 1)
+    filled, fresh = (ColoredPartition.from_pairs(UP2, ((1, 2), -1), ((1, 1), -2)) for _ in "ab")
+    admissible_by_divisibility(filled, fs)
+    assert filled._code is not None and fresh._code is None
+    assert filled == fresh and fresh == filled and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh) == repr(twin(fresh))
+    assert "_code" not in repr(filled) and repr(filled._code) not in repr(filled)
+    for clone in copy.copy(filled), copy.deepcopy(filled), pickle.loads(pickle.dumps(filled)):
+        assert type(clone) is ColoredPartition and clone == fresh
+        assert hash(clone) == hash(fresh) and repr(clone) == repr(fresh)
+        assert clone._code is None
+    assert pickle.dumps(filled) == pickle.dumps(fresh)
 
 
 def test_partition_default_and_canonical_order():
