@@ -13,12 +13,13 @@ over the field tuple, as a frozen dataclass would, built once per class
 from its fields.
 
 A slot whose name starts with ``_`` is a cache, not a field: a value
-derived from the fields, filled on first use through the slot's
-descriptor (``cls._name.__set__``) and set to None by every constructor.
-It takes no part in ``==``, hash, ``repr``, copy or pickle, so a filled
-cache changes nothing a caller sees, and a copy or an unpickled value
-starts with an empty one.  The class's field names are kept in
-``_fields``.
+derived from the fields.  Either ``__init__`` sets it, as it sets a
+field, or it is filled on first use through the slot's descriptor
+(``cls._name.__set__``) and set to None by every constructor.  It takes
+no part in ``==``, hash, ``repr``, copy or pickle, so a cache changes
+nothing a caller sees; a copy or an unpickled value is rebuilt through
+``__init__``, so it starts with the one set and the other empty.  The
+class's field names are kept in ``_fields``.
 """
 
 from operator import attrgetter
@@ -61,5 +62,5 @@ class Frozen:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        # rebuild through __init__, which sets the fields and empties the caches
+        # rebuild through __init__, which sets the fields and its own caches and empties the rest
         return self.__class__, tuple([getattr(self, name) for name in self._fields])

@@ -29,16 +29,16 @@ definitions:
   empty.
 
 So a tracker is built from tables of (m, k) alone: one slot layout
-serves every window, and a point check closes each gap of more than 2
-between the degrees its partition holds down to 2 and sizes its tracker
-to the depth that leaves (see `_decide`).  It builds no tracker for a
-partition with at most k factors on any two adjacent degrees, which
-neither condition can refuse.  The keys, the depth and that count depend
-on the partition alone, so they are found once per partition and kept in
-its cache slot.  `ident.transport_partition` keeps the factor order
-without a sort: iota keeps (a, b), and the order reads nothing else.  The
-path inequalities are decided by the cut lemma alone, on the inside tables
-of `series` (see its docstring); no path is ever built.
+serves every window.  A point check closes each gap of more than 2
+between the degrees its partition holds down to 2, and decides nothing
+further for a partition with at most k factors on any two adjacent
+degrees, which neither condition can refuse (see `_decide`).  The keys
+and that count depend on the partition alone, so they are found once per
+partition and kept in its cache slot.  `ident.transport_partition` keeps
+the factor order without a sort: iota keeps (a, b), and the order reads
+nothing else.  The path inequalities are decided by the cut lemma alone,
+on the inside tables of `series` (see its docstring); no path is ever
+built.
 
 A walk (`_walk`) pushes factors by ascending |degree| into a tracker,
 `_Tracker` of the terms (capped-sum counters packed in one integer per
@@ -52,8 +52,11 @@ One walk that pushes both trackers together (`_Pair`) checks the
 coincidence exactly: each condition's admissible set is closed under
 dropping the last-walked factor, so at the least degree where the sets
 differ, a partition admitted by one only has a parent both admit, which
-the walk reaches.  The two point checkers push into the same two
-trackers.  Graded series are counted without listing, in `series`.
+the walk reaches.  The point checkers build no tracker: `_terms_fit`
+runs the pushes of `_Tracker` over a partition's keys with two windows
+live, and `_cuts_fit` fills one inside table per held slice and tests
+its cuts against the slice above.  Graded series are counted without
+listing, in `series`.
 """
 
 from __future__ import annotations
@@ -82,10 +85,10 @@ def leading_terms(basis: BasisKind, d: int) -> frozenset[ColoredPartition]:
 def admissible_by_divisibility(pi: ColoredPartition, basis: BasisKind) -> bool:
     """True when no leading term of any window divides `pi`.
 
-    The factors go into a `_Tracker` (see `_decide`); std(l, k) and
-    fs(2l, k) share its term family.
+    Decided by `_terms_fit` (see `_decide`); std(l, k) and fs(2l, k) share
+    its term family.
     """
-    return _decide(pi, basis, _Tracker)
+    return _decide(pi, basis, _terms_fit)
 
 
 def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
@@ -93,38 +96,40 @@ def admissible_by_inequalities(pi: ColoredPartition, basis: BasisKind) -> bool:
 
     For every window d >= 1 and every diagonal path, the sum of the
     multiplicities of the upper-block colors at degree -d-1 and of the
-    lower-block colors at degree -d must be at most the level.  The
-    factors go into a `_CutTracker` (see `_decide`).
+    lower-block colors at degree -d must be at most the level.  Decided
+    by `_cuts_fit` (see `_decide`).
     """
     if basis.kind != "fs":
         raise ValueError(
             "path inequalities apply to the fs kind; transport std partitions first"
         )
-    return _decide(pi, basis, _CutTracker)
+    return _decide(pi, basis, _cuts_fit)
 
 
-def _decide(pi: ColoredPartition, basis: BasisKind, tracker_type: type) -> bool:
+def _decide(pi: ColoredPartition, basis: BasisKind, fits) -> bool:
     """The point check of both conditions, from the encoding of `pi`.
 
     A partition with at most k factors on any two adjacent degrees is
     admissible under either condition by that condition's own definition:
     a path sum on window d reads only the factors on degrees -d-1 and -d,
     and a leading term has k+1 factors on two adjacent degrees.  It is
-    accepted with no tracker.  Any other partition is admissible when its
-    factors push into a fresh `tracker_type`, shallowest first, once its
-    |degree|s are moved to a compact range, each gap wider than 2 closed
-    down to 2.  Both conditions couple adjacent degrees only and read the
-    same on every window, so closing a gap between degrees that stay apart,
-    and moving the shallowest degree up, changes no verdict.  The tracker
-    is exactly as deep as that range.
+    accepted with no further work.  Any other partition is decided by
+    ``fits(keys, m, k)``, `_terms_fit` or `_cuts_fit`, on its factors as
+    tracker entries, shallowest first, once its |degree|s are moved to a
+    compact range, each gap wider than 2 closed down to 2.  Both conditions
+    couple adjacent degrees only and read the same on every window, so
+    closing a gap between degrees that stay apart, and moving the
+    shallowest degree up, changes no verdict.
 
-    The encoding is ``(keys, depth, densest)``: the tracker entries of the
-    factors in push order, the depth of the compact range and the most
-    factors on any two adjacent degrees.  It depends on `pi` alone, not on
-    the level or the condition, so one pass over the factors makes it on
-    the first check of `pi` and stores it in the cache slot ``_code``;
-    every later check, by another route or at another level, only pushes.
-    (alphabet, m, k) come from `_SETUPS` by (kind, rank, level).
+    The encoding is ``(keys, densest)``: those entries, ascending, and the
+    most factors on any two adjacent degrees.  A color's entry on compact
+    degree -v is its position in `Alphabet.colors` order, which the color
+    carries, plus (v-1) times the m(m+1)/2 colors of fs(m).  The encoding
+    depends on `pi` alone, not on the level or the condition, so one pass
+    over the factors makes it on the first check of `pi` and stores it in
+    the cache slot ``_code``; every later check, by another route or at
+    another level, reads it.  (alphabet, m, k) come from `_SETUPS` by
+    (kind, rank, level).
     """
     key = (basis.kind, basis.rank, basis.level)
     setup = _SETUPS.get(key)
@@ -140,26 +145,107 @@ def _decide(pi: ColoredPartition, basis: BasisKind, tracker_type: type) -> bool:
         # degrees ascend in canonical order, so the last factor holds the greatest
         if pi.factors and pi.factors[-1].degree >= 0:
             raise ValueError("admissibility is defined for strictly negative degrees")
-        position = _color_positions(m)
-        width = len(position)
+        width = m * (m + 1) // 2
         keys = []
-        depth = last = here = above = densest = 0  # factors on |degree| last and on last-1
-        for f in reversed(pi.factors):  # by ascending |degree|, as the trackers push
+        base = -width
+        last = here = above = densest = 0  # factors on |degree| last and on last-1
+        for f in reversed(pi.factors):  # by ascending |degree|
             v = -f.degree
             if v != last:
                 densest = max(densest, here + above)  # of |degree| last, now complete
-                depth += min(v - last, 2)
-                above = here if v == last + 1 else 0
-                base, last, here = (depth - 1) * width, v, 0
+                if v == last + 1:
+                    base, above = base + width, here
+                else:
+                    base, above = base + 2 * width, 0
+                last, here = v, 0
             here += 1
-            color = f.color
-            keys.append(base + position[color.a, color.b])
-        code = (tuple(keys), depth, max(densest, here + above))
+            keys.append(base + f.color._position)
+        code = (tuple(keys), max(densest, here + above))
         _set_code(pi, code)
-    keys, depth, densest = code
-    if densest <= k:
-        return True
-    return all(map(tracker_type(m, k, depth).push, keys))
+    keys, densest = code
+    return densest <= k or fits(keys, m, k)
+
+
+def _terms_fit(keys: tuple[int, ...], m: int, k: int) -> bool:
+    """Whether the ascending `keys` all push into a fresh `_Tracker` of fs(m, k).
+
+    The slot arithmetic of ``_Tracker.push``, key by key, with two windows
+    kept in locals: the entries of compact degree -(v+1) add to windows v
+    and v+1 only, and keys ascend, so window v is complete once they are
+    in, and the copies of one entry are consecutive, its copy number the
+    length of its run so far.  It stops at the first key that sets a top
+    bit, as the pushes would; a (k+1)-th copy of an entry is such a key.
+    """
+    start, high, _, masks = _term_masks(m, k)
+    width = len(masks)
+    upper = lower = start  # windows last and last+1
+    last = prev = -1
+    n = 0
+    for i in keys:
+        if i == prev:
+            n += 1
+        else:
+            prev, n = i, 0
+            v, c = divmod(i, width)
+            if v != last:
+                upper, lower, last = lower if v == last + 1 else start, start, v
+            copies = masks[c]
+        x, y = copies[n]
+        lower += x
+        upper += y
+        if (lower | upper) & high:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _cut_steps(m: int) -> tuple[int, tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...]]:
+    """The inside table of fs(m) indexed by color position: ``(width, steps, cuts)``.
+
+    A table has width + 1 entries, entry width always zero.  ``steps`` are
+    the off-diagonal cells of `_cells`, by increasing j - i, each
+    ``(p, x, y)`` with inside(p) = e(p) + max(inside(x), inside(y)); on the
+    diagonal inside is e.  ``cuts`` pairs the cells of A(c) and B(c) for
+    c = 1..m (see `_cuts`).
+    """
+    position = _color_positions(m)
+    width = len(position)
+    cells = _cells(m)
+    at = [position[i, j] for i, j, _, _ in cells] + [width]
+    steps = tuple((at[p], at[x], at[y]) for p, (i, j, x, y) in enumerate(cells) if i < j)
+    cuts_a, cuts_b = _cuts(m)
+    return width, steps, tuple((at[a], at[b]) for a, b in zip(cuts_a, cuts_b))
+
+
+def _cuts_fit(keys: tuple[int, ...], m: int, k: int) -> bool:
+    """Whether the ascending `keys` keep the path inequalities of fs(m, k), by the cut lemma.
+
+    Each held slice's inside table is filled in place from its counts once
+    the slice is complete; then A_t(c) + B_s(c) <= k is tested at every cut
+    against the slice s one degree shallower, or inside(1, m) <= k when that
+    degree is empty.  A last key -1, on no degree, completes the deepest
+    slice.
+    """
+    width, steps, cuts = _cut_steps(m)
+    top = m - 1  # (1, m), the last color of column 1
+    e = above = None  # the slices of compact degrees held and last
+    held = last = -2
+    for i in (*keys, -1):
+        v, c = divmod(i, width)
+        if v != held:
+            if e is not None:
+                for p, x, y in steps:
+                    e[p] += e[x] if e[x] > e[y] else e[y]
+                if held == last + 1:
+                    for a, b in cuts:
+                        if e[a] + above[b] > k:
+                            return False
+                elif e[top] > k:
+                    return False
+                above, last = e, held
+            e, held = [0] * (width + 1), v
+        e[c] += 1
+    return True
 
 
 _SETUPS: dict[tuple[str, int, int], tuple[Alphabet, int, int]] = {}
@@ -180,13 +266,13 @@ def _entries(m: int, max_degree: int) -> tuple[tuple[int, int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _term_masks(m: int, k: int) -> tuple[int, int, int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """The slot layout of one window of fs(m, k) for `_Tracker`: ``(start, ones, top, masks)``.
+    """The slot layout of one window of fs(m, k) for `_Tracker`: ``(start, high, top, masks)``.
 
     A slot of w = (k+1).bit_length() + 1 bits is kept for every row of
     `leading.rows` with an offset-0 factor; a row with none, all at offset
     1, is the next window's row of the same pairs all at offset 0.  start
-    holds the bias 2^(w-1) - (k+1) in every slot, ones has a one at the
-    lowest bit of every slot, and top = w-1 shifts it to the top bit.
+    holds the bias 2^(w-1) - (k+1) in every slot, high has a one at the
+    top bit of every slot, and top = w-1 shifts it there from the lowest.
     ``masks[c][n]``, for n = 0..k, holds the two masks ``(x, y)`` that an
     n-th copy of the c-th color (a, b) adds on any degree -v, key (a, b, 0)
     of window v and key (a, b, 1) of window v-1: a one at the lowest bit of
@@ -214,7 +300,7 @@ def _term_masks(m: int, k: int) -> tuple[int, int, int, tuple[tuple[tuple[int, i
         tuple((mask(a, b, 0, n), mask(a, b, 1, n)) for n in range(k + 1))
         for a, b in _color_positions(m)
     )
-    return ((1 << width - 1) - (k + 1)) * ones, ones, width - 1, masks
+    return ((1 << width - 1) - (k + 1)) * ones, ones << width - 1, width - 1, masks
 
 
 class _Tracker:
@@ -258,8 +344,8 @@ class _Tracker:
     """
 
     def __init__(self, m: int, k: int, max_degree: int):
-        start, self.ones, self.top, self.masks = _term_masks(m, k)
-        self.high = self.ones << self.top
+        start, self.high, self.top, self.masks = _term_masks(m, k)
+        self.ones = self.high >> self.top
         self.width = len(self.masks)
         self.state = [start] * (max_degree + 1)
         self.mult = [0] * (self.width * max_degree)
@@ -323,13 +409,10 @@ def _cut_reads(m: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
 class _CutTracker:
     """The path inequalities by the cut lemma, with the width, push and pop of `_Tracker`.
 
-    It keeps a slice and an inside table per degree 0..max_degree.  Every
-    degree starts on one shared zero table, never written, and gets tables
-    of its own at its first push, so a point check allocates only for the
-    degrees its partition holds; degree 0 stays empty.  A push at -v
-    recomputes the cells that read the pushed color (see `_cut_reads`),
-    records those that grew, each by one, and checks
-    inside_v(i, c) + B_{v-1}(c) <= k at each grown cell (i, c); as
+    It keeps a slice and an inside table per degree 0..max_degree; degree 0
+    stays empty.  A push at -v recomputes the cells that read the pushed
+    color (see `_cut_reads`), records those that grew, each by one, and
+    checks inside_v(i, c) + B_{v-1}(c) <= k at each grown cell (i, c); as
     inside(i, c) <= A(c), that decides A_v(c) + B_{v-1}(c) <= k.  It is exact
     only because the walk pushes by ascending |degree|, so no degree below
     -v holds a factor, and the state before each push is admissible, so
@@ -355,18 +438,14 @@ class _CutTracker:
         self.m, self.k = m, k
         self.reads = _cut_reads(m)
         self.width = len(self.reads)
-        self.zero = [0] * (self.width + 1)
-        self.slices = [self.zero] * (max_degree + 1)
-        self.inside = [self.zero] * (max_degree + 1)
+        self.slices = [[0] * self.width for _ in range(max_degree + 1)]
+        self.inside = [[0] * (self.width + 1) for _ in range(max_degree + 1)]
         self.grown: list[tuple[list[int], list[int], list[int]]] = []
 
     def push(self, i: int) -> bool:
         v, color = divmod(i, self.width)
         reads = self.reads[color]
         e, inside, above = self.slices[v + 1], self.inside[v + 1], self.inside[v]
-        if e is self.zero:
-            e = self.slices[v + 1] = [0] * self.width
-            inside = self.inside[v + 1] = [0] * (self.width + 1)
         e[reads[0][0]] += 1
         grown = []
         ok = True

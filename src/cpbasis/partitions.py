@@ -39,9 +39,10 @@ and `basis.enumerate_basis` take their factors from it rather than build
 one per factor.  `from_pairs` and the constructor sort factors by the
 integer triple ``(degree, -a, -b)``, the order ``Factor.sort_key`` gives.
 
-A partition has one cache slot, ``_code``, which every constructor
-empties and the point checks of `basis` fill with its encoding (see
-`_frozen` for the cache-slot rule).
+A color has one cache slot, ``_position``, its position in
+`Alphabet.colors` order, which its constructor sets.  A partition has
+one, ``_code``, which every constructor empties and the point checks of
+`basis` fill with its encoding (see `_frozen` for the cache-slot rule).
 
 A colored partition is a finite multiset of factors kept in canonical
 ascending factor order.  Partitions over a fixed scheme form a monoid
@@ -129,20 +130,28 @@ def upper_scheme(rank: int) -> Alphabet:
 
 
 class Color(Frozen):
-    """A basis symbol X_ab; `a` is the column index, `b` the row index, ``a <= b``."""
+    """A basis symbol X_ab; `a` is the column index, `b` the row index, ``a <= b``.
 
-    __slots__ = ("alphabet", "a", "b")
+    ``_position`` is its position in `Alphabet.colors` order, set at
+    construction from (a, b) and the index bound n; it is the same on B(l)
+    and on B1(2l), whose bounds are both 2l.
+    """
+
+    __slots__ = ("alphabet", "a", "b", "_position")
     alphabet: Alphabet
     a: int
     b: int
 
     def __init__(self, alphabet: Alphabet, a: int, b: int) -> None:
         a, b = index(a), index(b)
-        if not 1 <= a <= b <= alphabet.index_bound:
+        n = alphabet.index_bound
+        if not 1 <= a <= b <= n:
             raise ValueError(f"({a},{b}) is not a valid color of {alphabet}")
         setfield(self, "alphabet", alphabet)
         setfield(self, "a", a)
         setfield(self, "b", b)
+        # columns 1..a-1 come first, n - c + 1 colors in column c
+        setfield(self, "_position", (a - 1) * n - (a - 1) * (a - 2) // 2 + b - a)
 
     @property
     def sort_key(self) -> tuple[int, int]:

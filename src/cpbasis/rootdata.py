@@ -141,7 +141,8 @@ def positive_roots(spec: RootSystemSpec) -> list[Weight]:
 
 
 def simple_roots(spec: RootSystemSpec) -> list[Weight]:
-    return [Weight(alpha) for alpha in _integer_roots(spec)[1]]
+    n = spec.ambient_dim
+    return [Weight(_dense(n, *alpha)) for alpha in _integer_roots(spec)[1]]
 
 
 def highest_root(spec: RootSystemSpec) -> Weight:
@@ -172,12 +173,13 @@ def half_sum_positive(spec: RootSystemSpec) -> Weight:
 
 @lru_cache(maxsize=None)
 def _integer_roots(spec: RootSystemSpec):
-    """Positive roots in order, simple roots and 2*rho, as integer coordinate tuples.
+    """The positive roots in order, the simple roots, 2*rho and the positive roots again.
 
-    Each root is written first in its sparse form ``(i, c, j, e)``, for
-    c*eps_i + e*eps_j with 0-based i and j (e = 0 for a root on one
-    coordinate); a fourth entry holds the positive roots in that form, in
-    the same order.
+    A root's sparse form is ``(i, c, j, e)``, for c*eps_i + e*eps_j with
+    0-based i and j (e = 0 for a root on one coordinate).  The positive
+    roots come first as integer coordinate tuples and last in sparse form,
+    in the same order; the simple roots are in sparse form, and 2*rho is an
+    integer coordinate tuple.
     """
     n = spec.ambient_dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -196,23 +198,16 @@ def _integer_roots(spec: RootSystemSpec):
     elif spec.family == "D":
         simple.append((n - 2, 1, n - 1, 1))
 
-    def dense(i: int, c: int, j: int, e: int) -> tuple[int, ...]:
-        coords = [0] * n
-        coords[i] += c
-        coords[j] += e
-        return tuple(coords)
-
-    roots = [dense(*alpha) for alpha in positive]
-    return (
-        tuple(roots),
-        tuple(dense(*alpha) for alpha in simple),
-        tuple(map(sum, zip(*roots))),
-        tuple(positive),
-    )
+    roots = [_dense(n, *alpha) for alpha in positive]
+    return tuple(roots), tuple(simple), tuple(map(sum, zip(*roots))), tuple(positive)
 
 
-def _pairing(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(x, y))
+def _dense(n: int, i: int, c: int, j: int, e: int) -> tuple[int, ...]:
+    """The root c*eps_i + e*eps_j as n integer coordinates."""
+    coords = [0] * n
+    coords[i] += c
+    coords[j] += e
+    return tuple(coords)
 
 
 def _scaled(lam: Weight) -> tuple[int, tuple[int, ...]]:
@@ -228,10 +223,11 @@ def is_dominant_integral(spec: RootSystemSpec, lam: Weight) -> bool:
             f"{spec} weights need {spec.ambient_dim} coordinates, got {len(lam.coords)}"
         )
     scale, scaled = _scaled(lam)
-    for alpha in _integer_roots(spec)[1]:
-        # the coroot pairing 2<lam, alpha>/<alpha, alpha> = 2<L*lam, alpha>/(L<alpha, alpha>)
+    for i, c, j, e in _integer_roots(spec)[1]:
+        # the coroot pairing 2<lam, alpha>/<alpha, alpha> = 2<L*lam, alpha>/(L<alpha, alpha>);
+        # <alpha, alpha> = c^2 + e^2, as e = 0 when i = j
         pairing, remainder = divmod(
-            2 * _pairing(scaled, alpha), scale * _pairing(alpha, alpha)
+            2 * (c * scaled[i] + e * scaled[j]), scale * (c * c + e * e)
         )
         if remainder or pairing < 0:
             return False

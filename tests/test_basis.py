@@ -28,11 +28,13 @@ from cpbasis import basis as basis_module, leading, listing as listing_module
 from cpbasis.ident import transport_partition
 from cpbasis.basis import (
     _CutTracker,
+    _cuts_fit,
     _entries,
     _enumerate_cached,
     _Pair,
     _slice_graph,
     _term_masks,
+    _terms_fit,
     _Tracker,
     _walk,
     admissible_by_divisibility,
@@ -196,17 +198,18 @@ class TestAdmissibility:
         ],
     )
     def test_deep_partition_is_checked_at_its_own_size(self, monkeypatch, factors, expected):
-        # a check sizes its trackers by the degrees the partition holds, not by their depth
+        # a check reads the degrees the partition holds, not their depth: the
+        # deepest compact degree its decision reads is at most 2 per held degree
         depths = []
 
-        def recorded(tracker_type):
-            def build(m, k, max_degree):
-                depths.append(max_degree)
-                return tracker_type(m, k, max_degree)
+        def recorded(fits):
+            def decide(keys, m, k):
+                depths.append(keys[-1] // (m * (m + 1) // 2) + 1)
+                return fits(keys, m, k)
 
-            return build
+            return decide
 
-        for name in ("_Tracker", "_CutTracker"):
+        for name in ("_terms_fit", "_cuts_fit"):
             monkeypatch.setattr(basis_module, name, recorded(getattr(basis_module, name)))
         basis = BasisKind("fs", 4, 2)
         pi = up_part(4, *factors)
@@ -693,15 +696,13 @@ def test_window_invariance_lemma(case):
         assert check(pi, basis) == check(deeper, basis)
 
 
-class ReachedTracker(Exception):
-    """Raised by `Unbuilt`."""
+class ReachedDecision(Exception):
+    """Raised by `undecided`."""
 
 
-class Unbuilt:
-    """A tracker type whose constructor raises `ReachedTracker`."""
-
-    def __init__(self, *args):
-        raise ReachedTracker
+def undecided(*args):
+    """A decision routine of `basis._decide` that raises `ReachedDecision`."""
+    raise ReachedDecision
 
 
 @st.composite
@@ -731,8 +732,8 @@ def sparse_partitions(draw):
 )
 def test_sparse_partitions_build_no_tracker(case):
     # each condition holds by its own definition when no two adjacent degrees
-    # hold more than k factors, so no route builds a tracker; one with exactly
-    # k+1 on two adjacent degrees, where a term can divide, still builds one
+    # hold more than k factors, so no route reaches its decision routine; one
+    # with exactly k+1 on two adjacent degrees, where a term can divide, does
     basis, pi = case
     m, k = basis.rank, basis.level
     std = BasisKind("std", m // 2, k) if m % 2 == 0 else None
@@ -748,16 +749,73 @@ def test_sparse_partitions_build_no_tracker(case):
     held = sum(f.degree == deepest for f in pi.factors)
     dense = pi * up_part(m, *[((1, 1), deepest - 1)] * (k + 1 - held))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(basis_module, "_Tracker", Unbuilt)
-        patch.setattr(basis_module, "_CutTracker", Unbuilt)
+        patch.setattr(basis_module, "_terms_fit", undecided)
+        patch.setattr(basis_module, "_cuts_fit", undecided)
         assert all(route(p, b) for route, p, b in routes(pi))
         for route, p, b in routes(dense):
-            with pytest.raises(ReachedTracker):
+            with pytest.raises(ReachedDecision):
                 route(p, b)
     assert not divided_by_a_window_term(pi, lambda d: path_leading_terms(m, k, d))
     if std:
         q = transport_partition(pi, m // 2)
         assert not divided_by_a_window_term(q, lambda d: leading_terms(std, d))
+
+
+@st.composite
+def decision_cases(draw):
+    """An fs basis (rank <= 6, level <= 3) and a partition of 1 to 3 held degrees.
+
+    The shallowest held degree is -1, -2, -3 or past -100, and the gaps
+    between held degrees are 1, 2, 3 or 41 wide.  Each degree holds 1 to
+    k+2 factors of drawn colors, or k or k+1 copies of one color.
+    """
+    m = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=3))
+    colors = st.sampled_from([c.pair for c in upper_scheme(m).colors()])
+    v = draw(st.sampled_from([1, 2, 3, 101, 150]))
+    factors = []
+    for held in range(draw(st.integers(min_value=1, max_value=3))):
+        if held:
+            v += draw(st.sampled_from([1, 2, 3, 41]))
+        if draw(st.booleans()):
+            factors += [(draw(colors), -v)] * draw(st.integers(min_value=k, max_value=k + 1))
+        else:
+            factors += [(draw(colors), -v) for _ in range(draw(st.integers(1, k + 2)))]
+    return BasisKind("fs", m, k), up_part(m, *factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=decision_cases())
+# the path sums read A of the deeper slice and B of the shallower one
+@example(case=(BasisKind("fs", 2, 1), up_part(2, ((1, 1), -2), ((2, 2), -1))))
+# one slice alone, shallowest and deepest at once, refused by inside(1, m)
+@example(case=(BasisKind("fs", 1, 1), up_part(1, ((1, 1), -1), ((1, 1), -1))))
+# two slices two degrees apart share no path sum
+@example(case=(BasisKind("fs", 1, 1), up_part(1, ((1, 1), -3), ((1, 1), -1))))
+@example(case=(BasisKind("fs", 4, 2), up_part(4, ((1, 4), -103), ((2, 3), -102), ((2, 3), -101))))
+def test_decisions_match_tracker_pushes_and_references(case):
+    # each decision routine gives the verdict of pushing the same keys into
+    # its tracker, and of the reference definition on the compact partition
+    # those keys encode; the point checks read it past the size test
+    basis, pi = case
+    m, k = basis.rank, basis.level
+    by_cuts = admissible_by_inequalities(pi, basis)
+    by_terms = admissible_by_divisibility(pi, basis)
+    keys, densest = pi._code
+    depth = keys[-1] // (m * (m + 1) // 2) + 1
+    assert depth <= 2 * len({f.degree for f in pi.factors})
+    entries = _entries(m, depth)
+    compact = up_part(m, *(((a, b), -v) for a, b, v in map(entries.__getitem__, keys)))
+    cuts, terms = _cuts_fit(keys, m, k), _terms_fit(keys, m, k)
+    assert cuts == all(map(_CutTracker(m, k, depth).push, keys))
+    assert cuts == reference_inequalities(compact, basis)
+    assert terms == all(map(_Tracker(m, k, depth).push, keys))
+    assert terms == reference_divisibility(compact, basis)
+    assert by_cuts == (densest <= k or cuts) and by_terms == (densest <= k or terms)
+    if m % 2 == 0:
+        image = transport_partition(pi, m // 2)
+        assert admissible_by_divisibility(image, BasisKind("std", m // 2, k)) == by_terms
+        assert image._code == pi._code
 
 
 def compact_depth(pi):

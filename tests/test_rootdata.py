@@ -452,8 +452,8 @@ def dense_weyl_product(spec, top, bottom) -> tuple[int, int]:
     """The Weyl product over the dense integer roots, one full pairing per root."""
     num = den = 1
     for alpha in rootdata._integer_roots(spec)[0]:
-        num *= rootdata._pairing(top, alpha)
-        den *= rootdata._pairing(bottom, alpha)
+        num *= sum(x * a for x, a in zip(top, alpha))
+        den *= sum(x * a for x, a in zip(bottom, alpha))
     return num, den
 
 

@@ -192,6 +192,23 @@ def test_partition_cache_is_not_a_field():
     assert pickle.dumps(filled) == pickle.dumps(fresh)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 5])
+def test_color_carries_its_position(rank):
+    # set at construction from (a, b) and the index bound, so B(l) and
+    # B1(2l) give one color pair one position; not a field, and kept by copies
+    for alphabet in full_scheme(rank), upper_scheme(2 * rank):
+        colors = alphabet.colors()
+        assert [c._position for c in colors] == list(range(len(colors)))
+        for c in colors:
+            built = Color(alphabet, c.a, c.b)
+            assert built is not c and built._position == c._position
+            assert repr(built) == repr(twin(built)) and "_position" not in repr(built)
+            for clone in copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built)):
+                assert clone == c and clone._position == c._position
+    full, upper = full_scheme(rank).colors(), upper_scheme(2 * rank).colors()
+    assert [(c.pair, c._position) for c in full] == [(c.pair, c._position) for c in upper]
+
+
 def test_partition_default_and_canonical_order():
     assert ColoredPartition(UP2) == ColoredPartition(UP2, ()) == ColoredPartition(alphabet=UP2)
     assert ColoredPartition(UP2, (Factor(X12, -1), Factor(X11, -2))).factors == PI.factors
