@@ -37,8 +37,8 @@ and that count depend on the partition alone, so they are found once per
 partition and kept in its cache slot.  `ident.transport_partition` keeps
 the factor order without a sort: iota keeps (a, b), and the order reads
 nothing else.  The path inequalities are decided by the cut lemma alone,
-on the inside tables of `series` (see its docstring); no path is ever
-built.
+on the inside tables of `series` (see its docstring), which like the
+keys are indexed by color position; no path is ever built.
 
 A walk (`_walk`) pushes factors by ascending |degree| into a tracker,
 `_Tracker` of the terms (capped-sum counters packed in one integer per
@@ -47,7 +47,8 @@ every inadmissible prefix; it decides the leaves, the partitions nothing
 can follow, in one bulk test per degree instead of pushing them (a slot
 test for `_Tracker`, a reach table for `_CutTracker`).  An enumeration
 lists, by the two lemmas, paths in the window-1 slice graph (see
-`listing`), whose nodes are the single slices a walk at depth 1 lists.
+`listing`), whose nodes are the single slices, listed by one descending
+walk of a tracker on degree -1.
 One walk that pushes both trackers together (`_Pair`) checks the
 coincidence exactly: each condition's admissible set is closed under
 dropping the last-walked factor, so at the least degree where the sets
@@ -72,7 +73,7 @@ from .partitions import (
     full_scheme,
     upper_scheme,
 )
-from .series import BasisKind, _cells, _cuts, _triangle_rank
+from .series import BasisKind, _cells, _cuts, _position, _triangle_rank
 
 
 def leading_terms(basis: BasisKind, d: int) -> frozenset[ColoredPartition]:
@@ -198,35 +199,17 @@ def _terms_fit(keys: tuple[int, ...], m: int, k: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _cut_steps(m: int) -> tuple[int, tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...]]:
-    """The inside table of fs(m) indexed by color position: ``(width, steps, cuts)``.
-
-    A table has width + 1 entries, entry width always zero.  ``steps`` are
-    the off-diagonal cells of `_cells`, by increasing j - i, each
-    ``(p, x, y)`` with inside(p) = e(p) + max(inside(x), inside(y)); on the
-    diagonal inside is e.  ``cuts`` pairs the cells of A(c) and B(c) for
-    c = 1..m (see `_cuts`).
-    """
-    position = _color_positions(m)
-    width = len(position)
-    cells = _cells(m)
-    at = [position[i, j] for i, j, _, _ in cells] + [width]
-    steps = tuple((at[p], at[x], at[y]) for p, (i, j, x, y) in enumerate(cells) if i < j)
-    cuts_a, cuts_b = _cuts(m)
-    return width, steps, tuple((at[a], at[b]) for a, b in zip(cuts_a, cuts_b))
-
-
 def _cuts_fit(keys: tuple[int, ...], m: int, k: int) -> bool:
     """Whether the ascending `keys` keep the path inequalities of fs(m, k), by the cut lemma.
 
-    Each held slice's inside table is filled in place from its counts once
-    the slice is complete; then A_t(c) + B_s(c) <= k is tested at every cut
-    against the slice s one degree shallower, or inside(1, m) <= k when that
-    degree is empty.  A last key -1, on no degree, completes the deepest
-    slice.
+    Each held slice's table, by color position, is filled in place from its
+    counts over the off-diagonal steps of `series._cells` once the slice is
+    complete; then A_t(c) + B_s(c) <= k is tested at every cut against the
+    slice s one degree shallower, or inside(1, m) <= k when that degree is
+    empty.  A last key -1, on no degree, completes the deepest slice.
     """
-    width, steps, cuts = _cut_steps(m)
+    width = m * (m + 1) // 2
+    steps, cuts = _cells(m)[m:], _cuts(m)  # on the diagonal inside is e
     top = m - 1  # (1, m), the last color of column 1
     e = above = None  # the slices of compact degrees held and last
     held = last = -2
@@ -237,7 +220,7 @@ def _cuts_fit(keys: tuple[int, ...], m: int, k: int) -> bool:
                 for p, x, y in steps:
                     e[p] += e[x] if e[x] > e[y] else e[y]
                 if held == last + 1:
-                    for a, b in cuts:
+                    for a, b in enumerate(cuts):
                         if e[a] + above[b] > k:
                             return False
                 elif e[top] > k:
@@ -254,8 +237,8 @@ _set_code = ColoredPartition._code.__set__
 
 @lru_cache(maxsize=None)
 def _color_positions(m: int) -> dict[tuple[int, int], int]:
-    """Color (a, b) to its position in `Alphabet.colors` order."""
-    return {c.pair: i for i, c in enumerate(upper_scheme(m).colors())}
+    """Color (a, b) to its position in `Alphabet.colors` order, the pairs in that order."""
+    return {(a, b): _position(m, a, b) for a in range(1, m + 1) for b in range(a, m + 1)}
 
 
 @lru_cache(maxsize=None)
@@ -389,34 +372,36 @@ class _Tracker:
 
 @lru_cache(maxsize=None)
 def _cut_reads(m: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
-    """Per color X_ab, in `Alphabet.colors` order, the cells (i, j) that read e(a, b).
+    """Per color X_ab, by position, the steps of `series._cells` that read e(a, b).
 
-    They are those with i <= a and b <= j, as ``(p, x, y, cut)`` in `_cells`
-    order, (a, b) itself first, with cut the cell of B(j) = inside(j, m).
+    They are those of the (i, j) with i <= a and b <= j, as ``(p, x, y,
+    cut)`` in step order, (a, b) itself first, with cut the position of
+    B(j) = inside(j, m).
     """
-    cells = _cells(m)
-    _, cuts_b = _cuts(m)
+    pairs, cuts = [*_color_positions(m)], _cuts(m)
     return tuple(
         tuple(
-            (p, x, y, cuts_b[j - 1])
-            for p, (i, j, x, y) in enumerate(cells)
-            if i <= a and b <= j
+            (p, x, y, cuts[pairs[p][1] - 1])
+            for p, x, y in _cells(m)
+            if pairs[p][0] <= a and b <= pairs[p][1]
         )
-        for a, b in _color_positions(m)
+        for a, b in pairs
     )
 
 
 class _CutTracker:
     """The path inequalities by the cut lemma, with the width, push and pop of `_Tracker`.
 
-    It keeps a slice and an inside table per degree 0..max_degree; degree 0
-    stays empty.  A push at -v recomputes the cells that read the pushed
-    color (see `_cut_reads`), records those that grew, each by one, and
-    checks inside_v(i, c) + B_{v-1}(c) <= k at each grown cell (i, c); as
-    inside(i, c) <= A(c), that decides A_v(c) + B_{v-1}(c) <= k.  It is exact
-    only because the walk pushes by ascending |degree|, so no degree below
-    -v holds a factor, and the state before each push is admissible, so
-    only a grown cell can break a condition.  ``pop`` undoes the latest push.
+    It keeps a slice and an inside table per degree 0..max_degree, each
+    indexed by color position, as an entry's color is; degree 0 stays
+    empty.  A push at -v bumps e at its color, recomputes the inside
+    entries that read it (see `_cut_reads`), records those that grew, each
+    by one, and checks inside_v(i, c) + B_{v-1}(c) <= k at each grown
+    (i, c); as inside(i, c) <= A(c), that decides A_v(c) + B_{v-1}(c) <= k.
+    It is exact only because the walk pushes by ascending |degree|, so no
+    degree below -v holds a factor, and the state before each push is
+    admissible, so only a grown entry can break a condition.  ``pop``
+    undoes the latest push.
 
     ``fitting(lo, hi)``, as in `_Tracker`, lists the entries in [lo, hi), all
     of one degree -v, that ``push`` would accept, from one reach table G
@@ -427,16 +412,17 @@ class _CutTracker:
     (a, b), (a, b) itself excluded.  G(a, b) is the largest, over c >= b, of
     B_{v-1}(c) plus that weight: the largest of B(b) if a = 1,
     G(a-1, b) + e(a-1, b) if a > 1, and G(a, b+1) + e(a, b+1) if b < m.
-    So G runs along the edges of inside, reversed: it starts at B(c) on each
-    (1, c), and each cell, taken by decreasing j - i, passes its G + e on to
-    the two cells its inside reads.  From an admissible state, (a, b) fits
-    exactly when inside(a, b) + 1 + G(a, b) <= k.  Like ``push``, this
-    reads the cut lemma alone.
+    So G, a table by color position too, runs along the steps of inside,
+    reversed: it starts at B(c) on each (1, c), position c - 1, and each
+    color, taken by decreasing j - i, passes its G + e on to the two its
+    inside reads.  From an admissible state, (a, b) fits exactly when
+    inside(a, b) + 1 + G(a, b) <= k.  Like ``push``, this reads the cut
+    lemma alone.
     """
 
     def __init__(self, m: int, k: int, max_degree: int):
-        self.m, self.k = m, k
-        self.reads = _cut_reads(m)
+        self.k = k
+        self.reads, self.steps, self.cuts = _cut_reads(m), _cells(m), _cuts(m)
         self.width = len(self.reads)
         self.slices = [[0] * self.width for _ in range(max_degree + 1)]
         self.inside = [[0] * (self.width + 1) for _ in range(max_degree + 1)]
@@ -446,7 +432,7 @@ class _CutTracker:
         v, color = divmod(i, self.width)
         reads = self.reads[color]
         e, inside, above = self.slices[v + 1], self.inside[v + 1], self.inside[v]
-        e[reads[0][0]] += 1
+        e[color] += 1
         grown = []
         ok = True
         for p, x, y, cut in reads:
@@ -460,28 +446,25 @@ class _CutTracker:
 
     def pop(self, i: int) -> None:
         e, inside, grown = self.grown.pop()
-        e[grown[0]] -= 1  # the pushed color's own cell always grows, first
+        e[grown[0]] -= 1  # the pushed color's own entry always grows, first
         for p in grown:
             inside[p] -= 1
 
     def fitting(self, lo: int, hi: int) -> list[int]:
-        width, reads = self.width, self.reads
+        width = self.width
         v = lo // width
         e, inside, above = self.slices[v + 1], self.inside[v + 1], self.inside[v]
-        g = [0] * (width + 1)  # G per cell, and the zero cell that the diagonal reads
-        for c in range(self.m):  # the colors (1, c+1) come first
-            p, _, _, cut = reads[c][0]
-            g[p] = above[cut]
-        cells = _cells(self.m)
-        for p in range(width - 1, -1, -1):  # by decreasing j - i
-            _, _, x, y = cells[p]
+        g = [0] * (width + 1)  # and the zero entry that the diagonal reads
+        for c, b in enumerate(self.cuts):
+            g[c] = above[b]
+        for p, x, y in reversed(self.steps):  # by decreasing j - i
             reach = g[p] + e[p]
             if reach > g[x]:
                 g[x] = reach
             if reach > g[y]:
                 g[y] = reach
         k, base = self.k, v * width
-        return [i for i in range(lo, hi) if inside[p := reads[i - base][0][0]] + g[p] < k]
+        return [i for i in range(lo, hi) if inside[c := i - base] + g[c] < k]
 
 
 class _Pair:
@@ -521,7 +504,7 @@ class _Pair:
         return [i for i in cut if i in div]
 
 
-def _walk(max_degree: int, tracker, file, depth: int | None = None) -> None:
+def _walk(max_degree: int, tracker, file) -> None:
     """The depth-first walk, handing each group of keys to ``file(total, shape, prefix, ids)``.
 
     A key is the tuple of entries pushed, ascending by (|degree|, color
@@ -531,18 +514,15 @@ def _walk(max_degree: int, tracker, file, depth: int | None = None) -> None:
     ending at |degree| v is a leaf when t + v > max_degree, as nothing can
     follow it; such groups are the ``fitting`` results, with no push.  The
     other entries are pushed and recursed into, so a node's group is handed
-    over after the groups below it.  With `depth`, no entry deeper than
-    -depth is pushed: at depth 1 the keys are the slices of degree -1 of at
-    most max_degree factors.
+    over after the groups below it.
     """
-    last = max_degree if depth is None else depth
     width = tracker.width
     push, pop, fitting = tracker.push, tracker.pop, tracker.fitting
 
     def rec(v: int, lo: int, used: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> None:
         # entry lo is of |degree| v; each pass takes the entries of one degree,
         # which end at index v * width
-        while v <= last and used + v + v <= max_degree:
+        while used + v + v <= max_degree:
             hi, total = v * width, used + v
             grown = shape + (v,)
             fits = []
@@ -555,7 +535,7 @@ def _walk(max_degree: int, tracker, file, depth: int | None = None) -> None:
                 file(total, grown, prefix, fits)
             v, lo = v + 1, hi
         # every partition handed over from here on is a leaf
-        while v <= last and used + v <= max_degree:
+        while used + v <= max_degree:
             hi = v * width
             fits = fitting(lo, hi)
             if fits:
@@ -621,16 +601,19 @@ def enumerate_basis(
     every call.
     """
     entries, layers = enumerate_keys(basis, max_degree, method)
-    alphabet = basis.alphabet
-    # the scheme's shared factors; a key reversed is in canonical order
+    return tuple(_partitions(basis.alphabet, entries, layer) for layer in layers)
+
+
+def _partitions(alphabet: Alphabet, entries, keys) -> tuple[ColoredPartition, ...]:
+    """The partitions of walk `keys`, indices into `entries`, from the scheme's shared factors.
+
+    A key reversed is in canonical order, so no sort is made.
+    """
     table = _color_table(alphabet).factors
     return tuple(
-        tuple(
-            _canonical(
-                alphabet,
-                tuple([table[a, b, -v] for a, b, v in map(entries.__getitem__, reversed(key))]),
-            )
-            for key in layer
+        _canonical(
+            alphabet,
+            tuple([table[a, b, -v] for a, b, v in map(entries.__getitem__, reversed(key))]),
         )
-        for layer in layers
+        for key in keys
     )

@@ -108,13 +108,6 @@ def _cmd_leading_terms(args) -> int:
     return 0
 
 
-def _labels(alphabet, entries) -> list[str]:
-    """One label per walk entry (a, b, v), the color X_ab at degree -v as `Factor` writes it."""
-    from .partitions import Color, Factor
-
-    return [str(Factor(Color(alphabet, a, b), -v)) for a, b, v in entries]
-
-
 def _cmd_enumerate(args) -> int:
     from .basis import _slice_graph
 
@@ -217,11 +210,6 @@ def _write_lines(lines) -> None:
         sys.stdout.write("".join(block))
 
 
-def _monomial(key: tuple[int, ...], labels: list[str]) -> str:
-    """A partition as ``ColoredPartition.__str__`` writes it: canonical order, powers."""
-    return _powers([labels[i] for i in reversed(key)]) or "1"
-
-
 def _cmd_series(args) -> int:
     import json
 
@@ -242,7 +230,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify_coincidence(args) -> int:
-    from .basis import _entries, _Pair, _walk
+    from .basis import _entries, _Pair, _partitions, _walk
 
     ell, k, n = args.ell, args.level, args.max_degree
     # iota is the identity on (a, b) encodings, so one walk over fs(2l) keys
@@ -268,8 +256,8 @@ def _cmd_verify_coincidence(args) -> int:
     if failed:
         d, key, by_cut = failed
         side = "fs path inequalities" if by_cut else "std leading terms"
-        labels = _labels(basis.alphabet, entries)
-        print(f"{-d:6d}  NO  {_monomial(key, labels)} is admitted by the {side} only")
+        (pi,) = _partitions(basis.alphabet, entries, [key])
+        print(f"{-d:6d}  NO  {pi} is admitted by the {side} only")
         print("coincidence FAILED")
         return 1
     # the walk's counts against the transfer matrix, an independent route

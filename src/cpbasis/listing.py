@@ -6,10 +6,11 @@ the `basis` docstring), so a partition is admissible exactly when each of
 its slices is admissible alone and each two slices on adjacent degrees are
 admissible together on one window.  A listing therefore needs only the
 slice graph of window 1: its nodes are the slices admissible alone, listed
-once by `basis._walk` at depth 1 with the condition's own tracker, and an
-edge joins a slice s on -d to a slice t on -d-1 when the pair is
-admissible.  Each slice has a lower key, read when it is s, and an upper
-key, read when it is t, and an edge depends on the two keys only:
+by one depth-first walk of the condition's own tracker on degree -1 (see
+`SliceGraph.descend`), and an edge joins a slice s on -d to a slice t on
+-d-1 when the pair is admissible.  Each slice has a lower key, read when
+it is s, and an upper key, read when it is t, and an edge depends on the
+two keys only:
 
 * divisibility: a mixed row (P, Q) of `leading.rows`, P on degree -1 and
   Q on -2, refuses the pair when P divides s and Q divides t.  The lower
@@ -18,7 +19,8 @@ key, read when it is t, and an edge depends on the two keys only:
   Qs; the pair is admissible when ``U & D == 0``.
 * inequalities: by the cut lemma (see `series`) the pair is admissible
   when A_t(c) + B_s(c) <= k at every cut c, with B(s) = inside_s(c, m)
-  the lower key and A(t) = inside_t(1, c) the upper one, packed in slots
+  the lower key and A(t) = inside_t(1, c) the upper one, read off an
+  inside table indexed by color position as the slice is, packed in slots
   of w bits; B carries the bias 2^(w-1) - (k+1) in each slot, so the pair
   is admissible when no slot of ``B + A`` reaches its top bit.
 
@@ -38,8 +40,8 @@ slice from its predecessor's successor list in order: the held slices of
 one size are numbered in descending order.  A second held degree adds at
 least 2 to a layer's total, so a slice of more than max_degree - 2
 factors only fills a shape of one degree.  Only slices of at most
-max_degree - 2 factors are held; such a one-degree shape is streamed by a
-walk of its own that tries colors in descending order.
+max_degree - 2 factors are held; such a one-degree shape is streamed by
+the same walk, run to its size.
 
 Rows.  A listing is read through four arguments: ``piece(colors, d)``
 writes a slice at |degree| d, ``extend(acc, piece)`` adds the piece of the
@@ -66,7 +68,7 @@ from array import array
 from itertools import accumulate, combinations, compress, repeat
 from operator import add, not_
 
-from .basis import _color_positions, _CutTracker, _Tracker, _walk
+from .basis import _color_positions, _CutTracker, _Tracker
 from .leading import rows
 from .series import _cells, _cuts
 
@@ -121,10 +123,8 @@ def _cut_keys(m: int, k: int):
 
     As `_division_keys`; B carries the bias, A does not.
     """
-    cells = _cells(m)
-    flat = {(i, j): p for p, (i, j, _, _) in enumerate(cells)}
-    cell = [flat[pair] for pair in _color_positions(m)]
-    cuts_a, cuts_b = _cuts(m)
+    width = m * (m + 1) // 2
+    steps, cuts = _cells(m)[m:], _cuts(m)  # on the diagonal inside is e
     w = (k + 1).bit_length() + 1
     bias = (1 << w - 1) - (k + 1)
     high = sum(1 << c * w + w - 1 for c in range(m))
@@ -132,13 +132,13 @@ def _cut_keys(m: int, k: int):
     def keys(prefix, ids):
         found = []
         for x in ids:
-            inside = [0] * (len(cells) + 1)  # the last cell stays zero
+            inside = [0] * (width + 1)  # the last entry stays zero
             for y in (*prefix, x):
-                inside[cell[y]] += 1
-            for p, (_, _, y, z) in enumerate(cells):
+                inside[y] += 1
+            for p, y, z in steps:
                 inside[p] += inside[y] if inside[y] > inside[z] else inside[z]
-            lower = sum((bias + inside[q]) << c * w for c, q in enumerate(cuts_b))
-            found.append((lower, sum(inside[q] << c * w for c, q in enumerate(cuts_a))))
+            lower = sum((bias + inside[q]) << c * w for c, q in enumerate(cuts))
+            found.append((lower, sum(inside[c] << c * w for c in range(m))))
         return found
 
     empty = sum(bias << c * w for c in range(m))
@@ -181,25 +181,22 @@ class SliceGraph:
         # each slice's lower and upper class, numbered in order of appearance
         lowers, uppers = {empty: 0}, {}
         classes = [(array("I"), array("I")) for _ in range(held + 1)]
-
-        def file(total, shape, prefix, ids):
-            by_size[total] += [(*prefix, i) for i in ids]
-            low, up = classes[total]
-            for lower, upper in keys(prefix, ids):
+        for prefix, last in self.descend(held):
+            size = len(prefix) + 1
+            by_size[size] += [(*prefix, x) for x in last]
+            low, up = classes[size]
+            for lower, upper in keys(prefix, last):
                 low.append(lowers.setdefault(lower, len(lowers)))
                 up.append(uppers.setdefault(upper, len(uppers)))
-
-        _walk(held, self.tracker_type(m, k, 1), file, depth=1)
-        # numbered by ascending size, each size in descending order, as the
-        # walk files a shape's keys ascending
-        self.slices = [s for size in by_size for s in reversed(size)]
+        # numbered by ascending size, each size in descending order, as the walk lists it
+        self.slices = [s for size in by_size for s in size]
         # the slices of c factors are numbered starts[c] to starts[c+1] - 1
         self.starts = [0, *accumulate(len(size) for size in by_size)]
         self.top = max((c for c, size in enumerate(by_size) if size), default=0)
         self.lower, self.upper = array("I"), array("I")
         for low, up in classes:
-            self.lower += low[::-1]
-            self.upper += up[::-1]
+            self.lower += low
+            self.upper += up
         self.classes, self.uppers = [*lowers], [*uppers]
         self.successor_lists: dict[tuple[int, int], array] = {}
 
@@ -213,38 +210,46 @@ class SliceGraph:
             found = self.successor_lists[lower, size] = array("I", compress(range(start, end), fits))
         return found
 
-    def stream(self, size: int):
-        """The slices of `size` factors admissible alone, in descending order, none of them held.
+    def descend(self, most: int):
+        """The slices of at most `most` factors admissible alone, each size in descending order.
 
         As groups ``(prefix, last)``: the slices ``prefix + (x,)`` for x in
-        ``last``, a descending list.  A depth-first walk of the condition's
-        tracker at depth 1 that tries colors in descending order, with one
-        iterator of the colors left per pushed color and ``fitting`` deciding
-        the last.
+        ``last``, a descending list, before the groups that extend them.  A
+        depth-first walk of the condition's tracker on degree -1: a node's
+        children are the colors from its last one up that ``fitting``
+        accepts, so no push is refused, and they are walked in descending
+        order, so the slices of each size come out in descending order.
         """
+        if most < 1:
+            return
         tracker = self.tracker_type(self.m, self.k, 1)
         push, pop, fitting, width = tracker.push, tracker.pop, tracker.fitting, self.width
-        if size == 1:
-            yield (), fitting(0, width)[::-1]
-            return
         prefix: list[int] = []
-        tries = [iter(range(width - 1, -1, -1))]
+        last = fitting(0, width)[::-1]
+        yield (), last
+        tries = [iter(last)] if most > 1 else []
         while tries:
             for x in tries[-1]:
-                if push(x):
-                    prefix.append(x)
-                    if len(prefix) + 1 < size:
-                        tries.append(iter(range(width - 1, x - 1, -1)))
+                push(x)
+                prefix.append(x)
+                last = fitting(x, width)[::-1]
+                if last:
+                    yield tuple(prefix), last
+                    if len(prefix) + 1 < most:
+                        tries.append(iter(last))
                         break
-                    last = fitting(x, width)
-                    if last:
-                        yield tuple(prefix), last[::-1]
-                    prefix.pop()
+                prefix.pop()
                 pop(x)
             else:
                 tries.pop()
                 if prefix:
                     pop(prefix.pop())
+
+    def stream(self, size: int):
+        """The groups of `descend` of slices of `size` factors, none of them held."""
+        for prefix, last in self.descend(size):
+            if len(prefix) + 1 == size:
+                yield prefix, last
 
     def layers(self, piece, extend, join, start):
         """Layers 1..max_degree in partition order, each a generator of groups ``(acc, tail)``.

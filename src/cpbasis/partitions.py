@@ -55,6 +55,7 @@ from collections import Counter
 from operator import index
 
 from ._frozen import Frozen, setfield
+from .series import _position
 
 
 class Alphabet(Frozen):
@@ -133,8 +134,8 @@ class Color(Frozen):
     """A basis symbol X_ab; `a` is the column index, `b` the row index, ``a <= b``.
 
     ``_position`` is its position in `Alphabet.colors` order, set at
-    construction from (a, b) and the index bound n; it is the same on B(l)
-    and on B1(2l), whose bounds are both 2l.
+    construction by `series._position` from the index bound n and (a, b);
+    it is the same on B(l) and on B1(2l), whose bounds are both 2l.
     """
 
     __slots__ = ("alphabet", "a", "b", "_position")
@@ -150,8 +151,7 @@ class Color(Frozen):
         setfield(self, "alphabet", alphabet)
         setfield(self, "a", a)
         setfield(self, "b", b)
-        # columns 1..a-1 come first, n - c + 1 colors in column c
-        setfield(self, "_position", (a - 1) * n - (a - 1) * (a - 2) // 2 + b - a)
+        setfield(self, "_position", _position(n, a, b))
 
     @property
     def sort_key(self) -> tuple[int, int]:

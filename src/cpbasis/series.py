@@ -15,7 +15,10 @@ block starts at c or later, so the largest path sum over a slice t at -d-1
 and a slice s at -d is the largest A_t(c) + B_s(c) over the cuts c = 1..m,
 where A(c) = inside(1, c) and B(c) = inside(c, m).  A partition is
 admissible exactly when that sum is at most the level for every two
-adjacent degrees, the degree above -1 counting as empty.
+adjacent degrees, the degree above -1 counting as empty.  Every slice,
+inside and cut table of the package is indexed by color position, the
+`Alphabet.colors` order that `_position` gives and partition keys use,
+with one always-zero entry past the last: A(c) is position c - 1.
 
 Graded series are counted without listing: a transfer matrix runs over
 slices grouped by size and cut profiles (see `graded_series`).  The
@@ -64,25 +67,40 @@ def _triangle_rank(basis: BasisKind) -> int:
     return basis.rank if basis.kind == "fs" else 2 * basis.rank
 
 
-@lru_cache(maxsize=None)
-def _cells(m: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The pairs (i, j) by increasing j - i, then i, as flat cells ``(i, j, x, y)``.
+def _position(n: int, a: int, b: int) -> int:
+    """The position of color (a, b) in `Alphabet.colors` order, index bound n.
 
-    inside(i, j) reads the earlier cells x of (i+1, j) and y of (i, j-1), or
-    twice the always-zero cell len(cells) on the diagonal.
+    Columns 1..a-1 come first, n - c + 1 colors in column c.
     """
-    pairs = [(i, i + d) for d in range(m) for i in range(1, m - d + 1)]
-    flat = {pair: p for p, pair in enumerate(pairs)}
-    zero = len(pairs)
+    return (a - 1) * n - (a - 1) * (a - 2) // 2 + b - a
+
+
+@lru_cache(maxsize=None)
+def _cells(m: int) -> tuple[tuple[int, int, int], ...]:
+    """The inside table of fs(m) as steps ``(p, x, y)`` on color positions.
+
+    inside(p) = e(p) + max(inside(x), inside(y)), with x the position of
+    (i+1, j) and y that of (i, j-1) for p the position of (i, j).  Steps go
+    by increasing j - i, then i, so each reads only earlier steps; the m
+    diagonal steps come first and read twice the always-zero entry
+    m(m+1)/2, one past the last position.
+    """
+    zero = m * (m + 1) // 2
     return tuple(
-        (i, j, flat.get((i + 1, j), zero), flat.get((i, j - 1), zero)) for i, j in pairs
+        (_position(m, i, i + d), _position(m, i + 1, i + d) if d else zero,
+         _position(m, i, i + d - 1) if d else zero)
+        for d in range(m)
+        for i in range(1, m - d + 1)
     )
 
 
-def _cuts(m: int) -> tuple[list[int], list[int]]:
-    """The cells of A(c) = inside(1, c) and of B(c) = inside(c, m), each for c = 1..m."""
-    cells = list(enumerate(_cells(m)))
-    return [p for p, c in cells if c[0] == 1], [p for p, c in cells if c[1] == m][::-1]
+@lru_cache(maxsize=None)
+def _cuts(m: int) -> tuple[int, ...]:
+    """The positions of B(c) = inside(c, m) for c = 1..m.
+
+    A(c) = inside(1, c) is position c - 1, as column 1 comes first.
+    """
+    return tuple(_position(m, c, m) for c in range(1, m + 1))
 
 
 class QSeries(Frozen):
@@ -127,30 +145,32 @@ def _cut_profiles(
     at -v keep A_t(c) + B_s(c) <= k at each cut c.  The slices of at most
     max_degree factors that keep the first are listed; keys ascend by size.
     """
-    cells = _cells(m)
-    n = len(cells)
-    cuts_a, cuts_b = _cuts(m)
-    inside = [0] * (n + 1)  # cell n stays zero
-    size = [0] * (n + 1)  # size[p]: the factors in the cells before cell p
+    steps = _cells(m)
+    n = len(steps)
+    cuts = _cuts(m)
+    inside = [0] * (n + 1)  # by color position; entry n stays zero
+    size = [0] * (n + 1)  # size[q]: the factors in the colors of steps before step q
     classes: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
-    # depth first without recursion: the cells after p take their least values,
-    # the slice is filed and the last cell p that may grow does; as inside(1, m)
-    # is the largest inside(i, j), a cell may grow while below k
-    p = -1
+    # depth first without recursion: the colors of the steps after q take
+    # their least values, the slice is filed and the last step q whose color
+    # may grow does; as inside(1, m) is the largest inside(i, j), a color may
+    # grow while its inside is below k
+    q = -1
     while True:
-        for q, (_, _, x, y) in enumerate(cells[p + 1 :], p + 1):
-            inside[q] = inside[x] if inside[x] > inside[y] else inside[y]
-            size[q + 1] = size[q]
-        counts = classes.setdefault((size[n], tuple([inside[q] for q in cuts_b])), {})
-        a = tuple([inside[q] for q in cuts_a])
+        for r in range(q + 1, n):
+            p, x, y = steps[r]
+            inside[p] = inside[x] if inside[x] > inside[y] else inside[y]
+            size[r + 1] = size[r]
+        counts = classes.setdefault((size[n], tuple([inside[p] for p in cuts])), {})
+        a = tuple(inside[:m])
         counts[a] = counts.get(a, 0) + 1
-        p = n - 1
-        while p >= 0 and (inside[p] == k or size[p + 1] == max_degree):
-            p -= 1
-        if p < 0:
+        q = n - 1
+        while q >= 0 and (inside[steps[q][0]] == k or size[q + 1] == max_degree):
+            q -= 1
+        if q < 0:
             break
-        inside[p] += 1
-        size[p + 1] += 1
+        inside[steps[q][0]] += 1
+        size[q + 1] += 1
     return {key: tuple(counts.items()) for key, counts in sorted(classes.items())}
 
 

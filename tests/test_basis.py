@@ -55,7 +55,9 @@ from cpbasis.partitions import (
 from cpbasis.series import (
     BasisKind,
     QSeries,
+    _cells,
     _cut_profiles,
+    _cuts,
     character_oracle,
     graded_series,
     rr_counts,
@@ -1232,15 +1234,16 @@ def test_slice_paths_match_the_factor_walk(tracker_type, m, k, n):
 @pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker])
 @pytest.mark.parametrize("m, k, n", WALK_GRID)
 def test_walk_files_ascending_int_groups_of_one_degree(tracker_type, m, k, n):
-    # the slice graph holds the slices of the depth-1 walk of at most n - 2
-    # factors, one degree each, numbered by ascending size and each size
+    # the slice graph holds the keys of the factor walk to degree -(n - 2)
+    # that lie on degree -1 alone, numbered by ascending size and each size
     # descending; its successor lists are integer arrays of one size each
     method = "divisibility" if tracker_type is _Tracker else "inequalities"
     graph = SliceGraph(m, k, n, method)
     width = len(_entries(m, 1))
-    walked = []
-    _walk(graph.held, tracker_type(m, k, 1), lambda t, s, p, ids: walked.extend(
-        (*p, i) for i in ids), depth=1)
+    keys = []
+    _walk(graph.held, tracker_type(m, k, graph.held), lambda t, s, p, ids: keys.extend(
+        (*p, i) for i in ids))
+    walked = [key for key in keys if all(i < width for i in key)]
     assert sorted(graph.slices) == sorted(walked)
     assert all(0 <= x < width for s in walked for x in s)
     for size in range(1, graph.held + 1):
@@ -1615,6 +1618,29 @@ def test_cut_lemma(case):
         profile_b = tuple(inside_s[c, m] for c in range(1, m + 1))
         classes = _cut_profiles(m, k, size)
         assert profile_a in dict(classes.get((size, profile_b), ()))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_inside_steps_are_on_color_positions(m):
+    # every cut-lemma table is indexed by color position: the steps of the
+    # inside table set each position once, by increasing j - i, each from
+    # (i+1, j) and (i, j-1) set before it or from the zero entry past the last
+    steps, cuts = _cells(m), _cuts(m)
+    colors = upper_scheme(m).colors()
+    position = {c.pair: c._position for c in colors}
+    pair = {p: ab for ab, p in position.items()}
+    zero = len(colors)
+    assert sorted(p for p, _, _ in steps) == [c._position for c in colors]
+    assert [p for p, _, _ in steps[:m]] == [position[i, i] for i in range(1, m + 1)]
+    spans = [pair[p][1] - pair[p][0] for p, _, _ in steps]
+    assert spans == sorted(spans)
+    done = {zero}
+    for p, x, y in steps:
+        i, j = pair[p]
+        assert (x, y) == (position.get((i + 1, j), zero), position.get((i, j - 1), zero))
+        assert x in done and y in done
+        done.add(p)
+    assert list(cuts) == [position[c, m] for c in range(1, m + 1)]
 
 
 def one_pair_maximal_paths(m):

@@ -13,7 +13,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import WALK_GRID, run_python, run_python_peak, source_env
+from conftest import ROOT, WALK_GRID, run_python, run_python_peak, source_env
 from cpbasis import basis as basis_module, cli, listing
 from cpbasis.basis import _entries, enumerate_basis, enumerate_keys, leading_terms
 from cpbasis.cli import main
@@ -445,6 +445,22 @@ class TestVerifiers:
     def test_coincidence_detects_a_missing_fs_partition(self, capsys, monkeypatch):
         check_one_refused_partition(capsys, monkeypatch, "_CutTracker", "std leading terms")
 
+    def test_coincidence_names_a_repeated_color_as_a_power(self, capsys, monkeypatch):
+        # 22(-1) 11(-1)^2 is admissible at level 2; refused by the terms, it is
+        # named as `ColoredPartition` writes it, a repeated color as a power
+        entries = _entries(2, 5)
+        key = tuple(entries.index(entry) for entry in [(1, 1, 1), (1, 1, 1), (2, 2, 1)])
+        monkeypatch.setattr(basis_module, "_Tracker", refusing(basis_module._Tracker, key))
+        code, out, _ = run(
+            capsys, "verify-coincidence", "--ell", "1",
+            "--level", "2", "--max-degree", "5",
+        )
+        assert code == 1
+        assert out.splitlines()[5:] == [
+            "    -3  NO  22(-1) 11(-1)^2 is admitted by the fs path inequalities only",
+            "coincidence FAILED",
+        ]
+
     def test_coincidence_checks_the_counts_against_the_series(self, capsys, monkeypatch):
         graded_series = cli.graded_series
 
@@ -499,6 +515,23 @@ class TestVerifiers:
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
         assert proc.stdout.splitlines()[-1] == "counts agree"
+
+    def test_reach_runner_fails_on_exit_code_digest_and_bound(self, capsys):
+        # the runner of the CI reach steps passes a right digest within the
+        # bound and exits 1 on a failing command, a wrong digest or a bound
+        # the command's peak exceeds
+        reach = str(ROOT / "tests" / "reach.py")
+        argv = ["rr-check", "--max", "5"]
+        digest = hashlib.sha256(run(capsys, *argv)[1].encode()).hexdigest()
+        passed = run_python(reach, "64", digest, *argv)
+        assert passed.returncode == 0, passed.stderr
+        for bound, expected, args, reason in [
+            ("64", "-", ["rr-check", "--max", "0"], "exit code 2"),
+            ("64", "0" * 64, argv, f"stdout digest {digest} is not {'0' * 64}"),
+            ("1", digest, argv, "KiB is over 1 MB"),
+        ]:
+            failed = run_python(reach, bound, expected, *args)
+            assert failed.returncode == 1 and reason in failed.stderr, failed.stderr
 
 
 class TestWeylDim:
