@@ -40,15 +40,15 @@ nothing else.  The path inequalities are decided by the cut lemma alone,
 on the inside tables of `series` (see its docstring), which like the
 keys are indexed by color position; no path is ever built.
 
-A walk (`_walk`) pushes factors by ascending |degree| into a tracker,
-`_Tracker` of the terms (capped-sum counters packed in one integer per
-window) or `_CutTracker` of the cut profiles, and skips the subtree of
-every inadmissible prefix; it decides the leaves, the partitions nothing
-can follow, in one bulk test per degree instead of pushing them (a slot
-test for `_Tracker`, a reach table for `_CutTracker`).  An enumeration
-lists, by the two lemmas, paths in the window-1 slice graph (see
-`listing`), whose nodes are the single slices, listed by one descending
-walk of a tracker on degree -1.
+One depth-first walk (`_walk`) pushes factors by ascending |degree| into
+a tracker, `_Tracker` of the terms (capped-sum counters packed in one
+integer per window) or `_CutTracker` of the cut profiles.  Every node
+takes its children from the tracker's ``fitting``, one bulk test per
+degree (a slot test for `_Tracker`, a reach table for `_CutTracker`), so
+no push is refused, and it pushes only the children that a factor can
+follow.  An enumeration lists, by the two lemmas, paths in the window-1
+slice graph (see `listing`), whose nodes are the single slices, listed
+by the walk on degree -1.
 One walk that pushes both trackers together (`_Pair`) checks the
 coincidence exactly: each condition's admissible set is closed under
 dropping the last-walked factor, so at the least degree where the sets
@@ -473,7 +473,7 @@ class _Pair:
     It accepts what both accept, and records each key that only one
     accepts in ``disagreements`` as ``(key, by_cut)``, by_cut true when the
     path inequalities are the one; ``path`` holds the pushed entries.  The
-    walk pops a refused push before the next, so neither tracker is pushed
+    walk pushes only what ``fitting`` accepts, so neither tracker is pushed
     from a state it refuses.
     """
 
@@ -504,48 +504,47 @@ class _Pair:
         return [i for i in cut if i in div]
 
 
-def _walk(max_degree: int, tracker, file) -> None:
-    """The depth-first walk, handing each group of keys to ``file(total, shape, prefix, ids)``.
+def _walk(tracker, most: int, depth: int):
+    """The depth-first walk of `tracker` to total |degree| `most`, as groups ``(total, prefix, ids)``.
 
     A key is the tuple of entries pushed, ascending by (|degree|, color
-    position); its shape is its |degree| sequence.  A group is one node's
-    keys of one |degree| v: ``prefix + (i,)`` for i in ``ids``, a list of
-    ascending entries, of total |degree| ``total``.  A key of total t
-    ending at |degree| v is a leaf when t + v > max_degree, as nothing can
-    follow it; such groups are the ``fitting`` results, with no push.  The
-    other entries are pushed and recursed into, so a node's group is handed
-    over after the groups below it.
+    position), of |degree| at most `depth`.  A group is the keys ``prefix +
+    (i,)``, of total |degree| ``total``, for i in ``ids``: the entries of one
+    |degree| v that ``fitting`` accepts after ``prefix``, descending.  Each
+    group comes before the groups that extend it.  Its entries are pushed
+    only when a key of total t can go on, t + v <= most, so no push is
+    refused.  A stack entry ``[ids, total, child pushed or -1]`` walks one
+    group, a node's deepest first, so a caller must not change ``ids``.
     """
     width = tracker.width
     push, pop, fitting = tracker.push, tracker.pop, tracker.fitting
-
-    def rec(v: int, lo: int, used: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> None:
-        # entry lo is of |degree| v; each pass takes the entries of one degree,
-        # which end at index v * width
-        while used + v + v <= max_degree:
-            hi, total = v * width, used + v
-            grown = shape + (v,)
-            fits = []
-            for idx in range(lo, hi):
-                if push(idx):
-                    fits.append(idx)
-                    rec(v, idx, total, prefix + (idx,), grown)
-                pop(idx)
-            if fits:
-                file(total, grown, prefix, fits)
-            v, lo = v + 1, hi
-        # every partition handed over from here on is a leaf
-        while used + v <= max_degree:
+    prefix: list[int] = []
+    stack: list[list] = []
+    used = lo = 0  # the node's total and its first possible child
+    while True:
+        # the node's groups, one per |degree| v; a key of v is a leaf once used + 2v > most
+        key, v = tuple(prefix), lo // width + 1
+        while v <= depth and used + v <= most:
             hi = v * width
-            fits = fitting(lo, hi)
-            if fits:
-                file(used + v, shape + (v,), prefix, fits)
+            ids = fitting(lo, hi)
+            if ids:
+                ids.reverse()
+                yield used + v, key, ids
+                if used + v + v <= most:
+                    stack.append([iter(ids), used + v, -1])
             v, lo = v + 1, hi
-
-    rec(1, 0, 0, (), ())
-    # rec's closure holds rec: unbind it, so that the closures, and what file
-    # holds, go at once rather than when the cyclic collector runs
-    del rec
+        while stack:
+            todo, used, child = entry = stack[-1]
+            if child >= 0:
+                pop(prefix.pop())
+            lo = entry[2] = next(todo, -1)
+            if lo >= 0:
+                push(lo)
+                prefix.append(lo)
+                break
+            stack.pop()
+        else:
+            return
 
 
 @lru_cache(maxsize=8)

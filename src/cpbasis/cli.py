@@ -24,8 +24,9 @@ paths before it writes the layer.  Only the commands that write JSON
 import `json`.
 `leading-terms` writes its rows, JSON included, as it formats each
 sorted term.
-`verify-coincidence` makes one walk that pushes the trackers of both
-conditions together (see `basis._Pair`) and only counts each layer, so it
+`verify-coincidence` counts each layer over the groups of one
+`basis._walk` of both conditions' trackers together (`basis._Pair`, whose
+``fitting`` records each entry that one condition accepts alone), so it
 holds no listing; it checks the counts against `graded_series`, and on a
 disagreement names a partition of the least degree where the conditions
 differ.  No command holds a listing.
@@ -239,11 +240,8 @@ def _cmd_verify_coincidence(args) -> int:
     series = graded_series(basis, n).coeffs
     pair = _Pair(2 * ell, k, n)
     counts = [1] + [0] * n
-
-    def file(total, shape, prefix, ids):
+    for total, _, ids in _walk(pair, n, n):
         counts[total] += len(ids)
-
-    _walk(n, pair, file)
     entries = _entries(2 * ell, n)
     # the least degree where the conditions differ, with one partition there
     failed = min(((sum(entries[i][2] for i in key), key, by_cut)

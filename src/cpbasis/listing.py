@@ -6,11 +6,10 @@ the `basis` docstring), so a partition is admissible exactly when each of
 its slices is admissible alone and each two slices on adjacent degrees are
 admissible together on one window.  A listing therefore needs only the
 slice graph of window 1: its nodes are the slices admissible alone, listed
-by one depth-first walk of the condition's own tracker on degree -1 (see
-`SliceGraph.descend`), and an edge joins a slice s on -d to a slice t on
--d-1 when the pair is admissible.  Each slice has a lower key, read when
-it is s, and an upper key, read when it is t, and an edge depends on the
-two keys only:
+by `basis._walk` of the condition's own tracker on degree -1, and an edge
+joins a slice s on -d to a slice t on -d-1 when the pair is admissible.
+Each slice has a lower key, read when it is s, and an upper key, read when
+it is t, and an edge depends on the two keys only:
 
 * divisibility: a mixed row (P, Q) of `leading.rows`, P on degree -1 and
   Q on -2, refuses the pair when P divides s and Q divides t.  The lower
@@ -68,7 +67,7 @@ from array import array
 from itertools import accumulate, combinations, compress, repeat
 from operator import add, not_
 
-from .basis import _color_positions, _CutTracker, _Tracker
+from .basis import _color_positions, _CutTracker, _Tracker, _walk
 from .leading import rows
 from .series import _cells, _cuts
 
@@ -152,15 +151,15 @@ def _shapes(n: int, top: int, held: int) -> list[tuple[tuple[int, int], ...]]:
     one-degree shape of more than `held` factors, which is streamed.
     """
 
-    def rec(rest: int, least: int):
+    def spread(rest: int, least: int):
         if not rest:
             yield ()
         for d in range(least, rest + 1):
             for count in range(1, min(top, rest // d) + 1):
-                for tail in rec(rest - count * d, d + 1):
+                for tail in spread(rest - count * d, d + 1):
                     yield ((d, count), *tail)
 
-    shapes = [*rec(n, 1)]
+    shapes = [*spread(n, 1)]
     shapes += [((d, n // d),) for d in range(1, n + 1) if n % d == 0 and n // d > held]
     # (length, |degree| sequence), descending
     shapes.sort(key=lambda shape: (len(seq := [d for d, c in shape for _ in range(c)]), seq))
@@ -181,8 +180,7 @@ class SliceGraph:
         # each slice's lower and upper class, numbered in order of appearance
         lowers, uppers = {empty: 0}, {}
         classes = [(array("I"), array("I")) for _ in range(held + 1)]
-        for prefix, last in self.descend(held):
-            size = len(prefix) + 1
+        for size, prefix, last in _walk(self.tracker_type(m, k, 1), held, 1):
             by_size[size] += [(*prefix, x) for x in last]
             low, up = classes[size]
             for lower, upper in keys(prefix, last):
@@ -210,45 +208,10 @@ class SliceGraph:
             found = self.successor_lists[lower, size] = array("I", compress(range(start, end), fits))
         return found
 
-    def descend(self, most: int):
-        """The slices of at most `most` factors admissible alone, each size in descending order.
-
-        As groups ``(prefix, last)``: the slices ``prefix + (x,)`` for x in
-        ``last``, a descending list, before the groups that extend them.  A
-        depth-first walk of the condition's tracker on degree -1: a node's
-        children are the colors from its last one up that ``fitting``
-        accepts, so no push is refused, and they are walked in descending
-        order, so the slices of each size come out in descending order.
-        """
-        if most < 1:
-            return
-        tracker = self.tracker_type(self.m, self.k, 1)
-        push, pop, fitting, width = tracker.push, tracker.pop, tracker.fitting, self.width
-        prefix: list[int] = []
-        last = fitting(0, width)[::-1]
-        yield (), last
-        tries = [iter(last)] if most > 1 else []
-        while tries:
-            for x in tries[-1]:
-                push(x)
-                prefix.append(x)
-                last = fitting(x, width)[::-1]
-                if last:
-                    yield tuple(prefix), last
-                    if len(prefix) + 1 < most:
-                        tries.append(iter(last))
-                        break
-                prefix.pop()
-                pop(x)
-            else:
-                tries.pop()
-                if prefix:
-                    pop(prefix.pop())
-
     def stream(self, size: int):
-        """The groups of `descend` of slices of `size` factors, none of them held."""
-        for prefix, last in self.descend(size):
-            if len(prefix) + 1 == size:
+        """The groups ``(prefix, last)`` of `basis._walk` on degree -1 of `size` factors, none held."""
+        for total, prefix, last in _walk(self.tracker_type(self.m, self.k, 1), size, 1):
+            if total == size:
                 yield prefix, last
 
     def layers(self, piece, extend, join, start):

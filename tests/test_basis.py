@@ -7,6 +7,7 @@ import gc
 import hashlib
 import json
 import random
+import weakref
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -1029,9 +1030,11 @@ def fitting_cases(draw):
     The rank m <= 5, the level k <= 3 and the depth N <= 5.  The pushes are
     drawn from a pool of a few entries, sorted, and stop before the first
     that fails.  lo is often the last pushed entry, which is then held, and
-    otherwise any later entry; hi stays within lo's degree.
+    otherwise any later entry; hi stays within lo's degree.  `_Pair` is
+    drawn too, as its ``fitting`` picks every child of the coincidence walk:
+    the intersection of its two trackers', with no disagreement recorded.
     """
-    tracker_type = draw(st.sampled_from([_Tracker, _CutTracker]))
+    tracker_type = draw(st.sampled_from([_Tracker, _CutTracker, _Pair]))
     m = draw(st.integers(min_value=1, max_value=5))
     k = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=1, max_value=5))
@@ -1168,29 +1171,25 @@ def reference_enumerate_layers(m, max_degree, tracker):
 
 
 def walk_layers(max_degree, tracker):
-    """Every layer of keys as the listing filed the factor walk before it listed slice paths.
+    """Every layer of keys as the listing orders them, from the groups of `_walk`.
 
-    Each `_walk` group is filed by layer and shape.  A key lists its factors
-    in reverse canonical order, and a deeper degree or later color position
-    makes a smaller factor, so in a layer ``sort_key`` ascends as (length,
-    shape, colors) descends: shapes by descending (length, shape), and a
-    shape's keys in reverse walk order.  That holds as the shape fixes
-    whether a key is a leaf, so a shape holds leaf groups only or inner
-    groups only, and a recursive call files only longer shapes, so a
-    shape's groups arrive in walk order, each ascending.
+    Each group's keys are filed by layer and shape.  A key lists its
+    factors in reverse canonical order, and a deeper degree or later color
+    position makes a smaller factor, so in a layer ``sort_key`` ascends as
+    (length, shape, colors) descends: shapes by descending (length, shape),
+    and a shape's keys in descending order.
     """
+    width = tracker.width
     shapes = [{} for _ in range(max_degree + 1)]
-
-    def file(total, shape, prefix, ids):
-        shapes[total].setdefault(shape, []).append((prefix, ids))
-
-    _walk(max_degree, tracker, file)
+    for total, prefix, ids in _walk(tracker, max_degree, max_degree):
+        for i in ids:
+            key = (*prefix, i)
+            shapes[total].setdefault(tuple(j // width + 1 for j in key), []).append(key)
     return (((),),) + tuple(
         tuple(
-            (*prefix, i)
+            key
             for s in sorted(layer, key=lambda t: (len(t), t))[::-1]
-            for prefix, ids in layer[s][::-1]
-            for i in reversed(ids)
+            for key in sorted(layer[s], reverse=True)
         )
         for layer in shapes[1:]
     )
@@ -1241,8 +1240,15 @@ def test_walk_files_ascending_int_groups_of_one_degree(tracker_type, m, k, n):
     graph = SliceGraph(m, k, n, method)
     width = len(_entries(m, 1))
     keys = []
-    _walk(graph.held, tracker_type(m, k, graph.held), lambda t, s, p, ids: keys.extend(
-        (*p, i) for i in ids))
+    # each group is a descending list of ints of one degree, after the group
+    # of its prefix, so every key ascends
+    for total, prefix, ids in _walk(tracker_type(m, k, graph.held), graph.held, graph.held):
+        assert ids and all(type(i) is int for i in ids) and ids == sorted(set(ids), reverse=True)
+        assert len({i // width for i in ids}) == 1
+        assert not prefix or prefix[-1] <= ids[-1]
+        assert not prefix or prefix in keys
+        assert total == sum(i // width + 1 for i in (*prefix, ids[0]))
+        keys += [(*prefix, i) for i in ids]
     walked = [key for key in keys if all(i < width for i in key)]
     assert sorted(graph.slices) == sorted(walked)
     assert all(0 <= x < width for s in walked for x in s)
@@ -1259,6 +1265,47 @@ def test_walk_files_ascending_int_groups_of_one_degree(tracker_type, m, k, n):
             assert list(ids) == sorted(set(ids))
             assert all(graph.starts[size] <= t < graph.starts[size + 1] for t in ids)
         assert list(graph.successors(0, size)) == list(range(graph.starts[size], graph.starts[size + 1]))
+
+
+@pytest.mark.parametrize("tracker_type", [_Tracker, _CutTracker, _Pair])
+@pytest.mark.parametrize("m, k, n", WALK_GRID)
+def test_walk_pushes_only_fitting_entries_and_leaves_no_cycle(tracker_type, m, k, n):
+    # every child comes from `fitting`, so no push is refused; and the walk is
+    # one generator frame, so the tracker goes once the walk is used up or
+    # closed, with no cyclic collection
+    class Recording(tracker_type):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.verdicts = set()
+
+        def push(self, i):
+            verdict = super().push(i)
+            self.verdicts.add(verdict)
+            return verdict
+
+    tracker = Recording(m, k, n)
+    groups = sum(1 for _ in _walk(tracker, n, n))
+    assert groups > 0 or n == 0
+    assert tracker.verdicts == ({True} if n >= 2 else set())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tracker = tracker_type(m, k, n)
+        alive = weakref.ref(tracker)
+        for _ in _walk(tracker, n, n):
+            pass
+        del tracker
+        assert alive() is None
+        tracker = tracker_type(m, k, n)
+        alive = weakref.ref(tracker)
+        walk = _walk(tracker, n, n)
+        next(walk, None)
+        walk.close()
+        del tracker
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("method", ["divisibility", "inequalities"])
